@@ -2,23 +2,34 @@
 
 Keys combine the ring descriptor, a hash of the generating data, and the
 order descriptor.  Verification suites recompute the same bases heavily,
-so hits matter; the disk mirror (text JSON, one file per basis) makes them
-survive across runs.  Single-writer/many-reader: all access goes through
-one lock.
+so hits matter.  Memory holds parsed basis objects, so a hit costs a dict
+lookup; the disk mirror (text JSON, one file per basis) makes them survive
+across runs.  A disk entry is parsed once, on its first lookup, and an
+unreadable one counts as a miss.  Single-writer/many-reader: all access
+goes through one lock.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import threading
+
+# The builtin sha256 module spares loading OpenSSL's libcrypto through
+# hashlib, about 3.7 MB of resident memory; the digests are the same.
+try:
+    from _sha256 import sha256          # Python <= 3.11
+except ImportError:
+    try:
+        from _sha2 import sha256        # Python >= 3.12
+    except ImportError:
+        from hashlib import sha256
 
 _ENV_VAR = "TROPCM_CACHE"
 
 
 def digest(*parts) -> str:
-    h = hashlib.sha256()
+    h = sha256()
     for p in parts:
         h.update(p.encode("utf-8"))
         h.update(b"\x00")
@@ -26,6 +37,8 @@ def digest(*parts) -> str:
 
 
 class GBCache:
+    """Basis objects by key; each object's ``strings()`` is its disk text."""
+
     def __init__(self, directory=None):
         self.directory = directory
         self._mem = {}
@@ -34,37 +47,45 @@ class GBCache:
     def _path(self, key):
         return os.path.join(self.directory, key + ".json")
 
-    def get(self, key):
-        """Cached basis strings for ``key``, or None."""
+    def get(self, key, load):
+        """The basis cached under ``key``, or None.
+
+        A disk entry becomes a basis through ``load(strings)`` and is then
+        kept in memory.  An entry that cannot be read, lacks a list of
+        strings under ``basis``, or that ``load`` rejects with a
+        ``ValueError`` is a miss; the caller's next ``put`` overwrites it.
+        """
         with self._lock:
             hit = self._mem.get(key)
-            if hit is not None:
+            if hit is not None or not self.directory:
                 return hit
-            if self.directory:
-                path = self._path(key)
-                if os.path.exists(path):
-                    with open(path, "r", encoding="utf-8") as fh:
-                        data = json.load(fh)
-                    self._mem[key] = data["basis"]
-                    return data["basis"]
-        return None
+            path = self._path(key)
+            if not os.path.exists(path):
+                return None
+            try:
+                with open(path, "r", encoding="utf-8") as fh:
+                    strings = json.load(fh)["basis"]
+                if not (isinstance(strings, list)
+                        and all(isinstance(s, str) for s in strings)):
+                    return None
+                basis = load(strings)
+            except (OSError, ValueError, KeyError, TypeError):
+                return None
+            self._mem[key] = basis
+            return basis
 
-    def put(self, key, basis_strings, meta=None):
+    def put(self, key, basis, meta=None):
         with self._lock:
-            self._mem[key] = list(basis_strings)
+            self._mem[key] = basis
             if self.directory:
                 os.makedirs(self.directory, exist_ok=True)
-                payload = {"basis": list(basis_strings)}
+                payload = {"basis": basis.strings()}
                 if meta:
                     payload.update(meta)
                 tmp = self._path(key) + ".tmp"
                 with open(tmp, "w", encoding="utf-8") as fh:
                     json.dump(payload, fh, indent=1, sort_keys=True)
                 os.replace(tmp, self._path(key))
-
-    def clear_memory(self):
-        with self._lock:
-            self._mem.clear()
 
 
 _default = GBCache(directory=os.environ.get(_ENV_VAR) or None)

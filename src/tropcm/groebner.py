@@ -10,6 +10,8 @@ restricted to global well-orders (grevlex, lex, block).
 from __future__ import annotations
 
 from functools import cached_property
+from heapq import heapify, heappop, heappush
+from operator import neg
 
 from .cache import default_cache, digest
 from .hilbert import HilbertSeries
@@ -26,18 +28,27 @@ class NonHomogeneousError(ValueError):
 # ---------------------------------------------------------------------------
 # division and the Buchberger loop
 
-def reduce_full(f, basis, order):
-    """Full normal form: no term of the result is divisible by a basis LM."""
-    lead = [(g.leading(order)[0], g.leading(order)[1], g)
-            for g in basis if not g.is_zero()]
+def reduce_full(f, lead, order):
+    """Full normal form: no term of the result is divisible by a basis LM.
+
+    ``lead`` holds the basis as ``(lm, lc, g)`` triples, so leading terms
+    are found once per basis, not once per reduction.  Terms are taken
+    from a heap, leading-most first.  Every term a step adds is below the
+    term it removes (orders are multiplicative), so a popped term never
+    returns; a cancelled term stays in the heap and is skipped when popped.
+    """
     if not lead:
         return f
     key = order.key
     work = dict(f.terms)
+    heap = [(tuple(map(neg, key(m))), m) for m in work]
+    heapify(heap)
     rem = {}
-    while work:
-        m = max(work, key=key)
-        c = work.pop(m)
+    while heap:
+        m = heappop(heap)[1]
+        c = work.pop(m, None)
+        if c is None:
+            continue
         hit = None
         for gm, gc, g in lead:
             if mono_divides(gm, m):
@@ -54,10 +65,14 @@ def reduce_full(f, basis, order):
                 continue
             dest = mono_mul(tm, mult)
             s = work.get(dest)
-            s = -(tc * coef) if s is None else s - tc * coef
+            if s is None:
+                work[dest] = -(tc * coef)
+                heappush(heap, (tuple(map(neg, key(dest))), dest))
+                continue
+            s -= tc * coef
             if s:
                 work[dest] = s
-            elif dest in work:
+            else:
                 del work[dest]
     return Polynomial(f.ring, rem)
 
@@ -71,26 +86,22 @@ def s_polynomial(f, g, order):
             - g.term_mul(one / cg, mono_div(l, mg)))
 
 
-def _interreduce(basis, order):
-    """Minimalize then tail-reduce; output sorted by leading monomial."""
-    basis = sorted((g for g in basis if not g.is_zero()),
-                   key=lambda g: (mono_degree(g.leading(order)[0]),
-                                  order.key(g.leading(order)[0])))
+def _interreduce(lead, order):
+    """Minimalize then tail-reduce monic ``(lm, lc, g)`` triples; output
+    sorted by leading monomial."""
+    lead = sorted(lead, key=lambda t: (mono_degree(t[0]), order.key(t[0])))
     minimal = []
-    lms = []
-    for g in basis:
-        lm = g.leading(order)[0]
-        if not any(mono_divides(m, lm) for m in lms):
-            minimal.append(g)
-            lms.append(lm)
+    for t in lead:
+        if not any(mono_divides(m, t[0]) for m, _, _ in minimal):
+            minimal.append(t)
     out = []
-    for i, g in enumerate(minimal):
-        others = minimal[:i] + minimal[i + 1:]
-        out.append(reduce_full(g, others, order).monic(order))
+    for i, (lm, _, g) in enumerate(minimal):
+        # the leading term survives tail reduction, so the result stays monic
+        out.append((lm, reduce_full(g, minimal[:i] + minimal[i + 1:], order)))
     # presentation order: ascending degree, leading-most first within a degree
-    out.sort(key=lambda g: order.key(g.leading(order)[0]), reverse=True)
-    out.sort(key=lambda g: mono_degree(g.leading(order)[0]))
-    return out
+    out.sort(key=lambda t: order.key(t[0]), reverse=True)
+    out.sort(key=lambda t: mono_degree(t[0]))
+    return [g for _, g in out]
 
 
 def groebner_basis_raw(polys, order, homogeneous=None):
@@ -108,28 +119,32 @@ def groebner_basis_raw(polys, order, homogeneous=None):
         raise NonHomogeneousError(
             "non-homogeneous generators require a global order "
             f"(got {order.descriptor()})")
-    G = [p.monic(order) for p in polys]
-    lms = [g.leading(order)[0] for g in G]
-    pairs = {(j, i) for i in range(len(G)) for j in range(i)}
+    one = polys[0].ring.field.one()
+
+    def monic_lead(p):
+        m, c = p.leading(order)
+        return (m, one, p.scale(one / c))
+
+    lead = [monic_lead(p) for p in polys]
+    pairs = {(j, i) for i in range(len(lead)) for j in range(i)}
 
     def pair_key(pair):
         i, j = pair
-        l = mono_lcm(lms[i], lms[j])
+        l = mono_lcm(lead[i][0], lead[j][0])
         return (mono_degree(l), order.key(l), i, j)
 
     while pairs:
         i, j = min(pairs, key=pair_key)
         pairs.discard((i, j))
-        li, lj = lms[i], lms[j]
+        (li, _, gi), (lj, _, gj) = lead[i], lead[j]
         if all(a == 0 or b == 0 for a, b in zip(li, lj)):
             continue
-        s = reduce_full(s_polynomial(G[i], G[j], order), G, order)
+        s = reduce_full(s_polynomial(gi, gj, order), lead, order)
         if not s.is_zero():
-            k = len(G)
+            k = len(lead)
             pairs.update((t, k) for t in range(k))
-            G.append(s.monic(order))
-            lms.append(s.leading(order)[0])
-    return _interreduce(G, order)
+            lead.append(monic_lead(s))
+    return _interreduce(lead, order)
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +153,7 @@ def groebner_basis_raw(polys, order, homogeneous=None):
 class Ideal:
     """Homogeneous ideal given by generators; zero generators are dropped."""
 
-    __slots__ = ("ring", "generators", "_canon", "_canon_hash")
+    __slots__ = ("ring", "generators", "_canon", "_canon_hash", "_gen_key")
 
     def __init__(self, ring, generators):
         gens = []
@@ -154,6 +169,7 @@ class Ideal:
         self.generators = tuple(gens)
         self._canon = None
         self._canon_hash = None
+        self._gen_key = None
 
     @classmethod
     def from_strings(cls, ring, texts):
@@ -163,8 +179,10 @@ class Ideal:
         return not self.generators
 
     def generator_key(self):
-        return digest(self.ring.descriptor(),
-                      ";".join(sorted(str(g) for g in self.generators)))
+        if self._gen_key is None:
+            self._gen_key = digest(self.ring.descriptor(),
+                                   ";".join(sorted(str(g) for g in self.generators)))
+        return self._gen_key
 
     def canonical_basis(self):
         """Reduced grevlex basis: the canonical form used for equality."""
@@ -194,17 +212,28 @@ class Ideal:
 
 
 class GroebnerBasis:
-    """A reduced basis together with its order and ring."""
+    """A reduced basis together with its order and ring.
 
-    __slots__ = ("ring", "order", "basis")
+    Cached bases are shared between callers: treat them as read-only.
+    """
+
+    __slots__ = ("ring", "order", "basis", "_lead")
 
     def __init__(self, ring, order, basis):
         self.ring = ring
         self.order = order
         self.basis = tuple(basis)
+        self._lead = None
+
+    def leading_terms(self):
+        """``(lm, lc, g)`` per nonzero element, computed once."""
+        if self._lead is None:
+            self._lead = [g.leading(self.order) + (g,)
+                          for g in self.basis if not g.is_zero()]
+        return self._lead
 
     def leading_monomials(self):
-        return [g.leading(self.order)[0] for g in self.basis]
+        return [m for m, _, _ in self.leading_terms()]
 
     def strings(self):
         return [str(g) for g in self.basis]
@@ -222,28 +251,30 @@ class GroebnerBasis:
 def buchberger_reduced(ideal, order, cache=None):
     """Unique reduced basis of a homogeneous ideal, cached by canonical form."""
     cache = cache or default_cache()
+    ring = ideal.ring
+
+    def load(strings):
+        return GroebnerBasis(ring, order, [parse_polynomial(s, ring) for s in strings])
+
     raw_key = digest(ideal.generator_key(), order.descriptor())
-    hit = cache.get(raw_key)
+    hit = cache.get(raw_key, load)
     if hit is not None:
-        basis = [parse_polynomial(s, ideal.ring) for s in hit]
-        return GroebnerBasis(ideal.ring, order, basis)
+        return hit
     if order != GREVLEX:
         # second chance: key by the canonical form so regenerated ideals hit
         canon_key = digest("canon", ideal.canonical_hash(), order.descriptor())
-        hit = cache.get(canon_key)
+        hit = cache.get(canon_key, load)
         if hit is not None:
             cache.put(raw_key, hit)
-            basis = [parse_polynomial(s, ideal.ring) for s in hit]
-            return GroebnerBasis(ideal.ring, order, basis)
+            return hit
     basis = groebner_basis_raw(list(ideal.generators), order, homogeneous=True)
-    gb = GroebnerBasis(ideal.ring, order, basis)
-    strings = gb.strings()
-    meta = {"ring": ideal.ring.descriptor(), "order": order.descriptor()}
-    cache.put(raw_key, strings, meta)
+    gb = GroebnerBasis(ring, order, basis)
+    meta = {"ring": ring.descriptor(), "order": order.descriptor()}
+    cache.put(raw_key, gb, meta)
     if order == GREVLEX and ideal._canon is None:
         ideal._canon = gb.basis
     canon_key = digest("canon", ideal.canonical_hash(), order.descriptor())
-    cache.put(canon_key, strings, meta)
+    cache.put(canon_key, gb, meta)
     return gb
 
 
@@ -251,7 +282,7 @@ def normal_form(f, gb: GroebnerBasis):
     """Remainder of f against a reduced basis; supported on standard monomials."""
     if f.ring != gb.ring:
         raise ValueError("polynomial and basis from different rings")
-    return reduce_full(f, gb.basis, gb.order)
+    return reduce_full(f, gb.leading_terms(), gb.order)
 
 
 def ideal_membership(f, ideal, cache=None):
@@ -346,7 +377,7 @@ def contains_monomial(ideal, cache=None):
     d = 1
     while True:
         for m in monomials_of_degree(ring.nvars, d):
-            if reduce_full(ring.monomial(m), gb.basis, GREVLEX).is_zero():
+            if normal_form(ring.monomial(m), gb).is_zero():
                 return m
         d += 1
         if d > 200:
@@ -366,7 +397,7 @@ def hilbert_series_quotient(ideal, order=GREVLEX, cache=None):
 def krull_dimension(ideal, cache=None):
     """Pole order of the Hilbert series at t = 1; the ideal must be proper."""
     gb = buchberger_reduced(ideal, GREVLEX, cache)
-    if any(mono_degree(g.leading(GREVLEX)[0]) == 0 for g in gb.basis):
+    if any(mono_degree(m) == 0 for m in gb.leading_monomials()):
         raise ValueError("the ideal is the whole ring")
     return hilbert_series_quotient(ideal, GREVLEX, cache).dimension()
 

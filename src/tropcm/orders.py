@@ -2,17 +2,20 @@
 
 All comparisons use the min convention for weights: among monomials of a
 fixed degree the leading one has the *smallest* inner product with the
-weight vector, ties broken by the base order.  ``key`` returns a sortable
-tuple where a bigger key means closer to leading.
+weight vector, ties broken by the base order.  ``key`` returns a flat
+tuple of integers where a bigger key means closer to leading, so negating
+every entry reverses the order (the normal-form heap relies on this).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from operator import mul, neg
 
 
 def grevlex_key(exps):
-    return (sum(exps), tuple(-e for e in reversed(exps)))
+    return (sum(exps), *map(neg, reversed(exps)))
 
 
 def lex_key(exps):
@@ -29,11 +32,17 @@ class MonomialOrder:
     a fixed degree, which suffices for homogeneous computation.
     """
 
-    __slots__ = ("kind", "weight", "tiebreak", "block", "_desc")
+    __slots__ = ("kind", "weight", "tiebreak", "block", "_desc", "_iweight")
 
     def __init__(self, kind, weight=None, tiebreak=None, block=None):
         self.kind = kind
         self.weight = tuple(Fraction(x) for x in weight) if weight is not None else None
+        # the weight scaled by the lcm of its denominators: integer sums in
+        # ``key``, and the same order
+        self._iweight = None
+        if self.weight is not None:
+            scale = lcm(*(w.denominator for w in self.weight))
+            self._iweight = tuple((w * scale).numerator for w in self.weight)
         self.tiebreak = tiebreak
         self.block = frozenset(block) if block is not None else None
         self._desc = None
@@ -61,8 +70,7 @@ class MonomialOrder:
         if self.kind == "lex":
             return lex_key(exps)
         if self.kind == "weight":
-            wv = sum(w * e for w, e in zip(self.weight, exps))
-            return (-wv,) + self.tiebreak.key(exps)
+            return (-sum(map(mul, self._iweight, exps)),) + self.tiebreak.key(exps)
         if self.kind == "elim":
             bd = sum(exps[i] for i in self.block)
             return (bd,) + self.tiebreak.key(exps)

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -9,7 +11,8 @@ from tropcm import (GREVLEX, LEX, HilbertSeries, Ideal, MonomialOrder,
                     hilbert_series_quotient, ideal_membership, initial_ideal,
                     krull_dimension, normal_form, parse_polynomial,
                     radical_membership)
-from tropcm.cache import GBCache
+import tropcm.groebner
+from tropcm.cache import GBCache, digest
 from tropcm.macaulay import graded_slice, initial_slice_oracle
 from tropcm.polynomials import monomials_of_degree
 
@@ -276,6 +279,64 @@ def test_cache_canonical_key_shares_across_generating_sets(tmp_path):
     assert first.strings() == second.strings()
     # the second run reuses the canonical entry instead of recomputing
     assert len(list(tmp_path.glob("*.json"))) >= n_files
+
+
+CACHE_ORDERS = [GREVLEX,
+                MonomialOrder.weighted((Fraction(1, 2), 0, Fraction(1, 3))),
+                MonomialOrder.elimination([0])]
+
+
+def count_parses(monkeypatch):
+    calls = []
+    original = tropcm.groebner.parse_polynomial
+
+    def counted(text, ring):
+        calls.append(text)
+        return original(text, ring)
+
+    monkeypatch.setattr(tropcm.groebner, "parse_polynomial", counted)
+    return calls
+
+
+@pytest.mark.parametrize("order", CACHE_ORDERS, ids=lambda o: o.kind)
+def test_cache_fresh_memory_and_disk_agree(tmp_path, monkeypatch, order):
+    parses = count_parses(monkeypatch)
+    I = ideal_from(R3, "x1*x3 - x2^2", "x1^2 + x2*x3")
+    cache = GBCache(directory=str(tmp_path))
+    fresh = buchberger_reduced(I, order, cache)
+    memory = buchberger_reduced(I, order, cache)
+    assert parses == []                    # a memory hit parses nothing
+    disk = buchberger_reduced(ideal_from(R3, "x1*x3 - x2^2", "x1^2 + x2*x3"),
+                              order, GBCache(directory=str(tmp_path)))
+    assert parses                          # the entry came from disk
+    assert fresh.strings() == memory.strings() == disk.strings()
+    assert disk.leading_monomials() == fresh.leading_monomials()
+
+
+@pytest.mark.parametrize("damage", [
+    lambda text: text[:len(text) // 2],                 # truncated JSON
+    lambda text: json.dumps({"ring": "QQ[x1,x2,x3]"}),  # no basis
+    lambda text: json.dumps({"basis": ["x1 +* y7"]}),   # not a polynomial
+    lambda text: json.dumps({"basis": "x1"}),           # not a list
+], ids=["truncated", "no-basis", "unparsable", "not-a-list"])
+def test_cache_unreadable_entry_is_recomputed(tmp_path, damage):
+    I = ideal_from(R3, "x1*x3 - x2^2", "x1^2 + x2*x3")
+    expected = buchberger_reduced(I, GREVLEX, GBCache(directory=str(tmp_path)))
+    files = sorted(tmp_path.glob("*.json"))
+    for path in files:
+        path.write_text(damage(path.read_text(encoding="utf-8")), encoding="utf-8")
+    again = buchberger_reduced(ideal_from(R3, "x1*x3 - x2^2", "x1^2 + x2*x3"),
+                               GREVLEX, GBCache(directory=str(tmp_path)))
+    assert again.strings() == expected.strings()
+    raw_key = digest(I.generator_key(), GREVLEX.descriptor())
+    entry = json.loads((tmp_path / f"{raw_key}.json").read_text(encoding="utf-8"))
+    assert entry["basis"] == expected.strings()
+
+
+def test_digest_is_sha256():
+    parts = ("QQ[x1,x2]", "x1^2 - x2", "weight(1/2,0);grevlex")
+    data = b"".join(p.encode("utf-8") + b"\x00" for p in parts)
+    assert digest(*parts) == hashlib.sha256(data).hexdigest()
 
 
 # -- prime-field coefficients ---------------------------------------------------

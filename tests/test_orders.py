@@ -2,10 +2,12 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tropcm import GREVLEX, LEX, MonomialOrder, compare_monomials
-from tropcm.orders import order_from_descriptor
-from tropcm.polynomials import monomials_of_degree
+from tropcm.orders import grevlex_key, order_from_descriptor
+from tropcm.polynomials import monomials_of_degree, weight_value
 
 
 def test_grevlex_same_degree():
@@ -76,3 +78,26 @@ def test_globality_flags():
     assert LEX.is_global()
     assert MonomialOrder.elimination([0]).is_global()
     assert not MonomialOrder.weighted((1, 0)).is_global()
+
+
+fractional_weights = st.lists(
+    st.fractions(min_value=-5, max_value=5, max_denominator=12),
+    min_size=4, max_size=4)
+
+
+@given(fractional_weights)
+@settings(max_examples=80, deadline=None)
+def test_weight_key_matches_exact_weight_then_grevlex(w):
+    # the key sums integer-scaled weights; the order must be the one the
+    # exact rational weight values give, ties broken by grevlex
+    order = MonomialOrder.weighted(w)
+    monos = monomials_of_degree(4, 2) + monomials_of_degree(4, 3)
+    by_key = sorted(monos, key=order.key)
+    by_value = sorted(monos, key=lambda m: (-weight_value(w, m), grevlex_key(m)))
+    assert by_key == by_value
+
+
+def test_weight_scaling_keeps_descriptor():
+    order = MonomialOrder.weighted((Fraction(1, 2), Fraction(2, 3), 0))
+    assert order.weight == (Fraction(1, 2), Fraction(2, 3), Fraction(0))
+    assert order.descriptor() == "weight(1/2,2/3,0);grevlex"
