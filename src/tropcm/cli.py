@@ -461,6 +461,10 @@ def main(argv=None):
     except (IdealFileError, ParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        # an internal limit, e.g. random_gl's resampling cap: not a verdict
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -86,29 +86,36 @@ def s_polynomial(f, g, order):
             - g.term_mul(one / cg, mono_div(l, mg)))
 
 
+def _presented(lead, order):
+    """The polynomials of ``(lm, ..., g)`` triples in presentation order:
+    ascending degree, leading-most first within a degree."""
+    lead = sorted(lead, key=lambda t: order.key(t[0]), reverse=True)
+    lead.sort(key=lambda t: mono_degree(t[0]))
+    return [t[-1] for t in lead]
+
+
 def _interreduce(lead, order):
-    """Minimalize then tail-reduce monic ``(lm, lc, g)`` triples; output
-    sorted by leading monomial."""
+    """Minimalize then tail-reduce monic ``(lm, lc, g)`` triples; output in
+    presentation order."""
     lead = sorted(lead, key=lambda t: (mono_degree(t[0]), order.key(t[0])))
     minimal = []
     for t in lead:
         if not any(mono_divides(m, t[0]) for m, _, _ in minimal):
             minimal.append(t)
-    out = []
-    for i, (lm, _, g) in enumerate(minimal):
-        # the leading term survives tail reduction, so the result stays monic
-        out.append((lm, reduce_full(g, minimal[:i] + minimal[i + 1:], order)))
-    # presentation order: ascending degree, leading-most first within a degree
-    out.sort(key=lambda t: order.key(t[0]), reverse=True)
-    out.sort(key=lambda t: mono_degree(t[0]))
-    return [g for _, g in out]
+    # the leading term survives tail reduction, so the result stays monic
+    return _presented([(lm, reduce_full(g, minimal[:i] + minimal[i + 1:], order))
+                       for i, (lm, _, g) in enumerate(minimal)], order)
 
 
-def groebner_basis_raw(polys, order, homogeneous=None):
+def groebner_basis_raw(polys, order, homogeneous=None, hilbert=None):
     """Reduced Groebner basis of a list of polynomials.
 
-    Normal pair selection (smallest lcm degree first) with the coprime
-    criterion; deterministic throughout.
+    Pairs come from a heap, smallest lcm degree first, then lowest lcm
+    under ``order``; the Gebauer-Moeller criteria prune them as elements
+    arrive.  ``hilbert``, the Hilbert series of the quotient by the ideal,
+    drives a homogeneous run: a degree ends once the leading monomials fill
+    it, and the run ends once their series equals ``hilbert``.
+    Deterministic throughout.
     """
     polys = [p for p in polys if not p.is_zero()]
     if not polys:
@@ -119,32 +126,78 @@ def groebner_basis_raw(polys, order, homogeneous=None):
         raise NonHomogeneousError(
             "non-homogeneous generators require a global order "
             f"(got {order.descriptor()})")
+    nvars = polys[0].ring.nvars
     one = polys[0].ring.field.one()
+    lead = []      # every element, oldest first, all used for reduction
+    active = []    # indices of elements no newer leading monomial divides
+    live = {}      # unprocessed pair -> lcm; the heap may hold dead pairs
+    heap = []
 
-    def monic_lead(p):
+    def add(p):
         m, c = p.leading(order)
-        return (m, one, p.scale(one / c))
+        k = len(lead)
+        lead.append((m, one, p.scale(one / c)))
+        # criterion B: m divides lcm(i, j) and differs from lcm(i, k), lcm(j, k)
+        for (i, j), l in list(live.items()):
+            if (mono_divides(m, l) and mono_lcm(lead[i][0], m) != l
+                    and mono_lcm(lead[j][0], m) != l):
+                del live[i, j]
+        # criteria M and F: a new pair goes when another new lcm divides its
+        # own; a coprime pair always stays, to beat ties, and goes afterwards
+        new = [(i, mono_lcm(lead[i][0], m)) for i in active]
+        kept = []
+        for n, (i, l) in enumerate(new):
+            coprime = mono_degree(l) == mono_degree(lead[i][0]) + mono_degree(m)
+            if coprime or not any(mono_divides(l2, l)
+                                  for _, l2 in new[n + 1:] + kept):
+                kept.append((None if coprime else i, l))
+        for i, l in kept:
+            if i is not None:
+                live[i, k] = l
+                heappush(heap, (mono_degree(l), order.key(l), i, k))
+        active[:] = [i for i in active if not mono_divides(m, lead[i][0])]
+        active.append(k)
 
-    lead = [monic_lead(p) for p in polys]
-    pairs = {(j, i) for i in range(len(lead)) for j in range(i)}
-
-    def pair_key(pair):
-        i, j = pair
-        l = mono_lcm(lead[i][0], lead[j][0])
-        return (mono_degree(l), order.key(l), i, j)
-
-    while pairs:
-        i, j = min(pairs, key=pair_key)
-        pairs.discard((i, j))
-        (li, _, gi), (lj, _, gj) = lead[i], lead[j]
-        if all(a == 0 or b == 0 for a, b in zip(li, lj)):
+    for p in polys:
+        add(p)
+    if not homogeneous:
+        hilbert = None
+    degree = missing = None
+    while heap:
+        d, _, i, j = heappop(heap)
+        if live.pop((i, j), None) is None:
             continue
-        s = reduce_full(s_polynomial(gi, gj, order), lead, order)
+        if hilbert is not None and d != degree:
+            # leading monomials still missing in degree d; none at all ends
+            degree = d
+            reached = HilbertSeries.from_leading_monomials(
+                [t[0] for t in lead], nvars)
+            if reached == hilbert:
+                break
+            missing = reached.hilbert_function(d) - hilbert.hilbert_function(d)
+        if missing == 0:
+            continue
+        s = reduce_full(s_polynomial(lead[i][2], lead[j][2], order), lead, order)
         if not s.is_zero():
-            k = len(lead)
-            pairs.update((t, k) for t in range(k))
-            lead.append(monic_lead(s))
+            add(s)
+            if missing is not None:
+                missing -= 1
     return _interreduce(lead, order)
+
+
+def rebase(gb, order):
+    """``gb`` as the reduced basis under ``order``, or None.
+
+    When every element keeps its leading monomial under ``order``, those
+    monomials generate an ideal inside the initial ideal under ``order``
+    with the Hilbert function of the (homogeneous) ideal, so the two are
+    equal: the elements form a Groebner basis under ``order``, and still a
+    reduced one (Mora-Robbiano).  Only the presentation order can change.
+    """
+    lead = gb.leading_terms()
+    if any(g.leading(order)[0] != m for m, _, g in lead):
+        return None
+    return GroebnerBasis(gb.ring, order, _presented(lead, order))
 
 
 # ---------------------------------------------------------------------------
@@ -248,33 +301,35 @@ class GroebnerBasis:
         return f"GroebnerBasis({self.order.descriptor()}; {', '.join(self.strings())})"
 
 
-def buchberger_reduced(ideal, order, cache=None):
-    """Unique reduced basis of a homogeneous ideal, cached by canonical form."""
+def buchberger_reduced(ideal, order, cache=None, reuse=None):
+    """Unique reduced basis of a homogeneous ideal, cached by generators.
+
+    ``reuse`` is a fan sweep's list of weight bases of ``ideal``.  On a
+    cache miss, a basis from it that ``rebase`` accepts for ``order`` is
+    the answer; a basis computed cold is appended to it.  A cold weight
+    basis is driven by the Hilbert series of the grevlex basis.
+    """
     cache = cache or default_cache()
     ring = ideal.ring
 
     def load(strings):
         return GroebnerBasis(ring, order, [parse_polynomial(s, ring) for s in strings])
 
-    raw_key = digest(ideal.generator_key(), order.descriptor())
-    hit = cache.get(raw_key, load)
+    key = digest(ideal.generator_key(), order.descriptor())
+    hit = cache.get(key, load)
     if hit is not None:
         return hit
-    if order != GREVLEX:
-        # second chance: key by the canonical form so regenerated ideals hit
-        canon_key = digest("canon", ideal.canonical_hash(), order.descriptor())
-        hit = cache.get(canon_key, load)
-        if hit is not None:
-            cache.put(raw_key, hit)
-            return hit
-    basis = groebner_basis_raw(list(ideal.generators), order, homogeneous=True)
-    gb = GroebnerBasis(ring, order, basis)
-    meta = {"ring": ring.descriptor(), "order": order.descriptor()}
-    cache.put(raw_key, gb, meta)
+    gb = next(filter(None, (rebase(b, order) for b in reversed(reuse or ()))), None)
+    if gb is None:
+        hilbert = (hilbert_series_quotient(ideal, GREVLEX, cache)
+                   if order.kind == "weight" else None)
+        gb = GroebnerBasis(ring, order, groebner_basis_raw(
+            list(ideal.generators), order, homogeneous=True, hilbert=hilbert))
+        if reuse is not None:
+            reuse.append(gb)
+    cache.put(key, gb, {"ring": ring.descriptor(), "order": order.descriptor()})
     if order == GREVLEX and ideal._canon is None:
         ideal._canon = gb.basis
-    canon_key = digest("canon", ideal.canonical_hash(), order.descriptor())
-    cache.put(canon_key, gb, meta)
     return gb
 
 
@@ -293,10 +348,13 @@ def ideal_membership(f, ideal, cache=None):
 # ---------------------------------------------------------------------------
 # initial ideals and elimination
 
-def initial_ideal(w, ideal, cache=None):
-    """in_w(I) = <in_w(g) : g in the reduced basis under the w-refined order>."""
+def initial_ideal(w, ideal, cache=None, reuse=None):
+    """in_w(I) = <in_w(g) : g in the reduced basis under the w-refined order>.
+
+    ``reuse`` is passed on to ``buchberger_reduced``; only fan sweeps pass it.
+    """
     order = MonomialOrder.weighted(w)
-    gb = buchberger_reduced(ideal, order, cache)
+    gb = buchberger_reduced(ideal, order, cache, reuse)
     return Ideal(ideal.ring, [g.initial_form(w) for g in gb.basis])
 
 

@@ -5,7 +5,9 @@ ideals vs elimination, Hilbert recursion vs basis equality, normal-form
 evaluation vs adic membership) and compares exactly.  Failed hypotheses
 are reported as such, never silently folded into pass or fail; verdicts
 are ``pass``, ``fail``, ``undetermined`` (primeness outside certificate
-range) or ``hypothesis-not-met``.
+range) or ``hypothesis-not-met``.  Only the two fan sweeps, which compare
+samples rather than two routes, reuse a weight basis across the weights
+of its Groebner cone (``groebner.rebase``, exact).
 """
 
 from __future__ import annotations
@@ -579,13 +581,14 @@ def well_poised_check(ideal, d=None, samples_per_cone=3, seed=0,
         d = krull_dimension(ideal, cache)
     inst = _instance(ideal, d=d, samples_per_cone=samples_per_cone, seed=seed)
     linear = all(g.degree() == 1 for g in buchberger_reduced(ideal, GREVLEX, cache))
+    bases = []      # this sweep's weight bases of ideal, see rebase
     cones = []
     verdicts = []
     for codim in range(0, d):
         for cone in enumerate_generic_fan(n, d, codim):
             for k in range(samples_per_cone):
                 w = sample_interior(cone, seed + k)
-                inw = initial_ideal(w, ideal, cache)
+                inw = initial_ideal(w, ideal, cache, bases)
                 verdict, cert = primeness_check(inw, cache)
                 verdicts.append(verdict)
                 cones.append({"codim": codim, "A": list(cone.label()),
@@ -612,12 +615,13 @@ def cm_fan_audit(ideal, samples_per_cone=3, seed=0, cache=None) -> VerificationR
     d = krull_dimension(ideal, cache)
     inst = _instance(ideal, d=d, samples_per_cone=samples_per_cone, seed=seed)
     notes = []
+    bases = []      # this sweep's weight bases of ideal, see rebase
     for cone in enumerate_generic_fan(n, d, 0):
         base = None
         base_w = None
         for k in range(samples_per_cone):
             w = sample_interior(cone, seed + k)
-            inw = initial_ideal(w, ideal, cache)
+            inw = initial_ideal(w, ideal, cache, bases)
             if base is None:
                 base, base_w = inw, w
             elif inw != base:

@@ -5,6 +5,7 @@ import pytest
 from tropcm import (GREVLEX, IdealFileError, buchberger_reduced,
                     load_ideal_file, parse_ideal_text, parse_subset,
                     parse_weight, save_ideal_file)
+import tropcm.cli
 from tropcm.cli import main
 
 CONIC = """\
@@ -211,6 +212,17 @@ def test_cli_error_handling(tmp_path, capsys):
     code = main(["gb", str(tmp_path / "missing.ideal")])
     err = capsys.readouterr().err
     assert code == 2 and "error:" in err
+
+
+def test_cli_internal_error_exit_code(conic_path, monkeypatch, capsys):
+    def degenerate(*args, **kwargs):
+        raise RuntimeError("could not sample an invertible matrix")
+
+    monkeypatch.setattr(tropcm.cli, "random_gl", degenerate)
+    code = main(["generic", conic_path, "--seed", "42"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err.startswith("error:") and captured.out == ""
 
 
 def test_cli_output_file_round_trip(conic_path, tmp_path, capsys):

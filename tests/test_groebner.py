@@ -277,7 +277,7 @@ def test_cache_canonical_key_shares_across_generating_sets(tmp_path):
     n_files = len(list(tmp_path.glob("*.json")))
     second = buchberger_reduced(Ideal(R3, [g, f + g]), order, cache)
     assert first.strings() == second.strings()
-    # the second run reuses the canonical entry instead of recomputing
+    # keys hash the generators as given: the second set gets entries of its own
     assert len(list(tmp_path.glob("*.json"))) >= n_files
 
 
@@ -296,6 +296,21 @@ def count_parses(monkeypatch):
 
     monkeypatch.setattr(tropcm.groebner, "parse_polynomial", counted)
     return calls
+
+
+def test_injected_cache_is_the_only_cache_used(tmp_path, monkeypatch):
+    def no_default_cache():
+        raise AssertionError("the process-wide cache was used")
+
+    monkeypatch.setattr(tropcm.groebner, "default_cache", no_default_cache)
+    cache = GBCache(directory=str(tmp_path))
+    I = ideal_from(R3, "x1*x3 - x2^2", "x1^2 + x2*x3")
+    for order in reversed(CACHE_ORDERS):
+        buchberger_reduced(I, order, cache)
+    entries = [json.loads(p.read_text()) for p in tmp_path.glob("*.json")]
+    # elim, weight, and the grevlex basis that drives the weight run
+    assert len(entries) == 3
+    assert all(set(e) == {"basis", "ring", "order"} for e in entries)
 
 
 @pytest.mark.parametrize("order", CACHE_ORDERS, ids=lambda o: o.kind)
