@@ -87,7 +87,10 @@ def _report_payload(cfg, ideal, source, reports):
                          "vars": list(ideal.ring.names),
                          "generators": [str(g) for g in ideal.generators]},
             "claims": claims}
-    body["run_id"] = digest(json.dumps(body, sort_keys=True, default=str))[:12]
+    # where the run writes its report and its bases does not change them
+    hashed = dict(body, config={k: v for k, v in body["config"].items()
+                                if k not in ("output", "cache_dir")})
+    body["run_id"] = digest(json.dumps(hashed, sort_keys=True, default=str))[:12]
     return body
 
 

@@ -15,8 +15,11 @@ from .orders import GREVLEX, MonomialOrder
 from .polynomials import Polynomial, mono_mul, monomials_of_degree
 
 
-def _echelon(rows):
-    """Reduced row echelon form; rows are mutable coefficient lists."""
+def row_echelon(rows):
+    """(nonzero rows of the reduced row echelon form, pivot columns).
+
+    The input rows are copied, not changed; the rank is the number of pivots.
+    """
     rows = [list(r) for r in rows]
     pivots = []
     lead = 0
@@ -80,7 +83,7 @@ def graded_slice(generators, degree, order=GREVLEX):
     rows = _slice_rows(generators, degree, cols, index)
     if not rows:
         return [], cols
-    echelon, _ = _echelon(rows)
+    echelon, _ = row_echelon(rows)
     return echelon, cols
 
 
@@ -99,7 +102,7 @@ def initial_slice_oracle(generators, w, degree):
     rows = _slice_rows(generators, degree, cols_w, index_w)
     if not rows:
         return graded_slice([], degree)
-    echelon, _ = _echelon(rows)
+    echelon, _ = row_echelon(rows)
     initials = []
     for row in echelon:
         p = Polynomial(ring, {cols_w[i]: c for i, c in enumerate(row) if c})
@@ -111,7 +114,7 @@ def initial_slice_oracle(generators, w, degree):
         for m, c in p.terms.items():
             row[index[m]] = c
         out_rows.append(row)
-    echelon, _ = _echelon(out_rows)
+    echelon, _ = row_echelon(out_rows)
     return echelon, cols
 
 

@@ -22,6 +22,18 @@ def lex_key(exps):
     return tuple(exps)
 
 
+def integer_weight(w):
+    """``(iw, scale)``: ``w`` scaled by the lcm of its denominators.
+
+    ``iw[i] == w[i] * scale`` are integers, so integer dot products with
+    ``iw`` order monomials as the exact values do, and the exact value of
+    a dot product ``s`` is ``Fraction(s, scale)``.
+    """
+    w = [x if isinstance(x, Fraction) else Fraction(x) for x in w]
+    scale = lcm(*(x.denominator for x in w))
+    return tuple(x.numerator * (scale // x.denominator) for x in w), scale
+
+
 class MonomialOrder:
     """A total order on monomials of each degree, identified by a descriptor.
 
@@ -32,17 +44,16 @@ class MonomialOrder:
     a fixed degree, which suffices for homogeneous computation.
     """
 
-    __slots__ = ("kind", "weight", "tiebreak", "block", "_desc", "_iweight")
+    __slots__ = ("kind", "weight", "tiebreak", "block", "_desc", "iweight",
+                 "weight_scale")
 
     def __init__(self, kind, weight=None, tiebreak=None, block=None):
         self.kind = kind
         self.weight = tuple(Fraction(x) for x in weight) if weight is not None else None
-        # the weight scaled by the lcm of its denominators: integer sums in
-        # ``key``, and the same order
-        self._iweight = None
+        # integer sums in ``key``, and the same order (see integer_weight)
+        self.iweight = self.weight_scale = None
         if self.weight is not None:
-            scale = lcm(*(w.denominator for w in self.weight))
-            self._iweight = tuple((w * scale).numerator for w in self.weight)
+            self.iweight, self.weight_scale = integer_weight(self.weight)
         self.tiebreak = tiebreak
         self.block = frozenset(block) if block is not None else None
         self._desc = None
@@ -70,7 +81,7 @@ class MonomialOrder:
         if self.kind == "lex":
             return lex_key(exps)
         if self.kind == "weight":
-            return (-sum(map(mul, self._iweight, exps)),) + self.tiebreak.key(exps)
+            return (-sum(map(mul, self.iweight, exps)),) + self.tiebreak.key(exps)
         if self.kind == "elim":
             bd = sum(exps[i] for i in self.block)
             return (bd,) + self.tiebreak.key(exps)

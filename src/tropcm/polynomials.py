@@ -12,9 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .fields import QQ, FieldError
-from .orders import GREVLEX
+from .orders import GREVLEX, integer_weight
 
 
 class RingMismatchError(ValueError):
@@ -78,7 +79,8 @@ def weight_value(w, exps):
     """Inner product <w, exps> as an exact rational."""
     if len(w) != len(exps):
         raise ValueError(f"weight length {len(w)} != monomial length {len(exps)}")
-    return sum((Fraction(wi) * e for wi, e in zip(w, exps)), Fraction(0))
+    iw, scale = integer_weight(w)
+    return Fraction(sum(map(mul, iw, exps)), scale)
 
 
 # ---------------------------------------------------------------------------
@@ -145,11 +147,12 @@ def default_ring(n, field=QQ, stem="x"):
 class Polynomial:
     """Immutable term map over a fixed ring; zero coefficients never stored."""
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring", "terms", "_text")
 
     def __init__(self, ring, terms):
         self.ring = ring
         self.terms = {m: c for m, c in terms.items() if c}
+        self._text = None       # to_string(), formatted on the first str()
 
     # -- predicates and views -------------------------------------------------
 
@@ -278,17 +281,15 @@ class Polynomial:
 
     # -- weights and leading data ----------------------------------------------
 
-    def weight_min(self, w):
-        """Minimal <w, alpha> over the support; error on the zero polynomial."""
-        if not self.terms:
-            raise ValueError("zero polynomial has no weight value")
-        return min(weight_value(w, m) for m in self.terms)
-
     def initial_form(self, w):
         """Sum of the terms attaining the minimal weight value."""
         if not self.terms:
             raise ValueError("initial form of the zero polynomial is undefined")
-        vals = {m: weight_value(w, m) for m in self.terms}
+        if len(w) != self.ring.nvars:
+            raise ValueError(
+                f"weight length {len(w)} != number of variables {self.ring.nvars}")
+        iw, _ = integer_weight(w)
+        vals = {m: sum(map(mul, iw, m)) for m in self.terms}
         lo = min(vals.values())
         return Polynomial(self.ring, {m: c for m, c in self.terms.items() if vals[m] == lo})
 
@@ -383,10 +384,12 @@ class Polynomial:
         return "".join(pieces)
 
     def __str__(self):
-        return self.to_string()
+        if self._text is None:
+            self._text = self.to_string()
+        return self._text
 
     def __repr__(self):
-        return f"Polynomial({self.to_string()})"
+        return f"Polynomial({self})"
 
 
 # ---------------------------------------------------------------------------

@@ -12,12 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .groebner import (Ideal, buchberger_reduced, ideal_membership,
                        initial_ideal, initial_monomial_generators,
                        normal_form)
 from .orders import GREVLEX, MonomialOrder
-from .polynomials import (mono_divides, monomials_of_degree, weight_value)
+from .polynomials import mono_divides, monomials_of_degree
 
 
 class ConeShareError(ValueError):
@@ -131,13 +132,15 @@ class Quasivaluation:
     """Evaluable quasivaluation record; immutable after construction."""
 
     __slots__ = ("kind", "algebra", "w", "subset", "factor", "inner", "parts",
-                 "witness")
+                 "witness", "_order")
 
     def __init__(self, kind, algebra, w=None, subset=None, factor=None,
                  inner=None, parts=None, witness=None):
         self.kind = kind
         self.algebra = algebra
         self.w = tuple(Fraction(x) for x in w) if w is not None else None
+        # the w-refined order, built once for every evaluation
+        self._order = MonomialOrder.weighted(self.w) if w is not None else None
         self.subset = frozenset(subset) if subset is not None else None
         self.factor = Fraction(factor) if factor is not None else None
         self.inner = inner
@@ -181,7 +184,7 @@ class Quasivaluation:
         if f.ring != self.algebra.ring:
             raise ValueError("element from a different ring")
         if self.kind in ("weight", "oplus"):
-            return self._evaluate_weight(self.w, f, cache)
+            return self._evaluate_weight(f, cache)
         if self.kind == "degree":
             gb = buchberger_reduced(self.algebra.ideal, GREVLEX, cache)
             nf = normal_form(f, gb)
@@ -202,13 +205,16 @@ class Quasivaluation:
             return self.factor * val
         raise ValueError(f"unknown quasivaluation kind {self.kind!r}")
 
-    def _evaluate_weight(self, w, f, cache=None):
-        order = MonomialOrder.weighted(w)
+    def _evaluate_weight(self, f, cache=None):
+        """min <w, alpha> over the normal form's support, one Fraction."""
+        order = self._order
         gb = buchberger_reduced(self.algebra.ideal, order, cache)
         nf = normal_form(f, gb)
         if nf.is_zero():
             return INFINITY
-        return min(weight_value(w, m) for m in nf.terms)
+        iw = order.iweight
+        return Fraction(min(sum(map(mul, iw, m)) for m in nf.terms),
+                        order.weight_scale)
 
     # -- bookkeeping ---------------------------------------------------------------
 

@@ -21,6 +21,7 @@ from .fan import (ConeCA, cone_contains, enumerate_generic_fan, epsilon_vector,
 from .groebner import (Ideal, buchberger_reduced, eliminate, extend_ideal,
                        hilbert_series_quotient, ideal_membership,
                        initial_ideal, krull_dimension, normal_form)
+from .macaulay import row_echelon
 from .orders import GREVLEX, MonomialOrder
 from .polynomials import (Polynomial, mono_div, mono_divides,
                           monomials_of_degree)
@@ -376,31 +377,6 @@ def _gram_matrix(q):
     return M
 
 
-def _matrix_rank(M, field):
-    rows = [list(r) for r in M]
-    n = len(rows)
-    rank = 0
-    col = 0
-    ncols = len(rows[0]) if rows else 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(rank, n):
-            if rows[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = field.one() / rows[rank][col]
-        rows[rank] = [x * inv for x in rows[rank]]
-        for r in range(n):
-            if r != rank and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
-
-
 def _exact_divide(f, g, order=GREVLEX):
     """Quotient f/g when g divides f exactly, else None."""
     ring = f.ring
@@ -510,7 +486,7 @@ def primeness_check(ideal, cache=None):
                 return "Undetermined", PrimenessCertificate(
                     "principal-quadric-rank",
                     {"note": "rank certificate unavailable in characteristic 2"})
-            rank = _matrix_rank(M, ideal.ring.field)
+            rank = len(row_echelon(M)[1])
             cert = PrimenessCertificate(
                 "principal-quadric-rank",
                 {"rank": rank, "matrix": [[str(x) for x in row] for row in M]})
@@ -621,18 +597,17 @@ def cm_fan_audit(ideal, samples_per_cone=3, seed=0, cache=None) -> VerificationR
         base_w = None
         for k in range(samples_per_cone):
             w = sample_interior(cone, seed + k)
-            inw = initial_ideal(w, ideal, cache, bases)
+            # reduced grevlex bases from ``cache``: equal iff the ideals are
+            basis = _basis_strings(initial_ideal(w, ideal, cache, bases), cache)
             if base is None:
-                base, base_w = inw, w
-            elif inw != base:
+                base, base_w = basis, w
+            elif basis != base:
                 return VerificationReport(
                     "cm-fan-coincidence", inst, FAIL,
                     {"witness_cone": list(cone.label()),
                      "w1": _fmt_w(base_w), "w2": _fmt_w(w),
-                     "basis1": _basis_strings(base, cache),
-                     "basis2": _basis_strings(inw, cache)})
-        notes.append({"A": list(cone.label()),
-                      "basis": _basis_strings(base, cache)})
+                     "basis1": base, "basis2": basis})
+        notes.append({"A": list(cone.label()), "basis": base})
     evidence = {"cones": notes}
     if samples_per_cone <= 1:
         evidence["note"] = "insufficient sampling: single sample per cone"

@@ -1,5 +1,7 @@
 """Shared instance corpus: hypersurfaces and their seeded generic versions."""
 
+from fractions import Fraction
+
 import pytest
 
 from tropcm import (Ideal, apply_change, default_ring, parse_polynomial,
@@ -11,6 +13,11 @@ BOUND = 100
 
 def ideal_from(ring, *texts):
     return Ideal(ring, [parse_polynomial(t, ring) for t in texts])
+
+
+def fraction_weight_value(w, exps):
+    """Reference <w, exps>: one Fraction product per coordinate, summed."""
+    return sum((Fraction(a) * e for a, e in zip(w, exps)), Fraction(0))
 
 
 @pytest.fixture(scope="session")

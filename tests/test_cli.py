@@ -6,6 +6,7 @@ from tropcm import (GREVLEX, IdealFileError, buchberger_reduced,
                     load_ideal_file, parse_ideal_text, parse_subset,
                     parse_weight, save_ideal_file)
 import tropcm.cli
+from tropcm.cache import default_cache
 from tropcm.cli import main
 
 CONIC = """\
@@ -149,6 +150,24 @@ def test_cli_verify_single_claim(conic_path, capsys):
     assert data["claims"][0]["claim"] == "initial-formula"
     assert data["claims"][0]["verdict"] == "pass"
     assert data["run_id"]
+
+
+def test_cli_run_id_ignores_output_and_cache_paths(conic_path, tmp_path,
+                                                  monkeypatch, capsys):
+    shared = default_cache()
+    monkeypatch.setattr(shared, "directory", shared.directory)
+    argv = ["verify", "--claim", "cor-initial", "--A", "1", "-w", "1,0,0",
+            conic_path]
+    reports = []
+    for name in ("a", "b"):
+        out = tmp_path / f"report-{name}.json"
+        assert main(argv + ["-o", str(out),
+                            "--cache-dir", str(tmp_path / f"cache-{name}")]) == 0
+        reports.append(json.loads(out.read_text()))
+    first, second = reports
+    assert first["config"]["output"] != second["config"]["output"]
+    assert first["config"]["cache_dir"] != second["config"]["cache_dir"]
+    assert first["run_id"] == second["run_id"]
 
 
 def test_cli_verify_fail_exit_code(tmp_path, capsys):

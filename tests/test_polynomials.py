@@ -8,12 +8,14 @@ from tropcm import (ParseError, Polynomial, Ring, default_ring,
                     parse_polynomial, weight_value)
 from tropcm.fields import PrimeField
 
+from conftest import fraction_weight_value
+
 R3 = default_ring(3)
 
 
 def brute_initial_form(w, f):
     """Independent oracle: filter terms at the minimal inner product."""
-    vals = {m: sum(Fraction(a) * e for a, e in zip(w, m)) for m in f.terms}
+    vals = {m: fraction_weight_value(w, m) for m in f.terms}
     lo = min(vals.values())
     return Polynomial(f.ring, {m: c for m, c in f.terms.items() if vals[m] == lo})
 
@@ -72,6 +74,16 @@ def test_format_parse_round_trip(f):
     assert parse_polynomial(f.to_string(), R3) == f
 
 
+@given(poly_strategy)
+@settings(max_examples=60, deadline=None)
+def test_str_is_to_string_on_every_call(f):
+    first = str(f)
+    assert first == f.to_string()
+    assert str(f) is first                  # formatted once, then kept
+    assert str(f) == f.to_string()
+    assert repr(f) == f"Polynomial({first})"
+
+
 # -- weight values -----------------------------------------------------------
 
 def test_weight_value_examples():
@@ -91,6 +103,19 @@ def test_weight_value_dimension_mismatch():
 def test_weight_value_additive(a, b, w):
     ab = tuple(x + y for x, y in zip(a, b))
     assert weight_value(w, ab) == weight_value(w, a) + weight_value(w, b)
+
+
+# negative entries with mixed denominators, so the integer scale is not 1
+fractional_weights3 = st.tuples(
+    *[st.fractions(min_value=-4, max_value=4, max_denominator=12)] * 3)
+
+
+@given(st.tuples(*[st.integers(0, 5)] * 3), fractional_weights3)
+@settings(max_examples=100, deadline=None)
+def test_weight_value_matches_fraction_sum(m, w):
+    value = weight_value(w, m)
+    assert isinstance(value, Fraction)
+    assert value == fraction_weight_value(w, m)
 
 
 # -- initial forms -----------------------------------------------------------
@@ -118,6 +143,13 @@ def test_initial_form_quad4_keeps_complement_support():
 def test_initial_form_zero_rejected():
     with pytest.raises(ValueError):
         R3.zero().initial_form((1, 0, 0))
+
+
+def test_initial_form_weight_length_must_match_ring():
+    f = parse_polynomial("x1*x3 - x2^2", R3)
+    for w in ((1, 0), (1, 0, 0, 0)):
+        with pytest.raises(ValueError, match="weight length"):
+            f.initial_form(w)
 
 
 nonzero_poly = poly_strategy.filter(lambda f: not f.is_zero())

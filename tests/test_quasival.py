@@ -2,18 +2,21 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tropcm import (GREVLEX, INFINITY, AdaptedBasis, ConeShareError,
                     MonomialOrder, PresentedAlgebra, Quasivaluation,
                     adic_order, buchberger_reduced, default_ring,
-                    oplus_in_cone, parse_polynomial, scale,
+                    normal_form, oplus_in_cone, parse_polynomial, scale,
                     standard_basis_slice, trop_membership)
 from tropcm.polynomials import monomials_of_degree
 from tropcm.theorems import _random_homogeneous
 
-from conftest import ideal_from
+from conftest import fraction_weight_value, ideal_from
 
 R3 = default_ring(3)
+R4 = default_ring(4)
 
 
 @pytest.fixture(scope="module")
@@ -41,6 +44,27 @@ def test_kernel_maps_to_infinity(conic_algebra):
     g = conic_algebra.ideal.generators[0]
     assert v.evaluate(g) is INFINITY
     assert v.evaluate(R3.zero()) is INFINITY
+
+
+@pytest.fixture(scope="module")
+def cubic_algebra():
+    return PresentedAlgebra(ideal_from(R4, "x1*x3 - x2^2", "x2*x4 - x3^2",
+                                       "x1*x4 - x2*x3"))
+
+
+@given(st.tuples(*[st.fractions(min_value=-4, max_value=4,
+                                max_denominator=12)] * 4),
+       st.integers(0, 10**6))
+@settings(max_examples=40, deadline=None)
+def test_weight_evaluation_matches_fraction_sums(cubic_algebra, w, seed):
+    # negative and fractional weights: the value is the minimum of the
+    # Fraction-sum reference over the support of the normal form
+    f = _random_homogeneous(R4, random.Random(seed), 3)
+    gb = buchberger_reduced(cubic_algebra.ideal, MonomialOrder.weighted(w))
+    nf = normal_form(f, gb)
+    expected = (INFINITY if nf.is_zero()
+                else min(fraction_weight_value(w, m) for m in nf.terms))
+    assert Quasivaluation.weight(cubic_algebra, w).evaluate(f) == expected
 
 
 def test_infinity_ordering_and_arithmetic():

@@ -7,6 +7,8 @@ from tropcm import (ConeCA, Ideal, apply_change, cm_fan_audit, default_ring,
                     verify_gr_presentation, verify_initial_formula,
                     verify_iterated_initial, verify_quasival_decomposition,
                     verify_weight_sum, well_poised_check)
+import tropcm.cache
+from tropcm.cache import GBCache
 from tropcm.theorems import FAIL, HYPOTHESIS, PASS, UNDETERMINED
 
 from conftest import ideal_from
@@ -338,6 +340,22 @@ def test_cm_fan_audit_passes_on_corpus(e_conic_generic, e_pluck_generic):
     for I in (e_conic_generic, e_pluck_generic):
         rep = cm_fan_audit(I, samples_per_cone=3, seed=2)
         assert rep.verdict == PASS
+
+
+def test_cm_fan_audit_uses_only_the_injected_cache(tmp_path, monkeypatch):
+    # the generic rational normal quartic, as the benchmark builds it
+    R5 = default_ring(5)
+    top, bottom = ["x1", "x2", "x3", "x4"], ["x2", "x3", "x4", "x5"]
+    minors = [f"{top[a]}*{bottom[b]} - {top[b]}*{bottom[a]}"
+              for a in range(4) for b in range(a + 1, 4)]
+    I = apply_change(random_gl(5, seed=42, bound=100), ideal_from(R5, *minors))
+    shared = GBCache()
+    monkeypatch.setattr(tropcm.cache, "_default", shared)
+    injected = GBCache(directory=str(tmp_path))
+    rep = cm_fan_audit(I, samples_per_cone=3, seed=42, cache=injected)
+    assert rep.verdict == PASS
+    assert list(tmp_path.glob("*.json"))
+    assert shared._mem == {}
 
 
 def test_cm_fan_audit_single_sample_flagged(e_conic_generic):
