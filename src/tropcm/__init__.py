@@ -1,7 +1,7 @@
 """Exact workbench for generic tropical initial ideals of graded algebras."""
 
 from .fields import QQ, DEFAULT_PRIME, FieldError, GFElement, PrimeField, field_from_name
-from .orders import GREVLEX, LEX, MonomialOrder, compare_monomials
+from .orders import GREVLEX, LEX, MonomialOrder
 from .polynomials import (ParseError, Polynomial, Ring, RingMismatchError,
                           default_ring, monomials_of_degree, parse_polynomial,
                           weight_value)
@@ -11,13 +11,12 @@ from .groebner import (GroebnerBasis, Ideal, NonHomogeneousError,
                        eliminate, extend_ideal, hilbert_series_quotient,
                        ideal_membership, initial_ideal, krull_dimension,
                        normal_form, radical_membership)
-from .fan import (ConeCA, GenericFan, cone_contains, cone_of,
-                  enumerate_generic_fan, epsilon_vector, groebner_cone_equal,
+from .fan import (ConeCA, cone_contains, enumerate_generic_fan, epsilon_vector,
                   sample_interior, trop_membership)
-from .quasival import (INFINITY, AdaptedBasis, ConeShareError, Quasivaluation,
-                       adic_order, oplus_in_cone, scale, standard_basis_slice)
+from .quasival import (INFINITY, ConeShareError, Quasivaluation, adic_order,
+                       oplus_in_cone, scale, standard_basis_slice)
 from .generic import (GenericityAudit, LinearChange, apply_change,
-                      genericity_audit, inverse_change, random_gl)
+                      genericity_audit, random_gl)
 from .theorems import (PrimenessCertificate, VerificationReport, cm_fan_audit,
                        primeness_check, radicality_spot_check,
                        verify_epsilon_facts, verify_gr_presentation,

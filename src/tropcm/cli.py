@@ -232,12 +232,6 @@ def cmd_prime_check(args):
     return 0
 
 
-CLAIM_ALIASES = {
-    "cor-initial": "initial-formula",
-    "quasival-decomp": "quasival-decomposition",
-}
-
-
 def _sampled_subsets(n, size, limit, seed, tag):
     subsets = list(combinations(range(n), size))
     if limit is not None and len(subsets) > limit:
@@ -286,55 +280,61 @@ def _full_suite(ideal, cfg):
     return reports
 
 
+def _weight_or_sample(ideal, args, cfg):
+    if args.w is not None:
+        return args.w
+    return sample_interior(ConeCA(args.A, ideal.ring.nvars), cfg.seed)
+
+
+# claim name -> (parsed flags it requires, checker (ideal, args, cfg) -> report).
+# A checker names its theorems function when it runs, so a rebinding of the
+# module attribute (a tracer, a test) reaches it.
+CLAIMS = {
+    "initial-formula": (("A",), lambda ideal, args, cfg: verify_initial_formula(
+        ideal, args.A, _weight_or_sample(ideal, args, cfg))),
+    "gr-presentation": (("A",), lambda ideal, args, cfg: verify_gr_presentation(
+        ideal, args.A)),
+    "quasival-decomposition": (
+        ("A",), lambda ideal, args, cfg: verify_quasival_decomposition(
+            ideal, args.A, _weight_or_sample(ideal, args, cfg),
+            maxdeg=cfg.maxdeg, samples=cfg.samples, seed=cfg.seed)),
+    "iterated-initial": (("A", "index"), lambda ideal, args, cfg:
+                         verify_iterated_initial(ideal, args.A, args.index - 1)),
+    "weight-sum": (("u", "w"), lambda ideal, args, cfg: verify_weight_sum(
+        ideal, args.u, args.w, maxdeg=cfg.maxdeg)),
+    "epsilon-facts": (("A",), lambda ideal, args, cfg: verify_epsilon_facts(
+        ideal, args.A)),
+    "radical-spot": ((), lambda ideal, args, cfg: radicality_spot_check(
+        ideal, samples=cfg.samples, seed=cfg.seed)),
+    "well-poised": ((), lambda ideal, args, cfg: well_poised_check(
+        ideal, samples_per_cone=cfg.samples_per_cone, seed=cfg.seed)),
+    "cm-fan": ((), lambda ideal, args, cfg: cm_fan_audit(
+        ideal, samples_per_cone=cfg.samples_per_cone, seed=cfg.seed)),
+}
+CLAIMS["cor-initial"] = CLAIMS["initial-formula"]
+CLAIMS["quasival-decomp"] = CLAIMS["quasival-decomposition"]
+
+_FLAG_NAMES = {"A": "--A", "index": "-i", "u": "-u", "w": "-w"}
+
+
 def cmd_verify(args):
     ideal = _load(args)
     cfg = RunConfig.from_args(args)
     n = ideal.ring.nvars
-    claim = CLAIM_ALIASES.get(args.claim, args.claim)
-    A = parse_subset(args.A, n) if args.A is not None else None
-    w = parse_weight(args.w, n) if args.w else None
-    u = parse_weight(args.u, n) if args.u else None
-    if claim == "all":
+    parsed = argparse.Namespace(
+        A=parse_subset(args.A, n) if args.A is not None else None,
+        w=parse_weight(args.w, n) if args.w else None,
+        u=parse_weight(args.u, n) if args.u else None,
+        index=args.index)
+    if args.claim == "all":
         reports = _full_suite(ideal, cfg)
-    elif claim == "initial-formula":
-        if A is None:
-            raise ValueError("--A is required for this claim")
-        if w is None:
-            w = sample_interior(ConeCA(A, n), cfg.seed)
-        reports = [verify_initial_formula(ideal, A, w)]
-    elif claim == "gr-presentation":
-        if A is None:
-            raise ValueError("--A is required for this claim")
-        reports = [verify_gr_presentation(ideal, A)]
-    elif claim == "quasival-decomposition":
-        if A is None:
-            raise ValueError("--A is required for this claim")
-        if w is None:
-            w = sample_interior(ConeCA(A, n), cfg.seed)
-        reports = [verify_quasival_decomposition(
-            ideal, A, w, maxdeg=cfg.maxdeg, samples=cfg.samples, seed=cfg.seed)]
-    elif claim == "iterated-initial":
-        if A is None or args.index is None:
-            raise ValueError("--A and -i are required for this claim")
-        reports = [verify_iterated_initial(ideal, A, args.index - 1)]
-    elif claim == "weight-sum":
-        if w is None or u is None:
-            raise ValueError("-u and -w are required for this claim")
-        reports = [verify_weight_sum(ideal, u, w, maxdeg=cfg.maxdeg)]
-    elif claim == "epsilon-facts":
-        if A is None:
-            raise ValueError("--A is required for this claim")
-        reports = [verify_epsilon_facts(ideal, A)]
-    elif claim == "radical-spot":
-        reports = [radicality_spot_check(ideal, samples=cfg.samples,
-                                         seed=cfg.seed)]
-    elif claim == "well-poised":
-        reports = [well_poised_check(ideal,
-                                     samples_per_cone=cfg.samples_per_cone,
-                                     seed=cfg.seed)]
-    elif claim == "cm-fan":
-        reports = [cm_fan_audit(ideal, samples_per_cone=cfg.samples_per_cone,
-                                seed=cfg.seed)]
+    elif args.claim in CLAIMS:
+        required, checker = CLAIMS[args.claim]
+        if any(getattr(parsed, f) is None for f in required):
+            flags = " and ".join(_FLAG_NAMES[f] for f in required)
+            verb = "is" if len(required) == 1 else "are"
+            raise ValueError(f"{flags} {verb} required for this claim")
+        reports = [checker(ideal, parsed, cfg)]
     else:
         raise ValueError(f"unknown claim {args.claim!r}")
     _emit(_report_payload(cfg, ideal, args.ideal, reports), args)

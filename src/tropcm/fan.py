@@ -52,13 +52,6 @@ def cone_contains(cone: ConeCA, w, interior=False) -> bool:
     return True
 
 
-def cone_of(w) -> ConeCA:
-    """The unique cone whose relative interior contains w."""
-    w = [Fraction(x) for x in w]
-    lo = min(w)
-    return ConeCA(frozenset(i for i, x in enumerate(w) if x > lo), len(w))
-
-
 def epsilon_vector(A, n):
     """(0,1)-vector with ones exactly on A."""
     A = set(A)
@@ -80,25 +73,6 @@ def sample_interior(cone: ConeCA, seed: int):
     return tuple(w)
 
 
-@dataclass(frozen=True)
-class GenericFan:
-    """The fan with maximal cones C_A, |A^c| = n - d + 1."""
-
-    n: int
-    d: int
-
-    def __post_init__(self):
-        if not 1 <= self.d <= self.n:
-            raise ValueError("need 1 <= d <= n")
-
-    def stratum(self, codim=0):
-        return enumerate_generic_fan(self.n, self.d, codim)
-
-    @property
-    def maximal_cones(self):
-        return self.stratum(0)
-
-
 def enumerate_generic_fan(n, d, codim=0):
     """All cones C_A with |A^c| = n - d + 1 + codim, deterministically ordered."""
     if not 1 <= d <= n:
@@ -117,8 +91,3 @@ def trop_membership(w, ideal, cache=None) -> bool:
         return True
     inw = initial_ideal(w, ideal, cache)
     return contains_monomial(inw, cache) is None
-
-
-def groebner_cone_equal(u, w, ideal, cache=None) -> bool:
-    """Same initial ideal at u and w (reduced-basis equality)."""
-    return initial_ideal(u, ideal, cache) == initial_ideal(w, ideal, cache)

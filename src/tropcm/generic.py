@@ -16,6 +16,7 @@ from itertools import combinations
 
 from .fields import QQ, PrimeField
 from .groebner import Ideal, krull_dimension
+from .macaulay import row_echelon
 
 
 @dataclass(frozen=True)
@@ -30,31 +31,6 @@ class LinearChange:
     @property
     def n(self):
         return len(self.matrix)
-
-
-def _determinant(matrix, field):
-    """Exact determinant by fraction-free-enough Gaussian elimination."""
-    n = len(matrix)
-    rows = [list(r) for r in matrix]
-    det = field.one()
-    for c in range(n):
-        pivot = None
-        for r in range(c, n):
-            if rows[r][c]:
-                pivot = r
-                break
-        if pivot is None:
-            return field.zero()
-        if pivot != c:
-            rows[c], rows[pivot] = rows[pivot], rows[c]
-            det = -det
-        det = det * rows[c][c]
-        inv = field.one() / rows[c][c]
-        for r in range(c + 1, n):
-            if rows[r][c]:
-                f = rows[r][c] * inv
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[c])]
-    return det
 
 
 def random_gl(n, seed, bound=100, field=QQ):
@@ -73,28 +49,9 @@ def random_gl(n, seed, bound=100, field=QQ):
         else:
             matrix = tuple(tuple(Fraction(rng.randint(-bound, bound))
                                  for _ in range(n)) for _ in range(n))
-        if _determinant(matrix, field):
+        if len(row_echelon(matrix)[1]) == n:   # full rank
             return LinearChange(matrix, seed, bound, field)
     raise RuntimeError("could not sample an invertible matrix (degenerate field?)")
-
-
-def inverse_change(g: LinearChange) -> LinearChange:
-    """Exact inverse (Gauss-Jordan); round-trip partner for apply_change."""
-    n = g.n
-    field = g.field
-    rows = [list(r) + [field.one() if i == j else field.zero() for j in range(n)]
-            for i, r in enumerate(g.matrix)]
-    for c in range(n):
-        pivot = next(r for r in range(c, n) if rows[r][c])
-        rows[c], rows[pivot] = rows[pivot], rows[c]
-        inv = field.one() / rows[c][c]
-        rows[c] = [x * inv for x in rows[c]]
-        for r in range(n):
-            if r != c and rows[r][c]:
-                f = rows[r][c]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[c])]
-    matrix = tuple(tuple(row[n:]) for row in rows)
-    return LinearChange(matrix, -g.seed, g.bound, field)
 
 
 def apply_change(g: LinearChange, ideal: Ideal) -> Ideal:

@@ -9,7 +9,6 @@ restricted to global well-orders (grevlex, lex, block).
 
 from __future__ import annotations
 
-from functools import cached_property
 from heapq import heapify, heappop, heappush
 from operator import neg
 
@@ -206,7 +205,7 @@ def rebase(gb, order):
 class Ideal:
     """Homogeneous ideal given by generators; zero generators are dropped."""
 
-    __slots__ = ("ring", "generators", "_canon", "_canon_hash", "_gen_key")
+    __slots__ = ("ring", "generators", "_gen_key")
 
     def __init__(self, ring, generators):
         gens = []
@@ -220,13 +219,7 @@ class Ideal:
             gens.append(g)
         self.ring = ring
         self.generators = tuple(gens)
-        self._canon = None
-        self._canon_hash = None
         self._gen_key = None
-
-    @classmethod
-    def from_strings(cls, ring, texts):
-        return cls(ring, [parse_polynomial(s, ring) for s in texts])
 
     def is_zero(self):
         return not self.generators
@@ -237,27 +230,14 @@ class Ideal:
                                    ";".join(sorted(str(g) for g in self.generators)))
         return self._gen_key
 
-    def canonical_basis(self):
-        """Reduced grevlex basis: the canonical form used for equality."""
-        if self._canon is None:
-            self._canon = buchberger_reduced(self, GREVLEX).basis
-        return self._canon
-
-    def canonical_hash(self):
-        if self._canon_hash is None:
-            self._canon_hash = digest(self.ring.descriptor(),
-                                      ";".join(str(g) for g in self.canonical_basis()))
-        return self._canon_hash
-
     def __eq__(self, other):
+        """Equal reduced grevlex bases, from the process-wide cache; code
+        that holds a cache compares ``buchberger_reduced(..., cache)``."""
         if not isinstance(other, Ideal):
             return NotImplemented
-        if self.ring != other.ring:
-            return False
-        return self.canonical_basis() == other.canonical_basis()
-
-    def __hash__(self):
-        return hash(self.canonical_hash())
+        return (self.ring == other.ring
+                and buchberger_reduced(self, GREVLEX).basis
+                == buchberger_reduced(other, GREVLEX).basis)
 
     def __repr__(self):
         gens = ", ".join(str(g) for g in self.generators) or "0"
@@ -328,8 +308,6 @@ def buchberger_reduced(ideal, order, cache=None, reuse=None):
         if reuse is not None:
             reuse.append(gb)
     cache.put(key, gb, {"ring": ring.descriptor(), "order": order.descriptor()})
-    if order == GREVLEX and ideal._canon is None:
-        ideal._canon = gb.basis
     return gb
 
 
@@ -461,7 +439,7 @@ def krull_dimension(ideal, cache=None):
 
 
 class PresentedAlgebra:
-    """k[x]/I with cached dimension and Hilbert series."""
+    """k[x]/I, the algebra a quasivaluation is defined on."""
 
     def __init__(self, ideal):
         self.ideal = ideal
@@ -469,17 +447,6 @@ class PresentedAlgebra:
     @property
     def ring(self):
         return self.ideal.ring
-
-    @cached_property
-    def hilbert(self):
-        return hilbert_series_quotient(self.ideal)
-
-    @cached_property
-    def dimension(self):
-        return krull_dimension(self.ideal)
-
-    def hilbert_function(self, m):
-        return self.hilbert.hilbert_function(m)
 
     def __repr__(self):
         return f"PresentedAlgebra({self.ideal!r})"

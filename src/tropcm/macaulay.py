@@ -22,7 +22,6 @@ def row_echelon(rows):
     """
     rows = [list(r) for r in rows]
     pivots = []
-    lead = 0
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
     r = 0
@@ -116,10 +115,3 @@ def initial_slice_oracle(generators, w, degree):
         out_rows.append(row)
     echelon, _ = row_echelon(out_rows)
     return echelon, cols
-
-
-def slices_equal(generators_a, generators_b, degree):
-    """Compare degree slices of two generating sets under the canonical order."""
-    ea, _ = graded_slice(generators_a, degree)
-    eb, _ = graded_slice(generators_b, degree)
-    return ea == eb

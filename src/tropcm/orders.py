@@ -127,24 +127,3 @@ class MonomialOrder:
 
 GREVLEX = MonomialOrder.grevlex()
 LEX = MonomialOrder.lex()
-
-
-def compare_monomials(order: MonomialOrder, a, b) -> int:
-    """-1, 0, or 1; positive means ``a`` is closer to leading."""
-    return order.compare(a, b)
-
-
-def order_from_descriptor(desc: str) -> MonomialOrder:
-    """Inverse of :meth:`MonomialOrder.descriptor` (used by the GB cache)."""
-    if desc == "grevlex":
-        return GREVLEX
-    if desc == "lex":
-        return LEX
-    if desc.startswith("weight(") or desc.startswith("elim("):
-        head, _, rest = desc.partition(";")
-        inner = head[head.index("(") + 1:-1]
-        tie = order_from_descriptor(rest)
-        if desc.startswith("weight("):
-            return MonomialOrder.weighted([Fraction(x) for x in inner.split(",")], tie)
-        return MonomialOrder.elimination([int(x) - 1 for x in inner.split(",")], tie)
-    raise ValueError(f"unknown order descriptor {desc!r}")

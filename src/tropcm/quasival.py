@@ -10,7 +10,6 @@ the kernel (elements of the ideal) and nothing else.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
@@ -115,17 +114,6 @@ def standard_basis_slice(algebra, order, degree, cache=None):
     lms = gb.leading_monomials()
     return [m for m in monomials_of_degree(algebra.ring.nvars, degree)
             if not any(mono_divides(l, m) for l in lms)]
-
-
-@dataclass
-class AdaptedBasis:
-    """Standard monomials of one order, served in finite degree slices."""
-
-    algebra: object
-    order: MonomialOrder
-
-    def slice(self, degree, cache=None):
-        return standard_basis_slice(self.algebra, self.order, degree, cache)
 
 
 class Quasivaluation:
@@ -256,9 +244,13 @@ def oplus_in_cone(vs, cache=None) -> Quasivaluation:
     if not vs:
         raise ValueError("empty sum")
     algebra = vs[0].algebra
+    ideal = algebra.ideal
     weights = []
     for v in vs:
-        if v.algebra is not algebra and v.algebra.ideal != algebra.ideal:
+        if v.algebra is not algebra and (
+                v.algebra.ring != algebra.ring
+                or buchberger_reduced(v.algebra.ideal, GREVLEX, cache).basis
+                != buchberger_reduced(ideal, GREVLEX, cache).basis):
             raise ValueError("summands live on different algebras")
         u = v.effective_weight()
         if u is None:
@@ -267,7 +259,6 @@ def oplus_in_cone(vs, cache=None) -> Quasivaluation:
         weights.append(u)
     total = tuple(sum(col) for col in zip(*weights))
     order = MonomialOrder.weighted(total)
-    ideal = algebra.ideal
     base_lt = initial_monomial_generators(ideal, order, cache)
     for v, u in zip(vs, weights):
         inu = initial_ideal(u, ideal, cache)

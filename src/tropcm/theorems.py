@@ -112,9 +112,9 @@ def verify_initial_formula(ideal, A, w, d=None, cache=None) -> VerificationRepor
     lhs = initial_ideal(w, ideal, cache)
     keep = sorted(set(range(n)) - A)
     rhs = extend_ideal(eliminate(ideal, A, cache), ring, keep)
-    evidence["initial_ideal_basis"] = _basis_strings(lhs, cache)
-    evidence["eliminated_extension_basis"] = _basis_strings(rhs, cache)
-    if lhs == rhs:
+    lhs_basis = evidence["initial_ideal_basis"] = _basis_strings(lhs, cache)
+    rhs_basis = evidence["eliminated_extension_basis"] = _basis_strings(rhs, cache)
+    if lhs_basis == rhs_basis:
         return VerificationReport("initial-formula", inst, PASS, evidence)
     evidence["witness"] = "reduced bases differ"
     return VerificationReport("initial-formula", inst, FAIL, evidence)
@@ -146,13 +146,14 @@ def verify_gr_presentation(ideal, A, d=None, cache=None) -> VerificationReport:
     keep = sorted(set(range(n)) - A)
     rhs_ideal = extend_ideal(sub_ideal, ring, keep)
     series_ok = lhs_series == rhs_series
-    basis_ok = lhs_ideal == rhs_ideal
+    lhs_basis = _basis_strings(lhs_ideal, cache)
+    basis_ok = lhs_basis == _basis_strings(rhs_ideal, cache)
     evidence.update({
         "initial_series": str(lhs_series),
         "sliced_series_with_free_variables": str(rhs_series),
         "series_equal": series_ok,
         "basis_equal": basis_ok,
-        "initial_ideal_basis": _basis_strings(lhs_ideal, cache),
+        "initial_ideal_basis": lhs_basis,
     })
     verdict = PASS if (series_ok and basis_ok) else FAIL
     if verdict == FAIL:
@@ -177,9 +178,9 @@ def verify_iterated_initial(ideal, A, i, d=None, cache=None) -> VerificationRepo
     step = initial_ideal(epsilon_vector([i], n), ideal, cache)
     lhs = initial_ideal(epsilon_vector(A - {i}, n), step, cache)
     rhs = initial_ideal(epsilon_vector(A, n), ideal, cache)
-    evidence = {"two_step_basis": _basis_strings(lhs, cache),
-                "one_step_basis": _basis_strings(rhs, cache)}
-    verdict = PASS if lhs == rhs else FAIL
+    lhs_basis, rhs_basis = _basis_strings(lhs, cache), _basis_strings(rhs, cache)
+    evidence = {"two_step_basis": lhs_basis, "one_step_basis": rhs_basis}
+    verdict = PASS if lhs_basis == rhs_basis else FAIL
     if verdict == FAIL:
         evidence["witness"] = "reduced bases differ"
     return VerificationReport("iterated-initial", inst, verdict, evidence)
@@ -558,6 +559,7 @@ def well_poised_check(ideal, d=None, samples_per_cone=3, seed=0,
     inst = _instance(ideal, d=d, samples_per_cone=samples_per_cone, seed=seed)
     linear = all(g.degree() == 1 for g in buchberger_reduced(ideal, GREVLEX, cache))
     bases = []      # this sweep's weight bases of ideal, see rebase
+    primeness = {}  # reduced grevlex basis -> (verdict, certificate)
     cones = []
     verdicts = []
     for codim in range(0, d):
@@ -565,7 +567,11 @@ def well_poised_check(ideal, d=None, samples_per_cone=3, seed=0,
             for k in range(samples_per_cone):
                 w = sample_interior(cone, seed + k)
                 inw = initial_ideal(w, ideal, cache, bases)
-                verdict, cert = primeness_check(inw, cache)
+                # the certificate depends only on the reduced basis
+                key = tuple(_basis_strings(inw, cache))
+                if key not in primeness:
+                    primeness[key] = primeness_check(inw, cache)
+                verdict, cert = primeness[key]
                 verdicts.append(verdict)
                 cones.append({"codim": codim, "A": list(cone.label()),
                               "w": _fmt_w(w), "prime_verdict": verdict,

@@ -358,6 +358,23 @@ def test_cm_fan_audit_uses_only_the_injected_cache(tmp_path, monkeypatch):
     assert shared._mem == {}
 
 
+@pytest.mark.parametrize("check", [
+    lambda I, cache: verify_initial_formula(
+        I, {0}, sample_interior(ConeCA(frozenset({0}), 4), 7), cache=cache),
+    lambda I, cache: verify_gr_presentation(I, {0}, cache=cache),
+    lambda I, cache: verify_iterated_initial(I, {0}, 0, cache=cache),
+], ids=["initial-formula", "gr-presentation", "iterated-initial"])
+def test_equality_claims_use_only_the_injected_cache(check, monkeypatch):
+    # the generic twisted cubic: ideals are compared by their reduced bases
+    # in the caller's cache, not through the process-wide one
+    cubic = ideal_from(R4, "x1*x3 - x2^2", "x1*x4 - x2*x3", "x2*x4 - x3^2")
+    I = apply_change(random_gl(4, seed=7, bound=100), cubic)
+    shared = GBCache()
+    monkeypatch.setattr(tropcm.cache, "_default", shared)
+    assert check(I, GBCache()).verdict == PASS
+    assert shared._mem == {}
+
+
 def test_cm_fan_audit_single_sample_flagged(e_conic_generic):
     rep = cm_fan_audit(e_conic_generic, samples_per_cone=1)
     assert rep.verdict == PASS
