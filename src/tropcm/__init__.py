@@ -7,8 +7,8 @@ from .polynomials import (ParseError, Polynomial, Ring, RingMismatchError,
                           weight_value)
 from .hilbert import HilbertSeries
 from .groebner import (GroebnerBasis, Ideal, NonHomogeneousError,
-                       PresentedAlgebra, buchberger_reduced, contains_monomial,
-                       eliminate, extend_ideal, hilbert_series_quotient,
+                       buchberger_reduced, contains_monomial, eliminate,
+                       extend_ideal, hilbert_series_quotient,
                        ideal_membership, initial_ideal, krull_dimension,
                        normal_form, radical_membership)
 from .fan import (ConeCA, cone_contains, enumerate_generic_fan, epsilon_vector,

@@ -17,10 +17,9 @@ from itertools import combinations
 
 from .cache import digest, set_cache_directory
 from .fan import ConeCA, enumerate_generic_fan, sample_interior
-from .fields import field_from_name
 from .generic import apply_change, genericity_audit, random_gl
-from .groebner import (PresentedAlgebra, buchberger_reduced,
-                       contains_monomial, initial_ideal, krull_dimension)
+from .groebner import (buchberger_reduced, contains_monomial, initial_ideal,
+                       krull_dimension)
 from .ideal_io import (IdealFileError, gb_to_dict, load_ideal_file,
                        parse_subset, parse_weight, save_ideal_file)
 from .orders import GREVLEX, LEX, MonomialOrder
@@ -36,7 +35,8 @@ from .theorems import (FAIL, VerificationReport, cm_fan_audit,
 
 @dataclass
 class RunConfig:
-    field: str = "Q"
+    """The run's options; the ideal file, not a flag, names the field."""
+
     seed: int = 42
     bound: int = 100
     maxdeg: int = 4
@@ -45,9 +45,15 @@ class RunConfig:
     cache_dir: str = ""
     output: str = ""
 
+    def __post_init__(self):
+        for flag, value in (("--maxdeg", self.maxdeg),
+                            ("--samples", self.samples)):
+            if value < 0:
+                raise ValueError(f"{flag} must be non-negative")
+
     @classmethod
     def from_args(cls, args):
-        return cls(field=args.field, seed=args.seed, bound=args.bound,
+        return cls(seed=args.seed, bound=args.bound,
                    maxdeg=args.maxdeg, samples=args.samples,
                    samples_per_cone=args.samples_per_cone,
                    cache_dir=args.cache_dir or "", output=args.output or "")
@@ -81,8 +87,9 @@ def _report_payload(cfg, ideal, source, reports):
                     key=lambda c: (c["claim"],
                                    json.dumps(c["params"], sort_keys=True,
                                               default=str)))
-    body = {"seed": cfg.seed, "field": ideal.ring.field.name,
-            "config": asdict(cfg),
+    field = ideal.ring.field.name
+    body = {"seed": cfg.seed, "field": field,
+            "config": {**asdict(cfg), "field": field},
             "instance": {"source": source,
                          "vars": list(ideal.ring.names),
                          "generators": [str(g) for g in ideal.generators]},
@@ -133,14 +140,13 @@ def cmd_trop_member(args):
 def cmd_generic(args):
     ideal = _load(args)
     cfg = RunConfig.from_args(args)
-    field = field_from_name(cfg.field)
     n = ideal.ring.nvars
     seed = cfg.seed
     reseeds = 0
     transformed = None
     audit = None
     while True:
-        g = random_gl(n, seed, cfg.bound, field)
+        g = random_gl(n, seed, cfg.bound, ideal.ring.field)
         candidate = apply_change(g, ideal)
         d = krull_dimension(candidate)
         max_a = args.audit_maxA if args.audit_maxA is not None else d - 1
@@ -185,15 +191,14 @@ def cmd_fan(args):
 def cmd_quasival(args):
     ideal = _load(args)
     ring = ideal.ring
-    algebra = PresentedAlgebra(ideal)
     if args.w:
-        v = Quasivaluation.weight(algebra, parse_weight(args.w, ring.nvars))
+        v = Quasivaluation.weight(ideal, parse_weight(args.w, ring.nvars))
         order = MonomialOrder.weighted(v.w)
     elif args.adic is not None:
-        v = Quasivaluation.adic(algebra, parse_subset(args.adic, ring.nvars))
+        v = Quasivaluation.adic(ideal, parse_subset(args.adic, ring.nvars))
         order = GREVLEX
     elif args.deg:
-        v = Quasivaluation.degree(algebra)
+        v = Quasivaluation.degree(ideal)
         order = GREVLEX
     else:
         raise ValueError("choose one of -w, --adic, --deg")
@@ -205,7 +210,7 @@ def cmd_quasival(args):
     else:
         elements = [ring.monomial(m)
                     for deg in range(args.maxdeg + 1)
-                    for m in standard_basis_slice(algebra, order, deg)]
+                    for m in standard_basis_slice(ideal, order, deg)]
     entries = [{"element": str(f), "value": str(v.evaluate(f))}
                for f in elements]
     _emit({"quasivaluation": v.descriptor(), "entries": entries}, args)
@@ -254,17 +259,17 @@ def _full_suite(ideal, cfg):
     codim1 = _sampled_subsets(n, d - 2, 10, cfg.seed, "codim1") if d >= 2 else []
     for A in maximal + codim1:
         w = sample_interior(ConeCA(A, n), cfg.seed)
-        reports.append(verify_initial_formula(ideal, A, w, d=d))
-        reports.append(verify_gr_presentation(ideal, A, d=d))
-        reports.append(verify_epsilon_facts(ideal, A, d=d))
+        reports.append(verify_initial_formula(ideal, A, w))
+        reports.append(verify_gr_presentation(ideal, A))
+        reports.append(verify_epsilon_facts(ideal, A))
     for A in maximal[:3]:
         w = sample_interior(ConeCA(A, n), cfg.seed)
         reports.append(verify_quasival_decomposition(
-            ideal, A, w, maxdeg=cfg.maxdeg, samples=cfg.samples, seed=cfg.seed, d=d))
+            ideal, A, w, maxdeg=cfg.maxdeg, samples=cfg.samples, seed=cfg.seed))
     for A in maximal[:3]:
         if A:
             i = sorted(A)[0]
-            reports.append(verify_iterated_initial(ideal, A, i, d=d))
+            reports.append(verify_iterated_initial(ideal, A, i))
     for k, A in enumerate(maximal[:3]):
         cone = ConeCA(A, n)
         u = sample_interior(cone, cfg.seed + 2 * k)
@@ -272,7 +277,7 @@ def _full_suite(ideal, cfg):
         reports.append(verify_weight_sum(ideal, u, w, maxdeg=cfg.maxdeg))
     reports.append(radicality_spot_check(ideal, samples=cfg.samples,
                                          seed=cfg.seed))
-    reports.append(well_poised_check(ideal, d=d,
+    reports.append(well_poised_check(ideal,
                                      samples_per_cone=cfg.samples_per_cone,
                                      seed=cfg.seed))
     reports.append(cm_fan_audit(ideal, samples_per_cone=cfg.samples_per_cone,
@@ -372,7 +377,6 @@ def build_parser():
         prog="tropcm",
         description="Exact workbench for generic tropical initial ideals")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--field", default="Q", help="Q or Fp:<p>")
     common.add_argument("--seed", type=int, default=42)
     common.add_argument("--bound", type=int, default=100)
     common.add_argument("--maxdeg", type=int, default=4)

@@ -89,8 +89,6 @@ class GFElement:
         return NotImplemented
 
     def __pow__(self, e: int):
-        if e < 0:
-            return GFElement(pow(self.val, e, self.p), self.p)
         return GFElement(pow(self.val, e, self.p), self.p)
 
     def __eq__(self, other):

@@ -103,7 +103,7 @@ class GenericityAudit:
                 "checks": [c.to_dict() for c in self.checks]}
 
 
-def genericity_audit(ideal, maxA=None, d=None, max_subsets=None, seed=0,
+def genericity_audit(ideal, maxA=None, max_subsets=None, seed=0,
                      cache=None) -> GenericityAudit:
     """Check dim(I + <x_i : i in A>) = d - |A| for subsets up to size maxA.
 
@@ -111,8 +111,7 @@ def genericity_audit(ideal, maxA=None, d=None, max_subsets=None, seed=0,
     audited instead.  Failures are recorded, not raised.
     """
     n = ideal.ring.nvars
-    if d is None:
-        d = krull_dimension(ideal, cache)
+    d = krull_dimension(ideal, cache)
     if maxA is None:
         maxA = d - 1
     if maxA > d - 1:

@@ -336,12 +336,6 @@ def initial_ideal(w, ideal, cache=None, reuse=None):
     return Ideal(ideal.ring, [g.initial_form(w) for g in gb.basis])
 
 
-def initial_monomial_generators(ideal, order, cache=None):
-    """Minimal generators of the leading-term ideal under ``order``."""
-    gb = buchberger_reduced(ideal, order, cache)
-    return sorted(gb.leading_monomials())
-
-
 def eliminate(ideal, A, cache=None):
     """I_A: intersect I + <x_i : i in A> with the subring on the rest.
 
@@ -436,17 +430,3 @@ def krull_dimension(ideal, cache=None):
     if any(mono_degree(m) == 0 for m in gb.leading_monomials()):
         raise ValueError("the ideal is the whole ring")
     return hilbert_series_quotient(ideal, GREVLEX, cache).dimension()
-
-
-class PresentedAlgebra:
-    """k[x]/I, the algebra a quasivaluation is defined on."""
-
-    def __init__(self, ideal):
-        self.ideal = ideal
-
-    @property
-    def ring(self):
-        return self.ideal.ring
-
-    def __repr__(self):
-        return f"PresentedAlgebra({self.ideal!r})"

@@ -300,12 +300,6 @@ class Polynomial:
         m = max(self.terms, key=order.key)
         return m, self.terms[m]
 
-    def monic(self, order):
-        if not self.terms:
-            return self
-        _, c = self.leading(order)
-        return self.scale(self.ring.field.one() / c)
-
     # -- ring moves -------------------------------------------------------------
 
     def substitute(self, images, target_ring=None):

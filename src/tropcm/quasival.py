@@ -1,4 +1,4 @@
-"""Quasivaluations on presented algebras: weight, adic, degree, and sums.
+"""Quasivaluations on k[x]/I, given by I: weight, adic, degree, and sums.
 
 Weight quasivaluations are evaluated through normal forms: the value of f
 is the minimal weight over the monomials of its remainder against the
@@ -14,9 +14,8 @@ from fractions import Fraction
 from operator import mul
 
 from .groebner import (Ideal, buchberger_reduced, ideal_membership,
-                       initial_ideal, initial_monomial_generators,
-                       normal_form)
-from .orders import GREVLEX, MonomialOrder
+                       initial_ideal, normal_form)
+from .orders import GREVLEX, MonomialOrder, integer_weight
 from .polynomials import mono_divides, monomials_of_degree
 
 
@@ -83,7 +82,7 @@ def _power_generators(ring, A, r):
     return gens
 
 
-def adic_order(A, f, algebra, cache=None):
+def adic_order(A, f, ideal, cache=None):
     """Largest r with f in <x_i : i in A>^r + I; INFINITY on the kernel.
 
     Bounded linear search downward from deg(f): the ideal is generated in
@@ -93,7 +92,6 @@ def adic_order(A, f, algebra, cache=None):
         return INFINITY
     if not f.is_homogeneous():
         raise ValueError("adic order is defined degreewise; split f first")
-    ideal = algebra.ideal
     if ideal_membership(f, ideal, cache):
         return INFINITY
     ring = f.ring
@@ -106,83 +104,79 @@ def adic_order(A, f, algebra, cache=None):
     return 0
 
 
-def standard_basis_slice(algebra, order, degree, cache=None):
+def standard_basis_slice(ideal, order, degree, cache=None):
     """Degree-d monomials outside the leading-term ideal, grevlex-descending."""
     if degree < 0:
         raise ValueError("degree must be non-negative")
-    gb = buchberger_reduced(algebra.ideal, order, cache)
+    gb = buchberger_reduced(ideal, order, cache)
     lms = gb.leading_monomials()
-    return [m for m in monomials_of_degree(algebra.ring.nvars, degree)
+    return [m for m in monomials_of_degree(ideal.ring.nvars, degree)
             if not any(mono_divides(l, m) for l in lms)]
 
 
 class Quasivaluation:
-    """Evaluable quasivaluation record; immutable after construction."""
+    """Evaluable quasivaluation on k[x]/I, given by the ideal I.
 
-    __slots__ = ("kind", "algebra", "w", "subset", "factor", "inner", "parts",
-                 "witness", "_order")
+    Weight, degree and sum kinds carry a weight ``w`` and evaluate through
+    normal forms; adic and scaled kinds do not.  Immutable after
+    construction.
+    """
 
-    def __init__(self, kind, algebra, w=None, subset=None, factor=None,
-                 inner=None, parts=None, witness=None):
+    __slots__ = ("kind", "ideal", "w", "subset", "factor", "inner", "parts",
+                 "_order", "_iw", "_scale")
+
+    def __init__(self, kind, ideal, w=None, subset=None, factor=None,
+                 inner=None, parts=None):
         self.kind = kind
-        self.algebra = algebra
+        self.ideal = ideal
         self.w = tuple(Fraction(x) for x in w) if w is not None else None
-        # the w-refined order, built once for every evaluation
-        self._order = MonomialOrder.weighted(self.w) if w is not None else None
+        if w is not None:
+            # built once for every evaluation; the degree reads grevlex
+            # normal forms, which the all-ones refinement has too
+            self._order = (GREVLEX if kind == "degree"
+                           else MonomialOrder.weighted(self.w))
+            self._iw, self._scale = integer_weight(self.w)
         self.subset = frozenset(subset) if subset is not None else None
         self.factor = Fraction(factor) if factor is not None else None
         self.inner = inner
         self.parts = tuple(parts) if parts is not None else None
-        self.witness = witness
 
     # -- constructors -----------------------------------------------------------
 
     @classmethod
-    def weight(cls, algebra, w):
-        if len(w) != algebra.ring.nvars:
+    def weight(cls, ideal, w):
+        if len(w) != ideal.ring.nvars:
             raise ValueError("weight vector length mismatch")
-        return cls("weight", algebra, w=w)
+        return cls("weight", ideal, w=w)
 
     @classmethod
-    def adic(cls, algebra, A):
-        return cls("adic", algebra, subset=A)
+    def adic(cls, ideal, A):
+        return cls("adic", ideal, subset=A)
 
     @classmethod
-    def degree(cls, algebra):
-        return cls("degree", algebra)
+    def degree(cls, ideal):
+        return cls("degree", ideal, w=(1,) * ideal.ring.nvars)
 
     # -- evaluation --------------------------------------------------------------
 
     def effective_weight(self):
         """The weight vector this quasivaluation evaluates through, if any."""
-        if self.kind == "weight":
+        if self.kind != "scaled":
             return self.w
-        if self.kind == "degree":
-            return tuple(Fraction(1) for _ in range(self.algebra.ring.nvars))
-        if self.kind == "oplus":
-            return self.w
-        if self.kind == "scaled":
-            inner = self.inner.effective_weight()
-            if inner is None:
-                return None
-            return tuple(self.factor * x for x in inner)
-        return None
+        inner = self.inner.effective_weight()
+        if inner is None:
+            return None
+        return tuple(self.factor * x for x in inner)
 
     def evaluate(self, f, cache=None):
-        if f.ring != self.algebra.ring:
+        if f.ring != self.ideal.ring:
             raise ValueError("element from a different ring")
-        if self.kind in ("weight", "oplus"):
+        if self.w is not None:
             return self._evaluate_weight(f, cache)
-        if self.kind == "degree":
-            gb = buchberger_reduced(self.algebra.ideal, GREVLEX, cache)
-            nf = normal_form(f, gb)
-            if nf.is_zero():
-                return INFINITY
-            return Fraction(min(sum(m) for m in nf.terms))
         if self.kind == "adic":
             if f.is_zero():
                 return INFINITY
-            vals = [adic_order(self.subset, comp, self.algebra, cache)
+            vals = [adic_order(self.subset, comp, self.ideal, cache)
                     for comp in f.homogeneous_components().values()]
             lo = min(vals)
             return lo if lo is INFINITY else Fraction(lo)
@@ -195,14 +189,13 @@ class Quasivaluation:
 
     def _evaluate_weight(self, f, cache=None):
         """min <w, alpha> over the normal form's support, one Fraction."""
-        order = self._order
-        gb = buchberger_reduced(self.algebra.ideal, order, cache)
+        gb = buchberger_reduced(self.ideal, self._order, cache)
         nf = normal_form(f, gb)
         if nf.is_zero():
             return INFINITY
-        iw = order.iweight
+        iw = self._iw
         return Fraction(min(sum(map(mul, iw, m)) for m in nf.terms),
-                        order.weight_scale)
+                        self._scale)
 
     # -- bookkeeping ---------------------------------------------------------------
 
@@ -229,7 +222,7 @@ def scale(c, v: Quasivaluation) -> Quasivaluation:
     c = Fraction(c)
     if c < 0:
         raise ValueError("scaling factor must be non-negative")
-    return Quasivaluation("scaled", v.algebra, factor=c, inner=v)
+    return Quasivaluation("scaled", v.ideal, factor=c, inner=v)
 
 
 def oplus_in_cone(vs, cache=None) -> Quasivaluation:
@@ -243,13 +236,12 @@ def oplus_in_cone(vs, cache=None) -> Quasivaluation:
     vs = list(vs)
     if not vs:
         raise ValueError("empty sum")
-    algebra = vs[0].algebra
-    ideal = algebra.ideal
+    ideal = vs[0].ideal
     weights = []
     for v in vs:
-        if v.algebra is not algebra and (
-                v.algebra.ring != algebra.ring
-                or buchberger_reduced(v.algebra.ideal, GREVLEX, cache).basis
+        if v.ideal is not ideal and (
+                v.ideal.ring != ideal.ring
+                or buchberger_reduced(v.ideal, GREVLEX, cache).basis
                 != buchberger_reduced(ideal, GREVLEX, cache).basis):
             raise ValueError("summands live on different algebras")
         u = v.effective_weight()
@@ -259,11 +251,10 @@ def oplus_in_cone(vs, cache=None) -> Quasivaluation:
         weights.append(u)
     total = tuple(sum(col) for col in zip(*weights))
     order = MonomialOrder.weighted(total)
-    base_lt = initial_monomial_generators(ideal, order, cache)
+    base_lt = sorted(buchberger_reduced(ideal, order, cache).leading_monomials())
     for v, u in zip(vs, weights):
         inu = initial_ideal(u, ideal, cache)
-        if initial_monomial_generators(inu, order, cache) != base_lt:
+        if sorted(buchberger_reduced(inu, order, cache).leading_monomials()) != base_lt:
             raise ConeShareError(
                 f"{v.descriptor()} does not share the Groebner cone of the sum")
-    return Quasivaluation("oplus", algebra, w=total, parts=vs,
-                          witness=order.descriptor())
+    return Quasivaluation("oplus", ideal, w=total, parts=vs)

@@ -91,13 +91,12 @@ def _dimension_hypothesis(ideal, A, d, cache=None):
 # ---------------------------------------------------------------------------
 # equality-of-ideals claims
 
-def verify_initial_formula(ideal, A, w, d=None, cache=None) -> VerificationReport:
+def verify_initial_formula(ideal, A, w, cache=None) -> VerificationReport:
     """in_w(I) against the extension of the elimination ideal I_A."""
     ring = ideal.ring
     n = ring.nvars
     A = frozenset(A)
-    if d is None:
-        d = krull_dimension(ideal, cache)
+    d = krull_dimension(ideal, cache)
     inst = _instance(ideal, A=_fmt_A(A), w=_fmt_w(w), d=d)
     cone = ConeCA(A, n)
     interior = cone_contains(cone, w, interior=True)
@@ -120,7 +119,7 @@ def verify_initial_formula(ideal, A, w, d=None, cache=None) -> VerificationRepor
     return VerificationReport("initial-formula", inst, FAIL, evidence)
 
 
-def verify_gr_presentation(ideal, A, d=None, cache=None) -> VerificationReport:
+def verify_gr_presentation(ideal, A, cache=None) -> VerificationReport:
     """Associated graded of ord_A: Hilbert identity plus basis identity.
 
     HS(k[x]/in_eps(I)) must equal HS(k[x_rest]/I_A) / (1-t)^|A| and the
@@ -130,8 +129,7 @@ def verify_gr_presentation(ideal, A, d=None, cache=None) -> VerificationReport:
     ring = ideal.ring
     n = ring.nvars
     A = frozenset(A)
-    if d is None:
-        d = krull_dimension(ideal, cache)
+    d = krull_dimension(ideal, cache)
     inst = _instance(ideal, A=_fmt_A(A), d=d)
     dim_ok, actual = _dimension_hypothesis(ideal, A, d, cache)
     evidence = {"cut_dimension": actual, "expected_cut_dimension": d - len(A)}
@@ -162,15 +160,14 @@ def verify_gr_presentation(ideal, A, d=None, cache=None) -> VerificationReport:
     return VerificationReport("gr-presentation", inst, verdict, evidence)
 
 
-def verify_iterated_initial(ideal, A, i, d=None, cache=None) -> VerificationReport:
+def verify_iterated_initial(ideal, A, i, cache=None) -> VerificationReport:
     """Two-step initial degeneration against the one-step one."""
     ring = ideal.ring
     n = ring.nvars
     A = frozenset(A)
     if i not in A:
         raise ValueError("index must belong to A")
-    if d is None:
-        d = krull_dimension(ideal, cache)
+    d = krull_dimension(ideal, cache)
     inst = _instance(ideal, A=_fmt_A(A), i=i + 1, d=d)
     if len(A) > d - 1:
         return VerificationReport("iterated-initial", inst, HYPOTHESIS,
@@ -206,7 +203,7 @@ def _random_homogeneous(ring, rng, maxdeg):
 
 
 def verify_quasival_decomposition(ideal, A, w, maxdeg=4, samples=50, seed=0,
-                                  d=None, cache=None) -> VerificationReport:
+                                  cache=None) -> VerificationReport:
     """v_w against min(w)*deg + sum over A of (w_i - min(w))*ord_i.
 
     Checked on every standard monomial up to ``maxdeg`` (adapted basis of
@@ -214,13 +211,10 @@ def verify_quasival_decomposition(ideal, A, w, maxdeg=4, samples=50, seed=0,
     expected value is the minimum of the right side over their adapted
     expansion.
     """
-    from .groebner import PresentedAlgebra
-
     ring = ideal.ring
     n = ring.nvars
     A = frozenset(A)
-    if d is None:
-        d = krull_dimension(ideal, cache)
+    d = krull_dimension(ideal, cache)
     w = tuple(Fraction(x) for x in w)
     inst = _instance(ideal, A=_fmt_A(A), w=_fmt_w(w), maxdeg=maxdeg,
                      samples=samples, seed=seed)
@@ -231,15 +225,14 @@ def verify_quasival_decomposition(ideal, A, w, maxdeg=4, samples=50, seed=0,
                   else "A does not cut dimension like a regular sequence")
         return VerificationReport("quasival-decomposition", inst, HYPOTHESIS,
                                   {"reason": reason, "cut_dimension": actual})
-    algebra = PresentedAlgebra(ideal)
-    vw = Quasivaluation.weight(algebra, w)
+    vw = Quasivaluation.weight(ideal, w)
     lo = min(w)
     ord_cache = {}
 
     def ord_i(i, mono):
         key = (i, mono)
         if key not in ord_cache:
-            ord_cache[key] = adic_order([i], ring.monomial(mono), algebra, cache)
+            ord_cache[key] = adic_order([i], ring.monomial(mono), ideal, cache)
         return ord_cache[key]
 
     def rhs_on_monomial(mono):
@@ -256,7 +249,7 @@ def verify_quasival_decomposition(ideal, A, w, maxdeg=4, samples=50, seed=0,
     checked = 0
     table = []
     for deg in range(0, maxdeg + 1):
-        for mono in standard_basis_slice(algebra, worder, deg, cache):
+        for mono in standard_basis_slice(ideal, worder, deg, cache):
             lhs = vw.evaluate(ring.monomial(mono), cache)
             rhs = rhs_on_monomial(mono)
             checked += 1
@@ -291,26 +284,23 @@ def verify_quasival_decomposition(ideal, A, w, maxdeg=4, samples=50, seed=0,
 
 def verify_weight_sum(ideal, u, w, maxdeg=4, cache=None) -> VerificationReport:
     """Additivity of values in a shared Groebner cone: v_u + v_w = v_{u+w}."""
-    from .groebner import PresentedAlgebra
-
     ring = ideal.ring
     u = tuple(Fraction(x) for x in u)
     w = tuple(Fraction(x) for x in w)
     inst = _instance(ideal, u=_fmt_w(u), w=_fmt_w(w), maxdeg=maxdeg)
-    algebra = PresentedAlgebra(ideal)
-    vu = Quasivaluation.weight(algebra, u)
-    vw = Quasivaluation.weight(algebra, w)
+    vu = Quasivaluation.weight(ideal, u)
+    vw = Quasivaluation.weight(ideal, w)
     try:
         vsum = oplus_in_cone([vu, vw], cache)
     except ConeShareError as exc:
         return VerificationReport("weight-sum", inst, HYPOTHESIS,
                                   {"reason": str(exc)})
     total = tuple(a + b for a, b in zip(u, w))
-    vtotal = Quasivaluation.weight(algebra, total)
+    vtotal = Quasivaluation.weight(ideal, total)
     order = MonomialOrder.weighted(total)
     checked = 0
     for deg in range(0, maxdeg + 1):
-        for mono in standard_basis_slice(algebra, order, deg, cache):
+        for mono in standard_basis_slice(ideal, order, deg, cache):
             b = ring.monomial(mono)
             a1, a2 = vu.evaluate(b, cache), vw.evaluate(b, cache)
             s = vtotal.evaluate(b, cache)
@@ -324,16 +314,13 @@ def verify_weight_sum(ideal, u, w, maxdeg=4, cache=None) -> VerificationReport:
     return VerificationReport("weight-sum", inst, PASS, {"checked": checked})
 
 
-def verify_epsilon_facts(ideal, A, d=None, cache=None) -> VerificationReport:
+def verify_epsilon_facts(ideal, A, cache=None) -> VerificationReport:
     """eps_A lies in the tropical variety and v_{eps_A}(x_i) = (eps_A)_i."""
-    from .groebner import PresentedAlgebra
-
     ring = ideal.ring
     n = ring.nvars
     A = frozenset(A)
     inst = _instance(ideal, A=_fmt_A(A))
-    if d is None:
-        d = krull_dimension(ideal, cache)
+    d = krull_dimension(ideal, cache)
     dim_ok, actual = _dimension_hypothesis(ideal, A, d, cache)
     if not dim_ok:
         return VerificationReport(
@@ -342,8 +329,7 @@ def verify_epsilon_facts(ideal, A, d=None, cache=None) -> VerificationReport:
              "cut_dimension": actual, "expected_cut_dimension": d - len(A)})
     eps = epsilon_vector(A, n)
     member = trop_membership(eps, ideal, cache)
-    algebra = PresentedAlgebra(ideal)
-    veps = Quasivaluation.weight(algebra, eps)
+    veps = Quasivaluation.weight(ideal, eps)
     values = [veps.evaluate(ring.variable(i), cache) for i in range(n)]
     values_ok = all(values[i] == eps[i] for i in range(n))
     evidence = {"trop_membership": member,
@@ -545,7 +531,7 @@ def radicality_spot_check(ideal, samples=50, powmax=4, seed=0,
                                "sampled": tried})
 
 
-def well_poised_check(ideal, d=None, samples_per_cone=3, seed=0,
+def well_poised_check(ideal, samples_per_cone=3, seed=0,
                       cache=None) -> VerificationReport:
     """Primeness across all strata; cross-checked against linearity.
 
@@ -553,9 +539,10 @@ def well_poised_check(ideal, d=None, samples_per_cone=3, seed=0,
     prime on every stratum, non-linear ones fail primeness somewhere on
     the top-dimensional stratum.
     """
+    if samples_per_cone < 1:
+        raise ValueError("samples_per_cone must be at least 1")
     n = ideal.ring.nvars
-    if d is None:
-        d = krull_dimension(ideal, cache)
+    d = krull_dimension(ideal, cache)
     inst = _instance(ideal, d=d, samples_per_cone=samples_per_cone, seed=seed)
     linear = all(g.degree() == 1 for g in buchberger_reduced(ideal, GREVLEX, cache))
     bases = []      # this sweep's weight bases of ideal, see rebase
@@ -593,6 +580,8 @@ def well_poised_check(ideal, d=None, samples_per_cone=3, seed=0,
 
 def cm_fan_audit(ideal, samples_per_cone=3, seed=0, cache=None) -> VerificationReport:
     """Constancy of the initial ideal on the interior of each maximal cone."""
+    if samples_per_cone < 1:
+        raise ValueError("samples_per_cone must be at least 1")
     n = ideal.ring.nvars
     d = krull_dimension(ideal, cache)
     inst = _instance(ideal, d=d, samples_per_cone=samples_per_cone, seed=seed)

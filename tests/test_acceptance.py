@@ -10,8 +10,8 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
-from tropcm import (ConeCA, MonomialOrder, PresentedAlgebra,
-                    Quasivaluation, adic_order, apply_change,
+from tropcm import (ConeCA, MonomialOrder, Quasivaluation, adic_order,
+                    apply_change,
                     enumerate_generic_fan, epsilon_vector, genericity_audit,
                     initial_ideal, oplus_in_cone, primeness_check, random_gl,
                     sample_interior, scale, standard_basis_slice,
@@ -34,7 +34,7 @@ def test_criterion_1_initial_formula_all_cones(e_pluck_generic):
         for cone in enumerate_generic_fan(6, 5, codim):
             for k in range(3):
                 w = sample_interior(cone, k)
-                rep = verify_initial_formula(e_pluck_generic, cone.A, w, d=5)
+                rep = verify_initial_formula(e_pluck_generic, cone.A, w)
                 checked += 1
                 if rep.verdict != PASS:
                     failures.append((cone.label(), w, rep.verdict))
@@ -48,21 +48,21 @@ def test_criterion_2_gr_presentation(e_conic, e_quad4_generic, e_pluck_generic):
     failures = []
     checked = 0
 
-    def check(ideal, A, d):
+    def check(ideal, A):
         nonlocal checked
-        rep = verify_gr_presentation(ideal, frozenset(A), d=d)
+        rep = verify_gr_presentation(ideal, frozenset(A))
         checked += 1
         if rep.verdict != PASS:
             failures.append((sorted(A), rep.verdict))
 
-    check(e_conic, {0}, 2)
+    check(e_conic, {0})
     for size in (1, 2):
         for A in combinations(range(4), size):
-            check(e_quad4_generic, A, 3)
+            check(e_quad4_generic, A)
     pool = [A for size in range(1, 5) for A in combinations(range(6), size)]
     rng = random.Random("criterion-2")
     for A in rng.sample(pool, 10):
-        check(e_pluck_generic, A, 5)
+        check(e_pluck_generic, A)
     _report(2, not failures,
             f"Hilbert-series and basis identity for the graded quotient on "
             f"{checked} subsets; failures: {failures[:3]}")
@@ -72,21 +72,21 @@ def test_criterion_3_quasival_decomposition(e_conic, e_quad4_generic):
     failures = []
     checked = 0
 
-    def check(ideal, A, d):
+    def check(ideal, A):
         nonlocal checked
         A = frozenset(A)
         n = ideal.ring.nvars
         for w in (sample_interior(ConeCA(A, n), 7), epsilon_vector(A, n)):
             rep = verify_quasival_decomposition(ideal, A, w, maxdeg=4,
-                                                samples=50, seed=11, d=d)
+                                                samples=50, seed=11)
             checked += 1
             if rep.verdict != PASS:
                 failures.append((sorted(A), w, rep.verdict))
 
     for A in combinations(range(3), 1):
-        check(e_conic, A, 2)
+        check(e_conic, A)
     for A in combinations(range(4), 2):
-        check(e_quad4_generic, A, 3)
+        check(e_quad4_generic, A)
     _report(3, not failures,
             f"value decomposition on all standard monomials to degree 4 plus "
             f"50 random elements, {checked} (A, w) pairs; failures: {failures[:3]}")
@@ -120,7 +120,7 @@ def test_criterion_5_iterated_initials(e_quad4_generic, e_pluck_generic):
     for size in (1, 2):
         for A in combinations(range(4), size):
             for i in A:
-                rep = verify_iterated_initial(e_quad4_generic, frozenset(A), i, d=3)
+                rep = verify_iterated_initial(e_quad4_generic, frozenset(A), i)
                 checked += 1
                 if rep.verdict != PASS:
                     failures.append(("e-quad4", sorted(A), i))
@@ -128,7 +128,7 @@ def test_criterion_5_iterated_initials(e_quad4_generic, e_pluck_generic):
             for i in A]
     rng = random.Random("criterion-5")
     for A, i in rng.sample(pool, 10):
-        rep = verify_iterated_initial(e_pluck_generic, frozenset(A), i, d=5)
+        rep = verify_iterated_initial(e_pluck_generic, frozenset(A), i)
         checked += 1
         if rep.verdict != PASS:
             failures.append(("e-pluck", sorted(A), i))
@@ -252,30 +252,29 @@ def test_criterion_10_quasivaluation_axioms(e_conic_generic, e_quad4_generic):
                 failures.append((tag, str(f), str(g)))
                 return
 
-    conic_alg = PresentedAlgebra(e_conic_generic)
-    quad_alg = PresentedAlgebra(e_quad4_generic)
-    axioms(Quasivaluation.weight(conic_alg, (2, 0, 1)), e_conic_generic.ring,
+    conic, quad = e_conic_generic, e_quad4_generic
+    axioms(Quasivaluation.weight(conic, (2, 0, 1)), e_conic_generic.ring,
            "weight-conic")
-    axioms(Quasivaluation.degree(conic_alg), e_conic_generic.ring, "deg-conic")
-    axioms(Quasivaluation.adic(conic_alg, {0}), e_conic_generic.ring,
+    axioms(Quasivaluation.degree(conic), e_conic_generic.ring, "deg-conic")
+    axioms(Quasivaluation.adic(conic, {0}), e_conic_generic.ring,
            "adic-conic")
-    axioms(scale(Fraction(3, 2), Quasivaluation.weight(quad_alg, (0, 1, 1, 0))),
+    axioms(scale(Fraction(3, 2), Quasivaluation.weight(quad, (0, 1, 1, 0))),
            e_quad4_generic.ring, "scaled-quad4")
-    axioms(oplus_in_cone([Quasivaluation.weight(quad_alg, (0, 0, 1, 0)),
-                          Quasivaluation.weight(quad_alg, (0, 0, 0, 1))]),
+    axioms(oplus_in_cone([Quasivaluation.weight(quad, (0, 0, 1, 0)),
+                          Quasivaluation.weight(quad, (0, 0, 0, 1))]),
            e_quad4_generic.ring, "oplus-quad4")
     # cross-validation: the adic order equals the epsilon-weight value on
     # every standard monomial to degree 4
-    for alg, n, A in ((conic_alg, 3, frozenset({1})),
-                      (quad_alg, 4, frozenset({0, 3}))):
+    for ideal, n, A in ((conic, 3, frozenset({1})),
+                        (quad, 4, frozenset({0, 3}))):
         eps = epsilon_vector(A, n)
-        veps = Quasivaluation.weight(alg, eps)
+        veps = Quasivaluation.weight(ideal, eps)
         order = MonomialOrder.weighted(eps)
         for deg in range(5):
-            for mono in standard_basis_slice(alg, order, deg):
-                b = alg.ring.monomial(mono)
+            for mono in standard_basis_slice(ideal, order, deg):
+                b = ideal.ring.monomial(mono)
                 checked += 1
-                if veps.evaluate(b) != adic_order(A, b, alg):
+                if veps.evaluate(b) != adic_order(A, b, ideal):
                     failures.append(("adic-vs-eps", str(b)))
     _report(10, not failures,
             f"superadditivity, min-of-sum, and scale invariance over 200 "

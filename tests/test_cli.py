@@ -4,7 +4,7 @@ import pytest
 
 from tropcm import (GREVLEX, IdealFileError, buchberger_reduced,
                     load_ideal_file, parse_ideal_text, parse_subset,
-                    parse_weight, save_ideal_file)
+                    parse_weight, primeness_check, save_ideal_file)
 import tropcm.cli
 from tropcm.cache import default_cache
 from tropcm.cli import main
@@ -143,6 +143,40 @@ def test_cli_quasival_elements(conic_path, capsys):
     assert values["-x2^2 + x1*x3"] == "INFINITY"
 
 
+# grevlex standard monomials of the conic up to degree 4, in table order
+CONIC_STANDARD = (
+    "1 x1 x2 x3 x1^2 x1*x2 x1*x3 x2*x3 x3^2 x1^3 x1^2*x2 x1^2*x3 x1*x2*x3 "
+    "x1*x3^2 x2*x3^2 x3^3 x1^4 x1^3*x2 x1^3*x3 x1^2*x2*x3 x1^2*x3^2 "
+    "x1*x2*x3^2 x1*x3^3 x2*x3^3 x3^4").split()
+
+
+@pytest.mark.parametrize("flags, descriptor, values", [
+    (["--deg"], "deg", "0 1 1 1 2 2 2 2 2 3 3 3 3 3 3 3 4 4 4 4 4 4 4 4 4"),
+    (["--deg", "--scale", "1/2"], "1/2 (.) deg",
+     "0 1/2 1/2 1/2 1 1 1 1 1 3/2 3/2 3/2 3/2 3/2 3/2 3/2 2 2 2 2 2 2 2 2 2"),
+    (["--adic", "1", "--scale", "2"], "2 (.) ord_{1}",
+     "0 2 0 0 4 2 2 0 0 6 4 4 2 2 0 0 8 6 6 4 4 2 2 0 0"),
+])
+def test_cli_quasival_tables_exact(conic_path, capsys, flags, descriptor,
+                                   values):
+    assert main(["quasival", conic_path] + flags) == 0
+    entries = [{"element": e, "value": v}
+               for e, v in zip(CONIC_STANDARD, values.split(), strict=True)]
+    expected = {"entries": entries, "quasivaluation": descriptor}
+    assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
+
+
+def test_cli_quasival_weight_elements_exact(conic_path, capsys):
+    assert main(["quasival", conic_path, "-w", "1,0,0",
+                 "--elements", "x1; x2^2; x1*x3 - x2^2"]) == 0
+    expected = {"entries": [{"element": "x1", "value": "1"},
+                            {"element": "x2^2", "value": "1"},
+                            {"element": "-x2^2 + x1*x3",
+                             "value": "INFINITY"}],
+                "quasivaluation": "v_w(1,0,0)"}
+    assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
+
+
 def test_cli_verify_single_claim(conic_path, capsys):
     code, data = run_json(capsys, ["verify", "--claim", "cor-initial",
                                    "--A", "1", "-w", "1,0,0", conic_path])
@@ -242,6 +276,47 @@ def test_cli_internal_error_exit_code(conic_path, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert code == 3
     assert captured.err.startswith("error:") and captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["--claim", "well-poised", "--samples-per-cone", "0"],
+    ["--claim", "cm-fan", "--samples-per-cone", "0"],
+    ["--claim", "quasival-decomposition", "--A", "1", "--samples", "-3"],
+    ["--claim", "quasival-decomposition", "--A", "1", "--samples", "-3",
+     "--maxdeg", "-1"],
+    ["--claim", "all", "--samples", "-1"],
+])
+def test_cli_verify_rejects_empty_sampling(conic_path, capsys, argv):
+    code = main(["verify", conic_path] + argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error:") and captured.out == ""
+
+
+FP7_CONIC = "vars: x1 x2 x3\nfield: Fp:7\nx1*x3 - x2^2\n"
+
+
+def test_cli_generic_samples_over_the_file_field(tmp_path, capsys):
+    # over Q this seed draws a matrix that is singular mod 7
+    raw = tmp_path / "conic7.ideal"
+    raw.write_text(FP7_CONIC)
+    out = tmp_path / "generic7.ideal"
+    code, data = run_json(capsys, ["generic", str(raw), "--seed", "4",
+                                   "-o", str(out)])
+    assert code == 0 and data["pass"] is True
+    transformed = load_ideal_file(str(out))
+    assert transformed.ring.field.name == "Fp:7"
+    verdict, cert = primeness_check(transformed)
+    assert verdict == "Prime" and cert.data["rank"] == 3
+
+
+def test_cli_report_field_comes_from_the_file(tmp_path, capsys):
+    path = tmp_path / "conic7.ideal"
+    path.write_text(FP7_CONIC)
+    code, data = run_json(capsys, ["verify", "--claim", "gr-presentation",
+                                   "--A", "1", str(path)])
+    assert code == 0
+    assert data["config"]["field"] == data["field"] == "Fp:7"
 
 
 def test_cli_output_file_round_trip(conic_path, tmp_path, capsys):

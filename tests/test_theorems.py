@@ -63,7 +63,7 @@ def test_initial_formula_pass_implies_trop_membership(e_quad4_generic):
     from tropcm import enumerate_generic_fan, trop_membership
     for cone in enumerate_generic_fan(4, 3, 0):
         w = sample_interior(cone, 4)
-        rep = verify_initial_formula(e_quad4_generic, cone.A, w, d=3)
+        rep = verify_initial_formula(e_quad4_generic, cone.A, w)
         assert rep.verdict == PASS
         assert trop_membership(w, e_quad4_generic)
 
@@ -113,12 +113,11 @@ def test_decomposition_conic_interior_weight():
                                         maxdeg=4, samples=25, seed=3)
     assert rep.verdict == PASS
     # the non-basis element x2^2: v_w = 3 = min(w)*deg + (w_1 - min(w))*ord_1
-    from tropcm import PresentedAlgebra, Quasivaluation, adic_order
-    algebra = PresentedAlgebra(I)
-    vw = Quasivaluation.weight(algebra, (2, 1, 1))
+    from tropcm import Quasivaluation, adic_order
+    vw = Quasivaluation.weight(I, (2, 1, 1))
     f = parse_polynomial("x2^2", R3)
     assert vw.evaluate(f) == 3
-    assert 1 * 2 + (2 - 1) * adic_order([0], f, algebra) == 3
+    assert 1 * 2 + (2 - 1) * adic_order([0], f, I) == 3
 
 
 def test_decomposition_at_epsilon_reduces_to_adic(e_quad4_generic):
@@ -332,6 +331,14 @@ def test_well_poised_undetermined_downgrades():
     I = ideal_from(R3, "x1^3 + x2^3 + x3^3")
     rep = well_poised_check(I, samples_per_cone=1)
     assert rep.verdict == UNDETERMINED
+
+
+@pytest.mark.parametrize("sweep", [well_poised_check, cm_fan_audit])
+@pytest.mark.parametrize("samples_per_cone", [0, -1])
+def test_fan_sweeps_refuse_to_sample_nothing(e_conic, sweep, samples_per_cone):
+    # no sample is no evidence: neither a pass nor a fail
+    with pytest.raises(ValueError, match="samples_per_cone"):
+        sweep(e_conic, samples_per_cone=samples_per_cone)
 
 
 # -- fan coincidence ------------------------------------------------------------------
