@@ -190,6 +190,7 @@ def cmd_fan(args):
 
 def cmd_quasival(args):
     ideal = _load(args)
+    cfg = RunConfig.from_args(args)
     ring = ideal.ring
     if args.w:
         v = Quasivaluation.weight(ideal, parse_weight(args.w, ring.nvars))
@@ -209,7 +210,7 @@ def cmd_quasival(args):
                     for s in args.elements.split(";") if s.strip()]
     else:
         elements = [ring.monomial(m)
-                    for deg in range(args.maxdeg + 1)
+                    for deg in range(cfg.maxdeg + 1)
                     for m in standard_basis_slice(ideal, order, deg)]
     entries = [{"element": str(f), "value": str(v.evaluate(f))}
                for f in elements]

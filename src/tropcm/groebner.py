@@ -10,6 +10,7 @@ restricted to global well-orders (grevlex, lex, block).
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 from operator import neg
 
 from .cache import default_cache, digest
@@ -35,6 +36,12 @@ def reduce_full(f, lead, order):
     from a heap, leading-most first.  Every term a step adds is below the
     term it removes (orders are multiplicative), so a popped term never
     returns; a cancelled term stays in the heap and is skipped when popped.
+
+    A monic triple (``lc == 1``) cancels a term ``c*m`` by subtracting
+    ``c * (m/lm) * g``, so the result is the normal form itself.  A primitive
+    integer triple (the engine's elements over Q) works fraction-free: the
+    partial result, work and remainder, is first scaled by ``lc/gcd(c, lc)``,
+    so the result is a positive integer multiple of the normal form.
     """
     if not lead:
         return f
@@ -57,18 +64,25 @@ def reduce_full(f, lead, order):
             rem[m] = c
             continue
         gm, gc, g = hit
+        if gc != 1:
+            k = gcd(c, gc)
+            c, scale = c // k, gc // k
+            if scale != 1:
+                for t in work:
+                    work[t] *= scale
+                for t in rem:
+                    rem[t] *= scale
         mult = mono_div(m, gm)
-        coef = c / gc
         for tm, tc in g.terms.items():
             if tm == gm:
                 continue
             dest = mono_mul(tm, mult)
             s = work.get(dest)
             if s is None:
-                work[dest] = -(tc * coef)
+                work[dest] = -(tc * c)
                 heappush(heap, (tuple(map(neg, key(dest))), dest))
                 continue
-            s -= tc * coef
+            s -= tc * c
             if s:
                 work[dest] = s
             else:
@@ -77,12 +91,31 @@ def reduce_full(f, lead, order):
 
 
 def s_polynomial(f, g, order):
+    """The S-polynomial of f and g; for primitive integer f and g the
+    leading coefficients are cross-multiplied over their gcd."""
     (mf, cf) = f.leading(order)
     (mg, cg) = g.leading(order)
-    one = f.ring.field.one()
+    if cf == cg:
+        cf = cg = 1
+    else:
+        k = gcd(cf, cg)
+        cf, cg = cf // k, cg // k
     l = mono_lcm(mf, mg)
-    return (f.term_mul(one / cf, mono_div(l, mf))
-            - g.term_mul(one / cg, mono_div(l, mg)))
+    return f.term_mul(cg, mono_div(l, mf)) - g.term_mul(cf, mono_div(l, mg))
+
+
+def _engine_form(p, lc):
+    """``p`` as the engine holds it: over Q the primitive integer multiple
+    with a positive leading coefficient, over F_p the monic multiple."""
+    field = p.ring.field
+    if field.char:
+        return p.scale(field.one() / lc)
+    den = lcm(*(c.denominator for c in p.terms.values()))
+    ints = {m: c.numerator * (den // c.denominator) for m, c in p.terms.items()}
+    k = gcd(*ints.values())
+    if lc < 0:
+        k = -k
+    return Polynomial(p.ring, {m: c // k for m, c in ints.items()})
 
 
 def _presented(lead, order):
@@ -94,16 +127,21 @@ def _presented(lead, order):
 
 
 def _interreduce(lead, order):
-    """Minimalize then tail-reduce monic ``(lm, lc, g)`` triples; output in
-    presentation order."""
+    """Minimalize then tail-reduce ``(lm, lc, g)`` triples; output monic,
+    with coefficients in the ring's field, in presentation order."""
     lead = sorted(lead, key=lambda t: (mono_degree(t[0]), order.key(t[0])))
     minimal = []
     for t in lead:
         if not any(mono_divides(m, t[0]) for m, _, _ in minimal):
             minimal.append(t)
-    # the leading term survives tail reduction, so the result stays monic
-    return _presented([(lm, reduce_full(g, minimal[:i] + minimal[i + 1:], order))
-                       for i, (lm, _, g) in enumerate(minimal)], order)
+    field = minimal[0][2].ring.field
+    out = []
+    for i, (lm, _, g) in enumerate(minimal):
+        # the leading term survives tail reduction; dividing by it makes
+        # the element monic and turns integer coefficients into Fractions
+        g = reduce_full(g, minimal[:i] + minimal[i + 1:], order)
+        out.append((lm, g.scale(field.one() / field.coerce(g.terms[lm]))))
+    return _presented(out, order)
 
 
 def groebner_basis_raw(polys, order, homogeneous=None, hilbert=None):
@@ -114,6 +152,9 @@ def groebner_basis_raw(polys, order, homogeneous=None, hilbert=None):
     arrive.  ``hilbert``, the Hilbert series of the quotient by the ideal,
     drives a homogeneous run: a degree ends once the leading monomials fill
     it, and the run ends once their series equals ``hilbert``.
+    Over Q the loop runs fraction-free on primitive integer elements; only
+    the reduced elements are divided by their leading coefficients, so the
+    result is the monic basis with ``Fraction`` coefficients.
     Deterministic throughout.
     """
     polys = [p for p in polys if not p.is_zero()]
@@ -126,7 +167,6 @@ def groebner_basis_raw(polys, order, homogeneous=None, hilbert=None):
             "non-homogeneous generators require a global order "
             f"(got {order.descriptor()})")
     nvars = polys[0].ring.nvars
-    one = polys[0].ring.field.one()
     lead = []      # every element, oldest first, all used for reduction
     active = []    # indices of elements no newer leading monomial divides
     live = {}      # unprocessed pair -> lcm; the heap may hold dead pairs
@@ -134,8 +174,9 @@ def groebner_basis_raw(polys, order, homogeneous=None, hilbert=None):
 
     def add(p):
         m, c = p.leading(order)
+        p = _engine_form(p, c)
         k = len(lead)
-        lead.append((m, one, p.scale(one / c)))
+        lead.append((m, p.terms[m], p))
         # criterion B: m divides lcm(i, j) and differs from lcm(i, k), lcm(j, k)
         for (i, j), l in list(live.items()):
             if (mono_divides(m, l) and mono_lcm(lead[i][0], m) != l
@@ -250,13 +291,14 @@ class GroebnerBasis:
     Cached bases are shared between callers: treat them as read-only.
     """
 
-    __slots__ = ("ring", "order", "basis", "_lead")
+    __slots__ = ("ring", "order", "basis", "_lead", "_hilbert")
 
     def __init__(self, ring, order, basis):
         self.ring = ring
         self.order = order
         self.basis = tuple(basis)
         self._lead = None
+        self._hilbert = None
 
     def leading_terms(self):
         """``(lm, lc, g)`` per nonzero element, computed once."""
@@ -267,6 +309,13 @@ class GroebnerBasis:
 
     def leading_monomials(self):
         return [m for m, _, _ in self.leading_terms()]
+
+    def hilbert_series(self):
+        """Hilbert series of the quotient by the leading monomials, computed once."""
+        if self._hilbert is None:
+            self._hilbert = HilbertSeries.from_leading_monomials(
+                self.leading_monomials(), self.ring.nvars)
+        return self._hilbert
 
     def strings(self):
         return [str(g) for g in self.basis]
@@ -415,13 +464,11 @@ def contains_monomial(ideal, cache=None):
 
 
 # ---------------------------------------------------------------------------
-# Hilbert data and presented algebras
+# Hilbert data
 
 def hilbert_series_quotient(ideal, order=GREVLEX, cache=None):
     """Hilbert series of k[x]/I via the leading-term ideal under ``order``."""
-    gb = buchberger_reduced(ideal, order, cache)
-    return HilbertSeries.from_leading_monomials(gb.leading_monomials(),
-                                                ideal.ring.nvars)
+    return buchberger_reduced(ideal, order, cache).hilbert_series()
 
 
 def krull_dimension(ideal, cache=None):
@@ -429,4 +476,4 @@ def krull_dimension(ideal, cache=None):
     gb = buchberger_reduced(ideal, GREVLEX, cache)
     if any(mono_degree(m) == 0 for m in gb.leading_monomials()):
         raise ValueError("the ideal is the whole ring")
-    return hilbert_series_quotient(ideal, GREVLEX, cache).dimension()
+    return gb.hilbert_series().dimension()

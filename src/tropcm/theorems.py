@@ -321,6 +321,9 @@ def verify_epsilon_facts(ideal, A, cache=None) -> VerificationReport:
     A = frozenset(A)
     inst = _instance(ideal, A=_fmt_A(A))
     d = krull_dimension(ideal, cache)
+    if len(A) > d - 1:
+        return VerificationReport("epsilon-facts", inst, HYPOTHESIS,
+                                  {"reason": "|A| exceeds d - 1"})
     dim_ok, actual = _dimension_hypothesis(ideal, A, d, cache)
     if not dim_ok:
         return VerificationReport(

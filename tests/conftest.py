@@ -6,6 +6,7 @@ import pytest
 
 from tropcm import (Ideal, apply_change, default_ring, parse_polynomial,
                     random_gl)
+from tropcm.polynomials import mono_div, mono_divides
 
 SEED = 42
 BOUND = 100
@@ -18,6 +19,24 @@ def ideal_from(ring, *texts):
 def fraction_weight_value(w, exps):
     """Reference <w, exps>: one Fraction product per coordinate, summed."""
     return sum((Fraction(a) * e for a, e in zip(w, exps)), Fraction(0))
+
+
+def fraction_normal_form(f, basis, order):
+    """Reference remainder of f by a Groebner basis: textbook division, one
+    Fraction quotient c/lc per step, the leading term first."""
+    ring = f.ring
+    heads = [g.leading(order) + (g,) for g in basis]
+    p, rem = f, ring.zero()
+    while not p.is_zero():
+        m, c = p.leading(order)
+        for gm, gc, g in heads:
+            if mono_divides(gm, m):
+                p = p - g.term_mul(c / gc, mono_div(m, gm))
+                break
+        else:
+            term = ring.monomial(m, c)
+            rem, p = rem + term, p - term
+    return rem
 
 
 @pytest.fixture(scope="session")

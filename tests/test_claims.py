@@ -85,6 +85,18 @@ def test_verify_claim_errors(argv, message, twisted_cubic_generic, capsys):
     assert captured.err == f"error: {message}\n" and captured.out == ""
 
 
+def test_epsilon_facts_with_A_of_size_d_is_unmet(twisted_cubic_generic, capsys):
+    # the twisted cubic has d = 2, so |A| = 2 exceeds d - 1
+    capsys.readouterr()
+    code = main(["verify", twisted_cubic_generic, "--claim", "epsilon-facts",
+                 "--A", "1,2"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0
+    (claim,) = report["claims"]
+    assert claim["verdict"] == "hypothesis-not-met"
+    assert claim["evidence"]["reason"] == "|A| exceeds d - 1"
+
+
 def _load_tracer():
     spec = importlib.util.spec_from_file_location(
         "perfbench_tracer", PERFBENCH / "tracer.py")

@@ -293,6 +293,13 @@ def test_cli_verify_rejects_empty_sampling(conic_path, capsys, argv):
     assert captured.err.startswith("error:") and captured.out == ""
 
 
+def test_cli_quasival_rejects_negative_maxdeg(conic_path, capsys):
+    code = main(["quasival", conic_path, "--deg", "--maxdeg", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: --maxdeg") and captured.out == ""
+
+
 FP7_CONIC = "vars: x1 x2 x3\nfield: Fp:7\nx1*x3 - x2^2\n"
 
 

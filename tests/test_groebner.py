@@ -254,6 +254,25 @@ def test_corpus_dimensions(corpus, generic_corpus):
         assert krull_dimension(generic_corpus[name]) == d
 
 
+def test_hilbert_series_computed_once_per_basis(e_pluck, monkeypatch):
+    cache = GBCache()
+    gb = buchberger_reduced(e_pluck, GREVLEX, cache)
+    calls = []
+    build = HilbertSeries.from_leading_monomials
+
+    def counted(cls, gens, n):
+        calls.append(n)
+        return build(gens, n)
+
+    monkeypatch.setattr(HilbertSeries, "from_leading_monomials",
+                        classmethod(counted))
+    series = hilbert_series_quotient(e_pluck, GREVLEX, cache)
+    assert krull_dimension(e_pluck, cache) == krull_dimension(e_pluck, cache) == 5
+    assert hilbert_series_quotient(e_pluck, GREVLEX, cache) is series
+    assert gb.hilbert_series() is series
+    assert calls == [6]
+
+
 # -- cache ---------------------------------------------------------------------
 
 def test_cache_persists_to_directory(tmp_path):
