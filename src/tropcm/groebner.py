@@ -5,19 +5,23 @@ are well-founded degreewise, and homogeneity keeps every reduction inside
 one degree.  The raw engine additionally serves the Rabinowitsch-style
 membership tests, which need non-homogeneous ideals; those calls are
 restricted to global well-orders (grevlex, lex, block).
+
+Inside the engine a monomial is one int (see :class:`Packing`); exponent
+tuples appear only where polynomials enter or leave it.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache, reduce
 from heapq import heapify, heappop, heappush
+from itertools import repeat
 from math import gcd, lcm
-from operator import neg
+from operator import mul
 
 from .cache import default_cache, digest
 from .hilbert import HilbertSeries
 from .orders import GREVLEX, MonomialOrder
 from .polynomials import (Polynomial, monomials_of_degree, mono_degree,
-                          mono_div, mono_divides, mono_lcm, mono_mul,
                           parse_polynomial)
 
 
@@ -26,44 +30,145 @@ class NonHomogeneousError(ValueError):
 
 
 # ---------------------------------------------------------------------------
+# packed monomials
+
+class _Overflow(Exception):
+    """An exponent outgrew the fields of a packing; ``args[0]`` is their
+    width in bytes."""
+
+
+def _widened(attempt, nbytes=1):
+    """``attempt(nbytes)``, redone with fields twice as wide on each overflow."""
+    while True:
+        try:
+            return attempt(nbytes)
+        except _Overflow as exc:
+            nbytes = 2 * exc.args[0]
+
+
+class _Terms(dict):
+    """An engine polynomial: packed monomial -> coefficient."""
+
+    __slots__ = ()
+
+    def is_zero(self):
+        return not self
+
+
+class Packing:
+    """Monomials in ``n`` variables as ints, ordered by ``order``.
+
+    Exponent ``i`` fills the low ``bits = 8*nbytes - 1`` bits of byte field
+    ``i``; the top bit of each field is a guard, and ``order.linear_key``
+    of the exponents sits above all fields.  For exponents below
+    ``2**bits`` this is linear and order-preserving: a product is ``a + b``,
+    a quotient ``a - b``, ``a < b`` exactly when ``a`` is below ``b``, and
+    ``b`` divides ``a`` exactly when ``not (a - b) & guards`` (the lowest
+    field that borrows sets its guard).  A sum that sets a guard has
+    overflowed; the engine then redoes its work in a wider packing.
+    """
+
+    __slots__ = ("nbytes", "width", "shift", "low", "guards", "vec")
+
+    def __init__(self, n, order, nbytes):
+        self.nbytes = nbytes
+        self.width = n * nbytes
+        self.shift = 8 * self.width
+        self.low = (1 << self.shift) - 1
+        self.guards = int.from_bytes(
+            (bytes(nbytes - 1) + b"\x80") * n, "little")
+        self.vec = order.linear_key(n, 8 * nbytes - 1)
+
+    def pack(self, m):
+        """The packed exponent tuple ``m``; ``_Overflow`` if it does not fit."""
+        try:
+            if self.nbytes == 1:
+                raw = bytes(m)
+            else:
+                raw = b"".join(e.to_bytes(self.nbytes, "little") for e in m)
+        except (ValueError, OverflowError):
+            if min(m) < 0:
+                raise ValueError(f"negative exponent in {m}") from None
+            raise _Overflow(self.nbytes) from None
+        p = int.from_bytes(raw, "little")
+        if p & self.guards:
+            raise _Overflow(self.nbytes)
+        return (sum(map(mul, self.vec, m)) << self.shift) + p
+
+    def exponents(self, p):
+        raw = (p & self.low).to_bytes(self.width, "little")
+        k = self.nbytes
+        if k == 1:
+            return tuple(raw)
+        return tuple(int.from_bytes(raw[i:i + k], "little")
+                     for i in range(0, self.width, k))
+
+    def lcm(self, a, b):
+        """lcm of packed monomials, exponent fields only (no order key)."""
+        a &= self.low
+        b &= self.low
+        t = ((a | self.guards) - b) & self.guards    # guard set where a >= b
+        mask = t - (t >> (8 * self.nbytes - 1))
+        return (a & mask) | (b & ~mask)
+
+    def terms(self, p):
+        """``p`` as an engine polynomial."""
+        return _Terms({self.pack(m): c for m, c in p.terms.items()})
+
+    def polynomial(self, ring, terms):
+        return Polynomial(ring, {self.exponents(m): c for m, c in terms.items()})
+
+
+# one packing per ring size, order and field width
+_packing = lru_cache(maxsize=16)(Packing)
+
+
+def _element(terms, packing):
+    """``(lm, lc, tail, top)`` of an engine polynomial: the tail holds the
+    other ``(monomial, coefficient)`` pairs, ``top`` the lcm of all terms."""
+    lm = max(terms)
+    return (lm, terms[lm], [t for t in terms.items() if t[0] != lm],
+            reduce(packing.lcm, terms, 0))
+
+
+# ---------------------------------------------------------------------------
 # division and the Buchberger loop
 
-def reduce_full(f, lead, order):
-    """Full normal form: no term of the result is divisible by a basis LM.
+def reduce_full(f, lead, packing):
+    """Full normal form of the engine polynomial ``f``: no term of the
+    result is divisible by a leading monomial of ``lead``.
 
-    ``lead`` holds the basis as ``(lm, lc, g)`` triples, so leading terms
-    are found once per basis, not once per reduction.  Terms are taken
-    from a heap, leading-most first.  Every term a step adds is below the
-    term it removes (orders are multiplicative), so a popped term never
-    returns; a cancelled term stays in the heap and is skipped when popped.
+    ``lead`` holds ``_element`` tuples in ``packing``.  Terms are taken from
+    a heap, leading-most first.  Every term a step adds is below the term it
+    removes (orders are multiplicative), so a popped term never returns; a
+    cancelled term stays in the heap and is skipped when popped.  Packed
+    monomials carry their order key, so ``t * (m/lm)`` is one addition.
 
-    A monic triple (``lc == 1``) cancels a term ``c*m`` by subtracting
+    A monic element (``lc == 1``) cancels a term ``c*m`` by subtracting
     ``c * (m/lm) * g``, so the result is the normal form itself.  A primitive
-    integer triple (the engine's elements over Q) works fraction-free: the
+    integer element (the engine's elements over Q) works fraction-free: the
     partial result, work and remainder, is first scaled by ``lc/gcd(c, lc)``,
     so the result is a positive integer multiple of the normal form.
+    Raises ``_Overflow`` when a product leaves the packing.
     """
     if not lead:
         return f
-    key = order.key
-    work = dict(f.terms)
-    heap = [(tuple(map(neg, key(m))), m) for m in work]
+    guards = packing.guards
+    work = dict(f)
+    heap = [-m for m in work]
     heapify(heap)
-    rem = {}
+    rem = _Terms()
     while heap:
-        m = heappop(heap)[1]
+        m = -heappop(heap)
         c = work.pop(m, None)
         if c is None:
             continue
-        hit = None
-        for gm, gc, g in lead:
-            if mono_divides(gm, m):
-                hit = (gm, gc, g)
+        for gm, gc, tail, top in lead:
+            if not (m - gm) & guards:
                 break
-        if hit is None:
+        else:
             rem[m] = c
             continue
-        gm, gc, g = hit
         if gc != 1:
             k = gcd(c, gc)
             c, scale = c // k, gc // k
@@ -72,76 +177,90 @@ def reduce_full(f, lead, order):
                     work[t] *= scale
                 for t in rem:
                     rem[t] *= scale
-        mult = mono_div(m, gm)
-        for tm, tc in g.terms.items():
-            if tm == gm:
-                continue
-            dest = mono_mul(tm, mult)
+        mult = m - gm
+        if (top + mult) & guards:
+            raise _Overflow(packing.nbytes)
+        for tm, tc in tail:
+            dest = tm + mult
             s = work.get(dest)
             if s is None:
                 work[dest] = -(tc * c)
-                heappush(heap, (tuple(map(neg, key(dest))), dest))
+                heappush(heap, -dest)
                 continue
             s -= tc * c
             if s:
                 work[dest] = s
             else:
                 del work[dest]
-    return Polynomial(f.ring, rem)
+    return rem
 
 
-def s_polynomial(f, g, order):
-    """The S-polynomial of f and g; for primitive integer f and g the
-    leading coefficients are cross-multiplied over their gcd."""
-    (mf, cf) = f.leading(order)
-    (mg, cg) = g.leading(order)
+def s_polynomial(f, g, packing):
+    """The S-polynomial of two engine elements; for primitive integer
+    elements the leading coefficients are cross-multiplied over their gcd."""
+    mf, cf, tf, topf = f
+    mg, cg, tg, topg = g
     if cf == cg:
         cf = cg = 1
     else:
         k = gcd(cf, cg)
         cf, cg = cf // k, cg // k
-    l = mono_lcm(mf, mg)
-    return f.term_mul(cg, mono_div(l, mf)) - g.term_mul(cf, mono_div(l, mg))
+    l = packing.lcm(mf, mg)
+    l = packing.pack(packing.exponents(l))
+    uf, ug = l - mf, l - mg
+    if (topf + uf) & packing.guards or (topg + ug) & packing.guards:
+        raise _Overflow(packing.nbytes)
+    s = _Terms({tm + uf: tc * cg for tm, tc in tf})
+    for tm, tc in tg:
+        v = s.get(tm + ug, 0) - tc * cf
+        if v:
+            s[tm + ug] = v
+        else:
+            del s[tm + ug]
+    return s
 
 
-def _engine_form(p, lc):
-    """``p`` as the engine holds it: over Q the primitive integer multiple
-    with a positive leading coefficient, over F_p the monic multiple."""
-    field = p.ring.field
+def _engine_form(terms, field):
+    """``terms`` as the engine holds them: over Q the primitive integer
+    multiple with a positive leading coefficient, over F_p the monic one."""
+    lc = terms[max(terms)]
     if field.char:
-        return p.scale(field.one() / lc)
-    den = lcm(*(c.denominator for c in p.terms.values()))
-    ints = {m: c.numerator * (den // c.denominator) for m, c in p.terms.items()}
+        inv = field.one() / lc
+        return _Terms({m: inv * c for m, c in terms.items()})
+    den = lcm(*(c.denominator for c in terms.values()))
+    ints = {m: c.numerator * (den // c.denominator) for m, c in terms.items()}
     k = gcd(*ints.values())
     if lc < 0:
         k = -k
-    return Polynomial(p.ring, {m: c // k for m, c in ints.items()})
+    return _Terms({m: c // k for m, c in ints.items()})
 
 
-def _presented(lead, order):
-    """The polynomials of ``(lm, ..., g)`` triples in presentation order:
-    ascending degree, leading-most first within a degree."""
-    lead = sorted(lead, key=lambda t: order.key(t[0]), reverse=True)
-    lead.sort(key=lambda t: mono_degree(t[0]))
-    return [t[-1] for t in lead]
+def _presented(items):
+    """The polynomials of ``(degree, order key of lm, g)`` items in
+    presentation order: ascending degree, leading-most first within one."""
+    return [g for _, _, g in sorted(items, key=lambda t: (t[0], -t[1]))]
 
 
-def _interreduce(lead, order):
-    """Minimalize then tail-reduce ``(lm, lc, g)`` triples; output monic,
-    with coefficients in the ring's field, in presentation order."""
-    lead = sorted(lead, key=lambda t: (mono_degree(t[0]), order.key(t[0])))
+def _interreduce(lead, packing, ring):
+    """Minimalize then tail-reduce engine elements; output monic
+    polynomials, with coefficients in the ring's field, in presentation
+    order."""
     minimal = []
-    for t in lead:
-        if not any(mono_divides(m, t[0]) for m, _, _ in minimal):
-            minimal.append(t)
-    field = minimal[0][2].ring.field
+    for e in sorted(lead, key=lambda e: (sum(packing.exponents(e[0])), e[0])):
+        if not any(not (e[0] - t[0]) & packing.guards for t in minimal):
+            minimal.append(e)
+    field = ring.field
     out = []
-    for i, (lm, _, g) in enumerate(minimal):
+    for i, (lm, lc, tail, _) in enumerate(minimal):
         # the leading term survives tail reduction; dividing by it makes
         # the element monic and turns integer coefficients into Fractions
-        g = reduce_full(g, minimal[:i] + minimal[i + 1:], order)
-        out.append((lm, g.scale(field.one() / field.coerce(g.terms[lm]))))
-    return _presented(out, order)
+        g = _Terms(tail)
+        g[lm] = lc
+        g = reduce_full(g, minimal[:i] + minimal[i + 1:], packing)
+        inv = field.one() / field.coerce(g[lm])
+        out.append((sum(packing.exponents(lm)), lm, Polynomial(
+            ring, {packing.exponents(m): inv * c for m, c in g.items()})))
+    return _presented(out)
 
 
 def groebner_basis_raw(polys, order, homogeneous=None, hilbert=None):
@@ -155,7 +274,9 @@ def groebner_basis_raw(polys, order, homogeneous=None, hilbert=None):
     Over Q the loop runs fraction-free on primitive integer elements; only
     the reduced elements are divided by their leading coefficients, so the
     result is the monic basis with ``Fraction`` coefficients.
-    Deterministic throughout.
+    Monomials start in one-byte fields; a run whose exponents, input
+    included, outgrow them is redone with fields twice as wide, so no
+    exponent bound is imposed.  Deterministic throughout.
     """
     polys = [p for p in polys if not p.is_zero()]
     if not polys:
@@ -166,42 +287,51 @@ def groebner_basis_raw(polys, order, homogeneous=None, hilbert=None):
         raise NonHomogeneousError(
             "non-homogeneous generators require a global order "
             f"(got {order.descriptor()})")
-    nvars = polys[0].ring.nvars
+    ring = polys[0].ring
+    return _widened(lambda nbytes: _buchberger(
+        polys, _packing(ring.nvars, order, nbytes), ring,
+        hilbert if homogeneous else None))
+
+
+def _buchberger(polys, packing, ring, hilbert):
+    """The loop of ``groebner_basis_raw`` with monomials in ``packing``."""
+    nvars = ring.nvars
+    guards = packing.guards
     lead = []      # every element, oldest first, all used for reduction
     active = []    # indices of elements no newer leading monomial divides
     live = {}      # unprocessed pair -> lcm; the heap may hold dead pairs
     heap = []
 
-    def add(p):
-        m, c = p.leading(order)
-        p = _engine_form(p, c)
+    def add(terms):
+        e = _element(_engine_form(terms, ring.field), packing)
+        m = e[0]
         k = len(lead)
-        lead.append((m, p.terms[m], p))
+        lead.append(e)
+        mlow = m & packing.low
         # criterion B: m divides lcm(i, j) and differs from lcm(i, k), lcm(j, k)
         for (i, j), l in list(live.items()):
-            if (mono_divides(m, l) and mono_lcm(lead[i][0], m) != l
-                    and mono_lcm(lead[j][0], m) != l):
+            if (not (l - mlow) & guards and packing.lcm(lead[i][0], m) != l
+                    and packing.lcm(lead[j][0], m) != l):
                 del live[i, j]
         # criteria M and F: a new pair goes when another new lcm divides its
         # own; a coprime pair always stays, to beat ties, and goes afterwards
-        new = [(i, mono_lcm(lead[i][0], m)) for i in active]
+        new = [(i, packing.lcm(lead[i][0], m)) for i in active]
         kept = []
         for n, (i, l) in enumerate(new):
-            coprime = mono_degree(l) == mono_degree(lead[i][0]) + mono_degree(m)
-            if coprime or not any(mono_divides(l2, l)
+            coprime = l == (lead[i][0] & packing.low) + mlow
+            if coprime or not any(not (l - l2) & guards
                                   for _, l2 in new[n + 1:] + kept):
                 kept.append((None if coprime else i, l))
         for i, l in kept:
             if i is not None:
                 live[i, k] = l
-                heappush(heap, (mono_degree(l), order.key(l), i, k))
-        active[:] = [i for i in active if not mono_divides(m, lead[i][0])]
+                exps = packing.exponents(l)
+                heappush(heap, (sum(exps), packing.pack(exps), i, k))
+        active[:] = [i for i in active if (lead[i][0] - m) & guards]
         active.append(k)
 
     for p in polys:
-        add(p)
-    if not homogeneous:
-        hilbert = None
+        add(packing.terms(p))
     degree = missing = None
     while heap:
         d, _, i, j = heappop(heap)
@@ -211,18 +341,18 @@ def groebner_basis_raw(polys, order, homogeneous=None, hilbert=None):
             # leading monomials still missing in degree d; none at all ends
             degree = d
             reached = HilbertSeries.from_leading_monomials(
-                [t[0] for t in lead], nvars)
+                [packing.exponents(e[0]) for e in lead], nvars)
             if reached == hilbert:
                 break
             missing = reached.hilbert_function(d) - hilbert.hilbert_function(d)
         if missing == 0:
             continue
-        s = reduce_full(s_polynomial(lead[i][2], lead[j][2], order), lead, order)
+        s = reduce_full(s_polynomial(lead[i], lead[j], packing), lead, packing)
         if not s.is_zero():
             add(s)
             if missing is not None:
                 missing -= 1
-    return _interreduce(lead, order)
+    return _interreduce(lead, packing, ring)
 
 
 def rebase(gb, order):
@@ -233,11 +363,18 @@ def rebase(gb, order):
     with the Hilbert function of the (homogeneous) ideal, so the two are
     equal: the elements form a Groebner basis under ``order``, and still a
     reduced one (Mora-Robbiano).  Only the presentation order can change.
+    Each element's check compares integer keys (``order.linear_key``).
     """
-    lead = gb.leading_terms()
-    if any(g.leading(order)[0] != m for m, _, g in lead):
-        return None
-    return GroebnerBasis(gb.ring, order, _presented(lead, order))
+    nbytes, lms = gb._leading()
+    vec = _packing(gb.ring.nvars, order, nbytes).vec
+    items = []
+    for lm, g in zip(lms, (g for g in gb.basis if g.terms)):
+        top = sum(map(mul, vec, lm))
+        keys = map(sum, map(map, repeat(mul), repeat(vec), g.terms))
+        if any(map(top.__lt__, keys)):
+            return None
+        items.append((sum(lm), top, g))
+    return GroebnerBasis(gb.ring, order, _presented(items))
 
 
 # ---------------------------------------------------------------------------
@@ -291,24 +428,42 @@ class GroebnerBasis:
     Cached bases are shared between callers: treat them as read-only.
     """
 
-    __slots__ = ("ring", "order", "basis", "_lead", "_hilbert")
+    __slots__ = ("ring", "order", "basis", "_lead", "_packed", "_hilbert")
 
     def __init__(self, ring, order, basis):
         self.ring = ring
         self.order = order
         self.basis = tuple(basis)
-        self._lead = None
-        self._hilbert = None
+        self._lead = self._packed = self._hilbert = None
 
-    def leading_terms(self):
-        """``(lm, lc, g)`` per nonzero element, computed once."""
+    def _leading(self):
+        """``(nbytes, lms)``, computed once: the field width in bytes that
+        holds every exponent, and the leading monomials of the nonzero
+        elements, found with the order's linear key."""
         if self._lead is None:
-            self._lead = [g.leading(self.order) + (g,)
-                          for g in self.basis if not g.is_zero()]
+            top = max((max(m, default=0) for g in self.basis for m in g.terms),
+                      default=0)
+            nbytes = 1
+            while top >> (8 * nbytes - 1):
+                nbytes *= 2
+            vec = repeat(_packing(self.ring.nvars, self.order, nbytes).vec)
+            self._lead = nbytes, [
+                max(zip(map(sum, map(map, repeat(mul), vec, g.terms)), g.terms))[1]
+                for g in self.basis if g.terms]
         return self._lead
 
     def leading_monomials(self):
-        return [m for m, _, _ in self.leading_terms()]
+        return list(self._leading()[1])
+
+    def packed(self, nbytes=1):
+        """``(packing, elements)`` of the nonzero elements for ``reduce_full``,
+        built once; rebuilt when a caller needs fields of ``nbytes`` bytes."""
+        if self._packed is None or self._packed[0].nbytes < nbytes:
+            packing = _packing(self.ring.nvars, self.order,
+                               max(nbytes, self._leading()[0]))
+            self._packed = packing, [_element(packing.terms(g), packing)
+                                     for g in self.basis if g.terms]
+        return self._packed
 
     def hilbert_series(self):
         """Hilbert series of the quotient by the leading monomials, computed once."""
@@ -364,7 +519,13 @@ def normal_form(f, gb: GroebnerBasis):
     """Remainder of f against a reduced basis; supported on standard monomials."""
     if f.ring != gb.ring:
         raise ValueError("polynomial and basis from different rings")
-    return reduce_full(f, gb.leading_terms(), gb.order)
+
+    def attempt(nbytes):
+        packing, lead = gb.packed(nbytes)
+        return packing.polynomial(
+            f.ring, reduce_full(packing.terms(f), lead, packing))
+
+    return _widened(attempt)
 
 
 def ideal_membership(f, ideal, cache=None):

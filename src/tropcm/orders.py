@@ -3,13 +3,14 @@
 All comparisons use the min convention for weights: among monomials of a
 fixed degree the leading one has the *smallest* inner product with the
 weight vector, ties broken by the base order.  ``key`` returns a flat
-tuple of integers where a bigger key means closer to leading, so negating
-every entry reverses the order (the normal-form heap relies on this).
+tuple of integers where a bigger key means closer to leading;
+``linear_key`` folds it into one integer vector for the Groebner engine.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import zip_longest
 from math import lcm
 from operator import mul, neg
 
@@ -86,6 +87,29 @@ class MonomialOrder:
             bd = sum(exps[i] for i in self.block)
             return (bd,) + self.tiebreak.key(exps)
         raise ValueError(f"unknown order kind {self.kind!r}")
+
+    def linear_key(self, n, bits):
+        """Integer vector ``v`` of length ``n``: ``v . a < v . b`` exactly
+        when ``key(a) < key(b)``, for exponents below ``2**bits``.
+
+        Every ``key`` is a tuple of linear forms compared left to right.
+        Within the bound each form after the first varies by less than a
+        known span, so the forms fold into one mixed-radix sum.
+        """
+        if self.kind == "lex":
+            return tuple(1 << (bits * (n - 1 - i)) for i in range(n))
+        if self.kind == "grevlex":
+            top = 1 << (bits * n)
+            return tuple(top - (1 << (bits * i)) for i in range(n))
+        inner = self.tiebreak.linear_key(n, bits)
+        if self.kind == "weight":
+            outer = tuple(map(neg, self.iweight[:n]))
+        elif self.kind == "elim":
+            outer = tuple(int(i in self.block) for i in range(n))
+        else:
+            raise ValueError(f"unknown order kind {self.kind!r}")
+        span = ((1 << bits) - 1) * sum(map(abs, inner)) + 1
+        return tuple(o * span + v for o, v in zip_longest(outer, inner, fillvalue=0))
 
     def compare(self, a, b) -> int:
         """-1, 0, or 1 as ``a`` is below, equal to, or above ``b``."""

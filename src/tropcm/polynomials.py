@@ -45,10 +45,6 @@ def mono_div(a, b):
     return tuple(x - y for x, y in zip(a, b))
 
 
-def mono_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
 def mono_gcd(a, b):
     return tuple(min(x, y) for x, y in zip(a, b))
 
@@ -251,13 +247,6 @@ class Polynomial:
         if not c:
             return self.ring.zero()
         return Polynomial(self.ring, {m: c * v for m, v in self.terms.items()})
-
-    def term_mul(self, coeff, exps):
-        """Multiply by the single term coeff * x^exps."""
-        if not coeff:
-            return self.ring.zero()
-        return Polynomial(self.ring,
-                          {mono_mul(m, exps): c * coeff for m, c in self.terms.items()})
 
     def __pow__(self, e):
         if e < 0:

@@ -22,7 +22,7 @@ from .groebner import (Ideal, buchberger_reduced, eliminate, extend_ideal,
                        hilbert_series_quotient, ideal_membership,
                        initial_ideal, krull_dimension, normal_form)
 from .macaulay import row_echelon
-from .orders import GREVLEX, MonomialOrder
+from .orders import GREVLEX, MonomialOrder, integer_weight
 from .polynomials import (Polynomial, mono_div, mono_divides,
                           monomials_of_degree)
 from .quasival import (INFINITY, ConeShareError, Quasivaluation, adic_order,
@@ -226,7 +226,9 @@ def verify_quasival_decomposition(ideal, A, w, maxdeg=4, samples=50, seed=0,
         return VerificationReport("quasival-decomposition", inst, HYPOTHESIS,
                                   {"reason": reason, "cut_dimension": actual})
     vw = Quasivaluation.weight(ideal, w)
-    lo = min(w)
+    iw, scale = integer_weight(w)
+    lo = min(iw)
+    steps = [(i, iw[i] - lo) for i in sorted(A) if iw[i] != lo]
     ord_cache = {}
 
     def ord_i(i, mono):
@@ -237,13 +239,12 @@ def verify_quasival_decomposition(ideal, A, w, maxdeg=4, samples=50, seed=0,
 
     def rhs_on_monomial(mono):
         total = lo * sum(mono)
-        for i in sorted(A):
-            if w[i] != lo:
-                o = ord_i(i, mono)
-                if o is INFINITY:
-                    return INFINITY
-                total = total + (w[i] - lo) * o
-        return total
+        for i, step in steps:
+            o = ord_i(i, mono)
+            if o is INFINITY:
+                return INFINITY
+            total += step * o
+        return Fraction(total, scale)
 
     worder = MonomialOrder.weighted(w)
     checked = 0

@@ -31,7 +31,7 @@ def fraction_normal_form(f, basis, order):
         m, c = p.leading(order)
         for gm, gc, g in heads:
             if mono_divides(gm, m):
-                p = p - g.term_mul(c / gc, mono_div(m, gm))
+                p = p - ring.monomial(mono_div(m, gm), c / gc) * g
                 break
         else:
             term = ring.monomial(m, c)
