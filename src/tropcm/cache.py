@@ -1,4 +1,4 @@
-"""Reduced-basis cache: an in-memory map with an optional on-disk mirror.
+"""One basis cache per process: an in-memory map with an optional disk mirror.
 
 Keys combine the ring descriptor, a hash of the generating data, and the
 order descriptor.  Verification suites recompute the same bases heavily,

@@ -85,9 +85,9 @@ def enumerate_generic_fan(n, d, codim=0):
             for A in combinations(range(n), size_A)]
 
 
-def trop_membership(w, ideal, cache=None) -> bool:
+def trop_membership(w, ideal) -> bool:
     """w lies in Trop(I): the initial ideal contains no monomial."""
     if ideal.is_zero():
         return True
-    inw = initial_ideal(w, ideal, cache)
-    return contains_monomial(inw, cache) is None
+    inw = initial_ideal(w, ideal)
+    return contains_monomial(inw) is None

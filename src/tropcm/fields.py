@@ -193,7 +193,7 @@ def field_from_name(name: str):
     name = name.strip()
     if name in ("Q", "QQ"):
         return QQ
-    if name.startswith("Fp:"):
+    if name.startswith("Fp:") and name[3:].strip().isdecimal():
         return PrimeField(int(name[3:]))
     if name == "Fp":
         return PrimeField(DEFAULT_PRIME)

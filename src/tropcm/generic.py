@@ -103,15 +103,14 @@ class GenericityAudit:
                 "checks": [c.to_dict() for c in self.checks]}
 
 
-def genericity_audit(ideal, maxA=None, max_subsets=None, seed=0,
-                     cache=None) -> GenericityAudit:
+def genericity_audit(ideal, maxA=None, max_subsets=None, seed=0) -> GenericityAudit:
     """Check dim(I + <x_i : i in A>) = d - |A| for subsets up to size maxA.
 
     When the subset family is large, a seeded sample of ``max_subsets`` is
     audited instead.  Failures are recorded, not raised.
     """
     n = ideal.ring.nvars
-    d = krull_dimension(ideal, cache)
+    d = krull_dimension(ideal)
     if maxA is None:
         maxA = d - 1
     if maxA > d - 1:
@@ -125,6 +124,6 @@ def genericity_audit(ideal, maxA=None, max_subsets=None, seed=0,
     ring = ideal.ring
     for A in subsets:
         cut = Ideal(ring, list(ideal.generators) + [ring.variable(i) for i in A])
-        actual = krull_dimension(cut, cache)
+        actual = krull_dimension(cut)
         audit.checks.append(AuditCheck(tuple(i + 1 for i in A), d - len(A), actual))
     return audit

@@ -37,8 +37,9 @@ class _Overflow(Exception):
     width in bytes."""
 
 
-def _widened(attempt, nbytes=1):
-    """``attempt(nbytes)``, redone with fields twice as wide on each overflow."""
+def _widened(attempt):
+    """``attempt(1)``, redone with fields twice as wide on each overflow."""
+    nbytes = 1
     while True:
         try:
             return attempt(nbytes)
@@ -409,8 +410,7 @@ class Ideal:
         return self._gen_key
 
     def __eq__(self, other):
-        """Equal reduced grevlex bases, from the process-wide cache; code
-        that holds a cache compares ``buchberger_reduced(..., cache)``."""
+        """Equal reduced grevlex bases, from the process-wide cache."""
         if not isinstance(other, Ideal):
             return NotImplemented
         return (self.ring == other.ring
@@ -485,7 +485,7 @@ class GroebnerBasis:
         return f"GroebnerBasis({self.order.descriptor()}; {', '.join(self.strings())})"
 
 
-def buchberger_reduced(ideal, order, cache=None, reuse=None):
+def buchberger_reduced(ideal, order, reuse=None):
     """Unique reduced basis of a homogeneous ideal, cached by generators.
 
     ``reuse`` is a fan sweep's list of weight bases of ``ideal``.  On a
@@ -493,7 +493,7 @@ def buchberger_reduced(ideal, order, cache=None, reuse=None):
     the answer; a basis computed cold is appended to it.  A cold weight
     basis is driven by the Hilbert series of the grevlex basis.
     """
-    cache = cache or default_cache()
+    cache = default_cache()
     ring = ideal.ring
 
     def load(strings):
@@ -505,7 +505,7 @@ def buchberger_reduced(ideal, order, cache=None, reuse=None):
         return hit
     gb = next(filter(None, (rebase(b, order) for b in reversed(reuse or ()))), None)
     if gb is None:
-        hilbert = (hilbert_series_quotient(ideal, GREVLEX, cache)
+        hilbert = (hilbert_series_quotient(ideal, GREVLEX)
                    if order.kind == "weight" else None)
         gb = GroebnerBasis(ring, order, groebner_basis_raw(
             list(ideal.generators), order, homogeneous=True, hilbert=hilbert))
@@ -528,25 +528,25 @@ def normal_form(f, gb: GroebnerBasis):
     return _widened(attempt)
 
 
-def ideal_membership(f, ideal, cache=None):
-    gb = buchberger_reduced(ideal, GREVLEX, cache)
+def ideal_membership(f, ideal):
+    gb = buchberger_reduced(ideal, GREVLEX)
     return normal_form(f, gb).is_zero()
 
 
 # ---------------------------------------------------------------------------
 # initial ideals and elimination
 
-def initial_ideal(w, ideal, cache=None, reuse=None):
+def initial_ideal(w, ideal, reuse=None):
     """in_w(I) = <in_w(g) : g in the reduced basis under the w-refined order>.
 
     ``reuse`` is passed on to ``buchberger_reduced``; only fan sweeps pass it.
     """
     order = MonomialOrder.weighted(w)
-    gb = buchberger_reduced(ideal, order, cache, reuse)
+    gb = buchberger_reduced(ideal, order, reuse)
     return Ideal(ideal.ring, [g.initial_form(w) for g in gb.basis])
 
 
-def eliminate(ideal, A, cache=None):
+def eliminate(ideal, A):
     """I_A: intersect I + <x_i : i in A> with the subring on the rest.
 
     ``A`` holds 0-based variable indices.  Computed through a block
@@ -562,7 +562,7 @@ def eliminate(ideal, A, cache=None):
     gens = list(ideal.generators) + [ring.variable(i) for i in A]
     ext = Ideal(ring, gens)
     order = MonomialOrder.elimination(A)
-    gb = buchberger_reduced(ext, order, cache)
+    gb = buchberger_reduced(ext, order)
     keep = [i for i in range(ring.nvars) if i not in A]
     sub = ring.subring(keep)
     out = [g.restrict(sub, keep) for g in gb.basis
@@ -579,8 +579,8 @@ def extend_ideal(sub_ideal, full_ring, positions):
 # ---------------------------------------------------------------------------
 # radical membership, monomial detection
 
-def _fresh_name(ring, stem="t"):
-    name = stem
+def _fresh_name(ring):
+    name = "t"
     while name in ring.names:
         name += "_"
     return name
@@ -600,7 +600,7 @@ def radical_membership(f, ideal):
     return any(mono_degree(g.leading(GREVLEX)[0]) == 0 for g in basis)
 
 
-def contains_monomial(ideal, cache=None):
+def contains_monomial(ideal):
     """A witness monomial in I, or None.
 
     Saturation against the product of all variables decides existence;
@@ -613,7 +613,7 @@ def contains_monomial(ideal, cache=None):
     u = ring.monomial((1,) * ring.nvars)
     if not radical_membership(u, ideal):
         return None
-    gb = buchberger_reduced(ideal, GREVLEX, cache)
+    gb = buchberger_reduced(ideal, GREVLEX)
     d = 1
     while True:
         for m in monomials_of_degree(ring.nvars, d):
@@ -627,14 +627,14 @@ def contains_monomial(ideal, cache=None):
 # ---------------------------------------------------------------------------
 # Hilbert data
 
-def hilbert_series_quotient(ideal, order=GREVLEX, cache=None):
+def hilbert_series_quotient(ideal, order=GREVLEX):
     """Hilbert series of k[x]/I via the leading-term ideal under ``order``."""
-    return buchberger_reduced(ideal, order, cache).hilbert_series()
+    return buchberger_reduced(ideal, order).hilbert_series()
 
 
-def krull_dimension(ideal, cache=None):
+def krull_dimension(ideal):
     """Pole order of the Hilbert series at t = 1; the ideal must be proper."""
-    gb = buchberger_reduced(ideal, GREVLEX, cache)
+    gb = buchberger_reduced(ideal, GREVLEX)
     if any(mono_degree(m) == 0 for m in gb.leading_monomials()):
         raise ValueError("the ideal is the whole ring")
     return gb.hilbert_series().dimension()

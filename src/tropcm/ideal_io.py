@@ -40,6 +40,8 @@ def parse_ideal_text(text, source="<string>"):
             names = tuple(line[5:].split())
             if not names:
                 raise IdealFileError(f"{source}:{lineno}: empty vars line")
+            if len(set(names)) < len(names):
+                raise IdealFileError(f"{source}:{lineno}: duplicate variable names")
             continue
         if line.startswith("field:"):
             try:

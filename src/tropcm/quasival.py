@@ -82,7 +82,7 @@ def _power_generators(ring, A, r):
     return gens
 
 
-def adic_order(A, f, ideal, cache=None):
+def adic_order(A, f, ideal):
     """Largest r with f in <x_i : i in A>^r + I; INFINITY on the kernel.
 
     Bounded linear search downward from deg(f): the ideal is generated in
@@ -92,23 +92,23 @@ def adic_order(A, f, ideal, cache=None):
         return INFINITY
     if not f.is_homogeneous():
         raise ValueError("adic order is defined degreewise; split f first")
-    if ideal_membership(f, ideal, cache):
+    if ideal_membership(f, ideal):
         return INFINITY
     ring = f.ring
     A = sorted(set(A))
     m = f.degree()
     for r in range(m, 0, -1):
         K = Ideal(ring, _power_generators(ring, A, r) + list(ideal.generators))
-        if ideal_membership(f, K, cache):
+        if ideal_membership(f, K):
             return r
     return 0
 
 
-def standard_basis_slice(ideal, order, degree, cache=None):
+def standard_basis_slice(ideal, order, degree):
     """Degree-d monomials outside the leading-term ideal, grevlex-descending."""
     if degree < 0:
         raise ValueError("degree must be non-negative")
-    gb = buchberger_reduced(ideal, order, cache)
+    gb = buchberger_reduced(ideal, order)
     lms = gb.leading_monomials()
     return [m for m in monomials_of_degree(ideal.ring.nvars, degree)
             if not any(mono_divides(l, m) for l in lms)]
@@ -168,28 +168,28 @@ class Quasivaluation:
             return None
         return tuple(self.factor * x for x in inner)
 
-    def evaluate(self, f, cache=None):
+    def evaluate(self, f):
         if f.ring != self.ideal.ring:
             raise ValueError("element from a different ring")
         if self.w is not None:
-            return self._evaluate_weight(f, cache)
+            return self._evaluate_weight(f)
         if self.kind == "adic":
             if f.is_zero():
                 return INFINITY
-            vals = [adic_order(self.subset, comp, self.ideal, cache)
+            vals = [adic_order(self.subset, comp, self.ideal)
                     for comp in f.homogeneous_components().values()]
             lo = min(vals)
             return lo if lo is INFINITY else Fraction(lo)
         if self.kind == "scaled":
-            val = self.inner.evaluate(f, cache)
+            val = self.inner.evaluate(f)
             if val is INFINITY:
                 return INFINITY
             return self.factor * val
         raise ValueError(f"unknown quasivaluation kind {self.kind!r}")
 
-    def _evaluate_weight(self, f, cache=None):
+    def _evaluate_weight(self, f):
         """min <w, alpha> over the normal form's support, one Fraction."""
-        gb = buchberger_reduced(self.ideal, self._order, cache)
+        gb = buchberger_reduced(self.ideal, self._order)
         nf = normal_form(f, gb)
         if nf.is_zero():
             return INFINITY
@@ -225,7 +225,7 @@ def scale(c, v: Quasivaluation) -> Quasivaluation:
     return Quasivaluation("scaled", v.ideal, factor=c, inner=v)
 
 
-def oplus_in_cone(vs, cache=None) -> Quasivaluation:
+def oplus_in_cone(vs) -> Quasivaluation:
     """Sum of weight quasivaluations sharing one Groebner cone.
 
     The shared-cone hypothesis is verified against the order refined by
@@ -241,8 +241,8 @@ def oplus_in_cone(vs, cache=None) -> Quasivaluation:
     for v in vs:
         if v.ideal is not ideal and (
                 v.ideal.ring != ideal.ring
-                or buchberger_reduced(v.ideal, GREVLEX, cache).basis
-                != buchberger_reduced(ideal, GREVLEX, cache).basis):
+                or buchberger_reduced(v.ideal, GREVLEX).basis
+                != buchberger_reduced(ideal, GREVLEX).basis):
             raise ValueError("summands live on different algebras")
         u = v.effective_weight()
         if u is None:
@@ -251,10 +251,10 @@ def oplus_in_cone(vs, cache=None) -> Quasivaluation:
         weights.append(u)
     total = tuple(sum(col) for col in zip(*weights))
     order = MonomialOrder.weighted(total)
-    base_lt = sorted(buchberger_reduced(ideal, order, cache).leading_monomials())
+    base_lt = sorted(buchberger_reduced(ideal, order).leading_monomials())
     for v, u in zip(vs, weights):
-        inu = initial_ideal(u, ideal, cache)
-        if sorted(buchberger_reduced(inu, order, cache).leading_monomials()) != base_lt:
+        inu = initial_ideal(u, ideal)
+        if sorted(buchberger_reduced(inu, order).leading_monomials()) != base_lt:
             raise ConeShareError(
                 f"{v.descriptor()} does not share the Groebner cone of the sum")
     return Quasivaluation("oplus", ideal, w=total, parts=vs)

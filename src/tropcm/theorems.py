@@ -20,7 +20,8 @@ from .fan import (ConeCA, cone_contains, enumerate_generic_fan, epsilon_vector,
                   sample_interior, trop_membership)
 from .groebner import (Ideal, buchberger_reduced, eliminate, extend_ideal,
                        hilbert_series_quotient, ideal_membership,
-                       initial_ideal, krull_dimension, normal_form)
+                       initial_ideal, krull_dimension, normal_form,
+                       radical_membership)
 from .macaulay import row_echelon
 from .orders import GREVLEX, MonomialOrder, integer_weight
 from .polynomials import (Polynomial, mono_div, mono_divides,
@@ -32,6 +33,8 @@ PASS = "pass"
 FAIL = "fail"
 UNDETERMINED = "undetermined"
 HYPOTHESIS = "hypothesis-not-met"
+
+_POWMAX = 4     # highest power the radicality spot check tries
 
 
 @dataclass
@@ -68,8 +71,8 @@ def _fmt_A(A):
     return sorted(i + 1 for i in A)
 
 
-def _basis_strings(ideal, cache=None):
-    return buchberger_reduced(ideal, GREVLEX, cache).strings()
+def _basis_strings(ideal):
+    return buchberger_reduced(ideal, GREVLEX).strings()
 
 
 def _instance(ideal, **extra):
@@ -78,25 +81,25 @@ def _instance(ideal, **extra):
     return inst
 
 
-def _dimension_hypothesis(ideal, A, d, cache=None):
+def _dimension_hypothesis(ideal, A, d):
     """The audited regular-sequence condition: cutting by A drops dim by |A|."""
     if not A:
         return True, d
     ring = ideal.ring
     cut = Ideal(ring, list(ideal.generators) + [ring.variable(i) for i in A])
-    actual = krull_dimension(cut, cache)
+    actual = krull_dimension(cut)
     return actual == d - len(A), actual
 
 
 # ---------------------------------------------------------------------------
 # equality-of-ideals claims
 
-def verify_initial_formula(ideal, A, w, cache=None) -> VerificationReport:
+def verify_initial_formula(ideal, A, w) -> VerificationReport:
     """in_w(I) against the extension of the elimination ideal I_A."""
     ring = ideal.ring
     n = ring.nvars
     A = frozenset(A)
-    d = krull_dimension(ideal, cache)
+    d = krull_dimension(ideal)
     inst = _instance(ideal, A=_fmt_A(A), w=_fmt_w(w), d=d)
     cone = ConeCA(A, n)
     interior = cone_contains(cone, w, interior=True)
@@ -108,18 +111,18 @@ def verify_initial_formula(ideal, A, w, cache=None) -> VerificationReport:
         evidence["reason"] = ("w outside the relative interior of C_A"
                               if not interior else "|A| exceeds d - 1")
         return VerificationReport("initial-formula", inst, HYPOTHESIS, evidence)
-    lhs = initial_ideal(w, ideal, cache)
+    lhs = initial_ideal(w, ideal)
     keep = sorted(set(range(n)) - A)
-    rhs = extend_ideal(eliminate(ideal, A, cache), ring, keep)
-    lhs_basis = evidence["initial_ideal_basis"] = _basis_strings(lhs, cache)
-    rhs_basis = evidence["eliminated_extension_basis"] = _basis_strings(rhs, cache)
+    rhs = extend_ideal(eliminate(ideal, A), ring, keep)
+    lhs_basis = evidence["initial_ideal_basis"] = _basis_strings(lhs)
+    rhs_basis = evidence["eliminated_extension_basis"] = _basis_strings(rhs)
     if lhs_basis == rhs_basis:
         return VerificationReport("initial-formula", inst, PASS, evidence)
     evidence["witness"] = "reduced bases differ"
     return VerificationReport("initial-formula", inst, FAIL, evidence)
 
 
-def verify_gr_presentation(ideal, A, cache=None) -> VerificationReport:
+def verify_gr_presentation(ideal, A) -> VerificationReport:
     """Associated graded of ord_A: Hilbert identity plus basis identity.
 
     HS(k[x]/in_eps(I)) must equal HS(k[x_rest]/I_A) / (1-t)^|A| and the
@@ -129,23 +132,23 @@ def verify_gr_presentation(ideal, A, cache=None) -> VerificationReport:
     ring = ideal.ring
     n = ring.nvars
     A = frozenset(A)
-    d = krull_dimension(ideal, cache)
+    d = krull_dimension(ideal)
     inst = _instance(ideal, A=_fmt_A(A), d=d)
-    dim_ok, actual = _dimension_hypothesis(ideal, A, d, cache)
+    dim_ok, actual = _dimension_hypothesis(ideal, A, d)
     evidence = {"cut_dimension": actual, "expected_cut_dimension": d - len(A)}
     if not dim_ok:
         evidence["reason"] = "A does not cut the dimension as a regular sequence would"
         return VerificationReport("gr-presentation", inst, HYPOTHESIS, evidence)
     eps = epsilon_vector(A, n)
-    lhs_ideal = initial_ideal(eps, ideal, cache)
-    lhs_series = hilbert_series_quotient(lhs_ideal, GREVLEX, cache)
-    sub_ideal = eliminate(ideal, A, cache)
-    rhs_series = hilbert_series_quotient(sub_ideal, GREVLEX, cache).shift_denominator(len(A))
+    lhs_ideal = initial_ideal(eps, ideal)
+    lhs_series = hilbert_series_quotient(lhs_ideal, GREVLEX)
+    sub_ideal = eliminate(ideal, A)
+    rhs_series = hilbert_series_quotient(sub_ideal, GREVLEX).shift_denominator(len(A))
     keep = sorted(set(range(n)) - A)
     rhs_ideal = extend_ideal(sub_ideal, ring, keep)
     series_ok = lhs_series == rhs_series
-    lhs_basis = _basis_strings(lhs_ideal, cache)
-    basis_ok = lhs_basis == _basis_strings(rhs_ideal, cache)
+    lhs_basis = _basis_strings(lhs_ideal)
+    basis_ok = lhs_basis == _basis_strings(rhs_ideal)
     evidence.update({
         "initial_series": str(lhs_series),
         "sliced_series_with_free_variables": str(rhs_series),
@@ -160,22 +163,22 @@ def verify_gr_presentation(ideal, A, cache=None) -> VerificationReport:
     return VerificationReport("gr-presentation", inst, verdict, evidence)
 
 
-def verify_iterated_initial(ideal, A, i, cache=None) -> VerificationReport:
+def verify_iterated_initial(ideal, A, i) -> VerificationReport:
     """Two-step initial degeneration against the one-step one."""
     ring = ideal.ring
     n = ring.nvars
     A = frozenset(A)
     if i not in A:
         raise ValueError("index must belong to A")
-    d = krull_dimension(ideal, cache)
+    d = krull_dimension(ideal)
     inst = _instance(ideal, A=_fmt_A(A), i=i + 1, d=d)
     if len(A) > d - 1:
         return VerificationReport("iterated-initial", inst, HYPOTHESIS,
                                   {"reason": "|A| exceeds d - 1"})
-    step = initial_ideal(epsilon_vector([i], n), ideal, cache)
-    lhs = initial_ideal(epsilon_vector(A - {i}, n), step, cache)
-    rhs = initial_ideal(epsilon_vector(A, n), ideal, cache)
-    lhs_basis, rhs_basis = _basis_strings(lhs, cache), _basis_strings(rhs, cache)
+    step = initial_ideal(epsilon_vector([i], n), ideal)
+    lhs = initial_ideal(epsilon_vector(A - {i}, n), step)
+    rhs = initial_ideal(epsilon_vector(A, n), ideal)
+    lhs_basis, rhs_basis = _basis_strings(lhs), _basis_strings(rhs)
     evidence = {"two_step_basis": lhs_basis, "one_step_basis": rhs_basis}
     verdict = PASS if lhs_basis == rhs_basis else FAIL
     if verdict == FAIL:
@@ -202,8 +205,8 @@ def _random_homogeneous(ring, rng, maxdeg):
     return Polynomial(ring, terms)
 
 
-def verify_quasival_decomposition(ideal, A, w, maxdeg=4, samples=50, seed=0,
-                                  cache=None) -> VerificationReport:
+def verify_quasival_decomposition(ideal, A, w, maxdeg=4, samples=50,
+                                  seed=0) -> VerificationReport:
     """v_w against min(w)*deg + sum over A of (w_i - min(w))*ord_i.
 
     Checked on every standard monomial up to ``maxdeg`` (adapted basis of
@@ -214,12 +217,12 @@ def verify_quasival_decomposition(ideal, A, w, maxdeg=4, samples=50, seed=0,
     ring = ideal.ring
     n = ring.nvars
     A = frozenset(A)
-    d = krull_dimension(ideal, cache)
+    d = krull_dimension(ideal)
     w = tuple(Fraction(x) for x in w)
     inst = _instance(ideal, A=_fmt_A(A), w=_fmt_w(w), maxdeg=maxdeg,
                      samples=samples, seed=seed)
     cone = ConeCA(A, n)
-    dim_ok, actual = _dimension_hypothesis(ideal, A, d, cache)
+    dim_ok, actual = _dimension_hypothesis(ideal, A, d)
     if not cone_contains(cone, w, interior=False) or not dim_ok:
         reason = ("w outside C_A" if not cone_contains(cone, w)
                   else "A does not cut dimension like a regular sequence")
@@ -234,7 +237,7 @@ def verify_quasival_decomposition(ideal, A, w, maxdeg=4, samples=50, seed=0,
     def ord_i(i, mono):
         key = (i, mono)
         if key not in ord_cache:
-            ord_cache[key] = adic_order([i], ring.monomial(mono), ideal, cache)
+            ord_cache[key] = adic_order([i], ring.monomial(mono), ideal)
         return ord_cache[key]
 
     def rhs_on_monomial(mono):
@@ -250,8 +253,8 @@ def verify_quasival_decomposition(ideal, A, w, maxdeg=4, samples=50, seed=0,
     checked = 0
     table = []
     for deg in range(0, maxdeg + 1):
-        for mono in standard_basis_slice(ideal, worder, deg, cache):
-            lhs = vw.evaluate(ring.monomial(mono), cache)
+        for mono in standard_basis_slice(ideal, worder, deg):
+            lhs = vw.evaluate(ring.monomial(mono))
             rhs = rhs_on_monomial(mono)
             checked += 1
             if len(table) < 12:
@@ -263,11 +266,11 @@ def verify_quasival_decomposition(ideal, A, w, maxdeg=4, samples=50, seed=0,
                     {"witness": str(ring.monomial(mono)),
                      "v_w": str(lhs), "decomposition": str(rhs),
                      "checked": checked, "value_table": table})
-    gb = buchberger_reduced(ideal, worder, cache)
+    gb = buchberger_reduced(ideal, worder)
     rng = random.Random(repr(("decomp", seed, _fmt_w(w), sorted(A))))
     for _ in range(samples):
         f = _random_homogeneous(ring, rng, maxdeg)
-        lhs = vw.evaluate(f, cache)
+        lhs = vw.evaluate(f)
         nf = normal_form(f, gb)
         if nf.is_zero():
             rhs = INFINITY
@@ -283,7 +286,7 @@ def verify_quasival_decomposition(ideal, A, w, maxdeg=4, samples=50, seed=0,
                               {"checked": checked, "value_table": table})
 
 
-def verify_weight_sum(ideal, u, w, maxdeg=4, cache=None) -> VerificationReport:
+def verify_weight_sum(ideal, u, w, maxdeg=4) -> VerificationReport:
     """Additivity of values in a shared Groebner cone: v_u + v_w = v_{u+w}."""
     ring = ideal.ring
     u = tuple(Fraction(x) for x in u)
@@ -292,7 +295,7 @@ def verify_weight_sum(ideal, u, w, maxdeg=4, cache=None) -> VerificationReport:
     vu = Quasivaluation.weight(ideal, u)
     vw = Quasivaluation.weight(ideal, w)
     try:
-        vsum = oplus_in_cone([vu, vw], cache)
+        vsum = oplus_in_cone([vu, vw])
     except ConeShareError as exc:
         return VerificationReport("weight-sum", inst, HYPOTHESIS,
                                   {"reason": str(exc)})
@@ -301,11 +304,11 @@ def verify_weight_sum(ideal, u, w, maxdeg=4, cache=None) -> VerificationReport:
     order = MonomialOrder.weighted(total)
     checked = 0
     for deg in range(0, maxdeg + 1):
-        for mono in standard_basis_slice(ideal, order, deg, cache):
+        for mono in standard_basis_slice(ideal, order, deg):
             b = ring.monomial(mono)
-            a1, a2 = vu.evaluate(b, cache), vw.evaluate(b, cache)
-            s = vtotal.evaluate(b, cache)
-            o = vsum.evaluate(b, cache)
+            a1, a2 = vu.evaluate(b), vw.evaluate(b)
+            s = vtotal.evaluate(b)
+            o = vsum.evaluate(b)
             checked += 1
             if a1 + a2 != s or o != s:
                 return VerificationReport(
@@ -315,26 +318,26 @@ def verify_weight_sum(ideal, u, w, maxdeg=4, cache=None) -> VerificationReport:
     return VerificationReport("weight-sum", inst, PASS, {"checked": checked})
 
 
-def verify_epsilon_facts(ideal, A, cache=None) -> VerificationReport:
+def verify_epsilon_facts(ideal, A) -> VerificationReport:
     """eps_A lies in the tropical variety and v_{eps_A}(x_i) = (eps_A)_i."""
     ring = ideal.ring
     n = ring.nvars
     A = frozenset(A)
     inst = _instance(ideal, A=_fmt_A(A))
-    d = krull_dimension(ideal, cache)
+    d = krull_dimension(ideal)
     if len(A) > d - 1:
         return VerificationReport("epsilon-facts", inst, HYPOTHESIS,
                                   {"reason": "|A| exceeds d - 1"})
-    dim_ok, actual = _dimension_hypothesis(ideal, A, d, cache)
+    dim_ok, actual = _dimension_hypothesis(ideal, A, d)
     if not dim_ok:
         return VerificationReport(
             "epsilon-facts", inst, HYPOTHESIS,
             {"reason": "A does not cut dimension like a regular sequence",
              "cut_dimension": actual, "expected_cut_dimension": d - len(A)})
     eps = epsilon_vector(A, n)
-    member = trop_membership(eps, ideal, cache)
+    member = trop_membership(eps, ideal)
     veps = Quasivaluation.weight(ideal, eps)
-    values = [veps.evaluate(ring.variable(i), cache) for i in range(n)]
+    values = [veps.evaluate(ring.variable(i)) for i in range(n)]
     values_ok = all(values[i] == eps[i] for i in range(n))
     evidence = {"trop_membership": member,
                 "variable_values": [str(v) for v in values]}
@@ -368,14 +371,14 @@ def _gram_matrix(q):
     return M
 
 
-def _exact_divide(f, g, order=GREVLEX):
+def _exact_divide(f, g):
     """Quotient f/g when g divides f exactly, else None."""
     ring = f.ring
     q = ring.zero()
     rem = f
-    gm, gc = g.leading(order)
+    gm, gc = g.leading(GREVLEX)
     while not rem.is_zero():
-        m, c = rem.leading(order)
+        m, c = rem.leading(GREVLEX)
         if not mono_divides(gm, m):
             return None
         t = ring.monomial(mono_div(m, gm), c / gc)
@@ -432,14 +435,14 @@ def _templates(n, p):
     yield from rec((), False)
 
 
-def primeness_check(ideal, cache=None):
+def primeness_check(ideal):
     """(verdict, certificate) with verdict Prime, NotPrime, or Undetermined.
 
     The certificate menu covers linear ideals, monomial ideals, principal
     quadrics (symmetric rank), and principal cubics in few variables via
     factor search.  Everything else is honestly Undetermined.
     """
-    gb = buchberger_reduced(ideal, GREVLEX, cache)
+    gb = buchberger_reduced(ideal, GREVLEX)
     basis = list(gb.basis)
     if not basis:
         return "Prime", PrimenessCertificate("linear", {"generators": [],
@@ -495,14 +498,11 @@ def primeness_check(ideal, cache=None):
     return "Undetermined", None
 
 
-def radicality_spot_check(ideal, samples=50, powmax=4, seed=0,
-                          cache=None) -> VerificationReport:
+def radicality_spot_check(ideal, samples=50, seed=0) -> VerificationReport:
     """Property-based evidence for radicality; failures are certificates."""
-    from .groebner import radical_membership
-
     ring = ideal.ring
-    inst = _instance(ideal, samples=samples, powmax=powmax, seed=seed)
-    verdict, cert = primeness_check(ideal, cache)
+    inst = _instance(ideal, samples=samples, powmax=_POWMAX, seed=seed)
+    verdict, cert = primeness_check(ideal)
     if verdict == "Prime":
         return VerificationReport(
             "radicality-spot", inst, PASS,
@@ -514,13 +514,13 @@ def radicality_spot_check(ideal, samples=50, powmax=4, seed=0,
                    for k in range(samples)]
     tried = 0
     for f, probe_radical in candidates:
-        if f.is_zero() or ideal_membership(f, ideal, cache):
+        if f.is_zero() or ideal_membership(f, ideal):
             continue
         tried += 1
         power = f
-        for m in range(2, powmax + 1):
+        for m in range(2, _POWMAX + 1):
             power = power * f
-            if ideal_membership(power, ideal, cache):
+            if ideal_membership(power, ideal):
                 return VerificationReport(
                     "radicality-spot", inst, FAIL,
                     {"witness": str(f), "power": m,
@@ -535,8 +535,7 @@ def radicality_spot_check(ideal, samples=50, powmax=4, seed=0,
                                "sampled": tried})
 
 
-def well_poised_check(ideal, samples_per_cone=3, seed=0,
-                      cache=None) -> VerificationReport:
+def well_poised_check(ideal, samples_per_cone=3, seed=0) -> VerificationReport:
     """Primeness across all strata; cross-checked against linearity.
 
     For audited generic instances the expectation is: linear ideals are
@@ -546,9 +545,9 @@ def well_poised_check(ideal, samples_per_cone=3, seed=0,
     if samples_per_cone < 1:
         raise ValueError("samples_per_cone must be at least 1")
     n = ideal.ring.nvars
-    d = krull_dimension(ideal, cache)
+    d = krull_dimension(ideal)
     inst = _instance(ideal, d=d, samples_per_cone=samples_per_cone, seed=seed)
-    linear = all(g.degree() == 1 for g in buchberger_reduced(ideal, GREVLEX, cache))
+    linear = all(g.degree() == 1 for g in buchberger_reduced(ideal, GREVLEX))
     bases = []      # this sweep's weight bases of ideal, see rebase
     primeness = {}  # reduced grevlex basis -> (verdict, certificate)
     cones = []
@@ -557,11 +556,11 @@ def well_poised_check(ideal, samples_per_cone=3, seed=0,
         for cone in enumerate_generic_fan(n, d, codim):
             for k in range(samples_per_cone):
                 w = sample_interior(cone, seed + k)
-                inw = initial_ideal(w, ideal, cache, bases)
+                inw = initial_ideal(w, ideal, bases)
                 # the certificate depends only on the reduced basis
-                key = tuple(_basis_strings(inw, cache))
+                key = tuple(_basis_strings(inw))
                 if key not in primeness:
-                    primeness[key] = primeness_check(inw, cache)
+                    primeness[key] = primeness_check(inw)
                 verdict, cert = primeness[key]
                 verdicts.append(verdict)
                 cones.append({"codim": codim, "A": list(cone.label()),
@@ -582,12 +581,12 @@ def well_poised_check(ideal, samples_per_cone=3, seed=0,
     return VerificationReport("well-poised", inst, verdict, evidence)
 
 
-def cm_fan_audit(ideal, samples_per_cone=3, seed=0, cache=None) -> VerificationReport:
+def cm_fan_audit(ideal, samples_per_cone=3, seed=0) -> VerificationReport:
     """Constancy of the initial ideal on the interior of each maximal cone."""
     if samples_per_cone < 1:
         raise ValueError("samples_per_cone must be at least 1")
     n = ideal.ring.nvars
-    d = krull_dimension(ideal, cache)
+    d = krull_dimension(ideal)
     inst = _instance(ideal, d=d, samples_per_cone=samples_per_cone, seed=seed)
     notes = []
     bases = []      # this sweep's weight bases of ideal, see rebase
@@ -596,8 +595,8 @@ def cm_fan_audit(ideal, samples_per_cone=3, seed=0, cache=None) -> VerificationR
         base_w = None
         for k in range(samples_per_cone):
             w = sample_interior(cone, seed + k)
-            # reduced grevlex bases from ``cache``: equal iff the ideals are
-            basis = _basis_strings(initial_ideal(w, ideal, cache, bases), cache)
+            # reduced grevlex bases: equal iff the ideals are
+            basis = _basis_strings(initial_ideal(w, ideal, bases))
             if base is None:
                 base, base_w = basis, w
             elif basis != base:

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import tropcm.cache
 from tropcm import (Ideal, apply_change, default_ring, parse_polynomial,
                     random_gl)
 from tropcm.polynomials import mono_div, mono_divides
@@ -37,6 +38,22 @@ def fraction_normal_form(f, basis, order):
             term = ring.monomial(m, c)
             rem, p = rem + term, p - term
     return rem
+
+
+@pytest.fixture()
+def fresh_cache(monkeypatch):
+    """A new empty process-wide basis cache, installed for one test.
+
+    ``fresh_cache(directory=None)`` installs another one, as a new process
+    would start with, optionally mirrored to ``directory``, and returns it.
+    """
+    def install(directory=None):
+        cache = tropcm.cache.GBCache(directory=str(directory) if directory else None)
+        monkeypatch.setattr(tropcm.cache, "_default", cache)
+        return cache
+
+    install()
+    return install
 
 
 @pytest.fixture(scope="session")

@@ -6,7 +6,6 @@ from tropcm import (GREVLEX, IdealFileError, buchberger_reduced,
                     load_ideal_file, parse_ideal_text, parse_subset,
                     parse_weight, primeness_check, save_ideal_file)
 import tropcm.cli
-from tropcm.cache import default_cache
 from tropcm.cli import main
 
 CONIC = """\
@@ -54,6 +53,10 @@ def test_ideal_text_errors():
         parse_ideal_text("vars: x1 x2\nx1 + x9\n")
     with pytest.raises(IdealFileError, match="generators before vars"):
         parse_ideal_text("x1\nvars: x1\n")
+    with pytest.raises(IdealFileError, match=":2: unknown field descriptor 'Fp:abc'"):
+        parse_ideal_text("vars: x1\nfield: Fp:abc\n")
+    with pytest.raises(IdealFileError, match=":1: duplicate variable names"):
+        parse_ideal_text("vars: x x\n")
 
 
 def test_empty_generator_list_is_zero_ideal():
@@ -187,13 +190,12 @@ def test_cli_verify_single_claim(conic_path, capsys):
 
 
 def test_cli_run_id_ignores_output_and_cache_paths(conic_path, tmp_path,
-                                                  monkeypatch, capsys):
-    shared = default_cache()
-    monkeypatch.setattr(shared, "directory", shared.directory)
+                                                  fresh_cache, capsys):
     argv = ["verify", "--claim", "cor-initial", "--A", "1", "-w", "1,0,0",
             conic_path]
     reports = []
     for name in ("a", "b"):
+        fresh_cache()
         out = tmp_path / f"report-{name}.json"
         assert main(argv + ["-o", str(out),
                             "--cache-dir", str(tmp_path / f"cache-{name}")]) == 0

@@ -25,7 +25,6 @@ from tropcm import (GREVLEX, LEX, QQ, Ideal, MonomialOrder, PrimeField,
                     enumerate_generic_fan, hilbert_series_quotient,
                     monomials_of_degree, parse_polynomial, random_gl,
                     sample_interior)
-from tropcm.cache import GBCache
 from tropcm.groebner import GroebnerBasis, groebner_basis_raw, rebase
 from tropcm.macaulay import graded_slice, initial_slice_oracle
 from tropcm.polynomials import Polynomial, mono_divides
@@ -126,11 +125,11 @@ CASES = [(name, field, order) for name in NAMES for field in FIELDS
 
 
 @pytest.mark.parametrize("name,field_name,order_name", CASES)
-def test_basis_matches_macaulay_slices(name, field_name, order_name):
+def test_basis_matches_macaulay_slices(name, field_name, order_name, fresh_cache):
     ideal = instance(name, field_name)
     gens = list(ideal.generators)
     order = orders_of(ideal.ring.nvars)[order_name]
-    basis = buchberger_reduced(ideal, order, GBCache()).basis
+    basis = buchberger_reduced(ideal, order).basis
     lms = [g.leading(order)[0] for g in basis]
     for degree in (2, 3):
         rows, cols = graded_slice(gens, degree, order)
@@ -185,21 +184,21 @@ def _sympy_basis(ideal, order_name):
 
 
 @pytest.mark.parametrize("name,field_name,order_name", SYMPY_CASES)
-def test_basis_matches_sympy(name, field_name, order_name):
+def test_basis_matches_sympy(name, field_name, order_name, fresh_cache):
     ideal = instance(name, field_name)
     expected = _sympy_basis(ideal, order_name)
     order = {"grevlex": GREVLEX, "lex": LEX}[order_name]
-    assert sorted(buchberger_reduced(ideal, order, GBCache()).strings()) == expected
+    assert sorted(buchberger_reduced(ideal, order).strings()) == expected
 
 
 # -- Hilbert stop and in-cone reuse ---------------------------------------------
 
 @pytest.mark.parametrize("field_name", FIELDS)
 @pytest.mark.parametrize("name", NAMES)
-def test_hilbert_stopped_basis_equals_full_run(name, field_name):
+def test_hilbert_stopped_basis_equals_full_run(name, field_name, fresh_cache):
     ideal = instance(name, field_name)
     n = ideal.ring.nvars
-    series = hilbert_series_quotient(ideal, GREVLEX, GBCache())
+    series = hilbert_series_quotient(ideal, GREVLEX)
     for w in (weight_of(n), tuple(range(n)), epsilon(n)):
         order = MonomialOrder.weighted(w)
         stopped = groebner_basis_raw(list(ideal.generators), order, True,
@@ -224,26 +223,26 @@ def test_rebase_on_rnc4_cone_samples_equals_cold_basis():
     assert moved > 0
 
 
-def test_rebase_refuses_a_changed_leading_term():
+def test_rebase_refuses_a_changed_leading_term(fresh_cache):
     ring = default_ring(3)
     ideal = Ideal(ring, [parse_polynomial("x1*x3 - x2^2", ring)])
-    gb = buchberger_reduced(ideal, MonomialOrder.weighted((1, 0, 0)), GBCache())
+    gb = buchberger_reduced(ideal, MonomialOrder.weighted((1, 0, 0)))
     assert gb.leading_monomials() == [(0, 2, 0)]
     assert rebase(gb, MonomialOrder.weighted((0, 1, 0))) is None
     assert rebase(gb, MonomialOrder.weighted((2, 0, 1))).strings() == gb.strings()
 
 
-def test_gr25_sweep_bases_agree_with_cold_bases_and_oracle():
+def test_gr25_sweep_bases_agree_with_cold_bases_and_oracle(fresh_cache):
     ideal = instance("gr25-generic", "F32003")
     gens = list(ideal.generators)
     cones = random.Random(SEED).sample(enumerate_generic_fan(10, 7, 0), 10)
-    bases, cache = [], GBCache()
+    bases = []
     reused = 0
     for cone in cones:
         for k in range(3):
             w = sample_interior(cone, SEED + k)
             order = MonomialOrder.weighted(w)
-            swept = buchberger_reduced(ideal, order, cache, reuse=bases)
+            swept = buchberger_reduced(ideal, order, reuse=bases)
             reused += all(gb is not swept for gb in bases)
             assert swept.strings() == cold(ideal, order)
             oracle, _ = initial_slice_oracle(gens, w, 2)

@@ -12,7 +12,7 @@ from tropcm import (GREVLEX, LEX, HilbertSeries, Ideal, MonomialOrder,
                     krull_dimension, normal_form, parse_polynomial,
                     radical_membership)
 import tropcm.groebner
-from tropcm.cache import GBCache, digest
+from tropcm.cache import digest
 from tropcm.macaulay import graded_slice, initial_slice_oracle
 from tropcm.polynomials import monomials_of_degree
 
@@ -254,9 +254,8 @@ def test_corpus_dimensions(corpus, generic_corpus):
         assert krull_dimension(generic_corpus[name]) == d
 
 
-def test_hilbert_series_computed_once_per_basis(e_pluck, monkeypatch):
-    cache = GBCache()
-    gb = buchberger_reduced(e_pluck, GREVLEX, cache)
+def test_hilbert_series_computed_once_per_basis(e_pluck, monkeypatch, fresh_cache):
+    gb = buchberger_reduced(e_pluck, GREVLEX)
     calls = []
     build = HilbertSeries.from_leading_monomials
 
@@ -266,35 +265,35 @@ def test_hilbert_series_computed_once_per_basis(e_pluck, monkeypatch):
 
     monkeypatch.setattr(HilbertSeries, "from_leading_monomials",
                         classmethod(counted))
-    series = hilbert_series_quotient(e_pluck, GREVLEX, cache)
-    assert krull_dimension(e_pluck, cache) == krull_dimension(e_pluck, cache) == 5
-    assert hilbert_series_quotient(e_pluck, GREVLEX, cache) is series
+    series = hilbert_series_quotient(e_pluck, GREVLEX)
+    assert krull_dimension(e_pluck) == krull_dimension(e_pluck) == 5
+    assert hilbert_series_quotient(e_pluck, GREVLEX) is series
     assert gb.hilbert_series() is series
     assert calls == [6]
 
 
 # -- cache ---------------------------------------------------------------------
 
-def test_cache_persists_to_directory(tmp_path):
-    cache = GBCache(directory=str(tmp_path))
+def test_cache_persists_to_directory(tmp_path, fresh_cache):
+    fresh_cache(tmp_path)
     I = ideal_from(R3, "x1*x3 - x2^2", "x1^2 + x2*x3")
-    gb = buchberger_reduced(I, GREVLEX, cache)
+    gb = buchberger_reduced(I, GREVLEX)
     files = list(tmp_path.glob("*.json"))
     assert files
-    fresh = GBCache(directory=str(tmp_path))
+    fresh_cache(tmp_path)
     J = ideal_from(R3, "x1*x3 - x2^2", "x1^2 + x2*x3")
-    again = buchberger_reduced(J, GREVLEX, fresh)
+    again = buchberger_reduced(J, GREVLEX)
     assert again.strings() == gb.strings()
 
 
-def test_cache_canonical_key_shares_across_generating_sets(tmp_path):
-    cache = GBCache(directory=str(tmp_path))
+def test_cache_canonical_key_shares_across_generating_sets(tmp_path, fresh_cache):
+    fresh_cache(tmp_path)
     f = parse_polynomial("x1*x3 - x2^2", R3)
     g = parse_polynomial("x1^2 + x2*x3", R3)
     order = MonomialOrder.weighted((2, 0, 1))
-    first = buchberger_reduced(Ideal(R3, [f, g]), order, cache)
+    first = buchberger_reduced(Ideal(R3, [f, g]), order)
     n_files = len(list(tmp_path.glob("*.json")))
-    second = buchberger_reduced(Ideal(R3, [g, f + g]), order, cache)
+    second = buchberger_reduced(Ideal(R3, [g, f + g]), order)
     assert first.strings() == second.strings()
     # keys hash the generators as given: the second set gets entries of its own
     assert len(list(tmp_path.glob("*.json"))) >= n_files
@@ -317,15 +316,11 @@ def count_parses(monkeypatch):
     return calls
 
 
-def test_injected_cache_is_the_only_cache_used(tmp_path, monkeypatch):
-    def no_default_cache():
-        raise AssertionError("the process-wide cache was used")
-
-    monkeypatch.setattr(tropcm.groebner, "default_cache", no_default_cache)
-    cache = GBCache(directory=str(tmp_path))
+def test_cache_entries_record_ring_and_order(tmp_path, fresh_cache):
+    fresh_cache(tmp_path)
     I = ideal_from(R3, "x1*x3 - x2^2", "x1^2 + x2*x3")
     for order in reversed(CACHE_ORDERS):
-        buchberger_reduced(I, order, cache)
+        buchberger_reduced(I, order)
     entries = [json.loads(p.read_text()) for p in tmp_path.glob("*.json")]
     # elim, weight, and the grevlex basis that drives the weight run
     assert len(entries) == 3
@@ -333,15 +328,15 @@ def test_injected_cache_is_the_only_cache_used(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("order", CACHE_ORDERS, ids=lambda o: o.kind)
-def test_cache_fresh_memory_and_disk_agree(tmp_path, monkeypatch, order):
+def test_cache_fresh_memory_and_disk_agree(tmp_path, monkeypatch, fresh_cache, order):
     parses = count_parses(monkeypatch)
     I = ideal_from(R3, "x1*x3 - x2^2", "x1^2 + x2*x3")
-    cache = GBCache(directory=str(tmp_path))
-    fresh = buchberger_reduced(I, order, cache)
-    memory = buchberger_reduced(I, order, cache)
+    fresh_cache(tmp_path)
+    fresh = buchberger_reduced(I, order)
+    memory = buchberger_reduced(I, order)
     assert parses == []                    # a memory hit parses nothing
-    disk = buchberger_reduced(ideal_from(R3, "x1*x3 - x2^2", "x1^2 + x2*x3"),
-                              order, GBCache(directory=str(tmp_path)))
+    fresh_cache(tmp_path)
+    disk = buchberger_reduced(ideal_from(R3, "x1*x3 - x2^2", "x1^2 + x2*x3"), order)
     assert parses                          # the entry came from disk
     assert fresh.strings() == memory.strings() == disk.strings()
     assert disk.leading_monomials() == fresh.leading_monomials()
@@ -353,14 +348,15 @@ def test_cache_fresh_memory_and_disk_agree(tmp_path, monkeypatch, order):
     lambda text: json.dumps({"basis": ["x1 +* y7"]}),   # not a polynomial
     lambda text: json.dumps({"basis": "x1"}),           # not a list
 ], ids=["truncated", "no-basis", "unparsable", "not-a-list"])
-def test_cache_unreadable_entry_is_recomputed(tmp_path, damage):
+def test_cache_unreadable_entry_is_recomputed(tmp_path, fresh_cache, damage):
     I = ideal_from(R3, "x1*x3 - x2^2", "x1^2 + x2*x3")
-    expected = buchberger_reduced(I, GREVLEX, GBCache(directory=str(tmp_path)))
+    fresh_cache(tmp_path)
+    expected = buchberger_reduced(I, GREVLEX)
     files = sorted(tmp_path.glob("*.json"))
     for path in files:
         path.write_text(damage(path.read_text(encoding="utf-8")), encoding="utf-8")
-    again = buchberger_reduced(ideal_from(R3, "x1*x3 - x2^2", "x1^2 + x2*x3"),
-                               GREVLEX, GBCache(directory=str(tmp_path)))
+    fresh_cache(tmp_path)
+    again = buchberger_reduced(ideal_from(R3, "x1*x3 - x2^2", "x1^2 + x2*x3"), GREVLEX)
     assert again.strings() == expected.strings()
     raw_key = digest(I.generator_key(), GREVLEX.descriptor())
     entry = json.loads((tmp_path / f"{raw_key}.json").read_text(encoding="utf-8"))

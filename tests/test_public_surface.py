@@ -1,8 +1,10 @@
-"""Every name the package exports has a caller in ``src/``.
+"""Every name the package exports has a caller in ``src/``, and every
+defaulted parameter of an exported function is set by some call there.
 
 A name counts as used when some module other than ``__init__.py`` refers
 to it outside its own definition; an import alone does not count.  A name
-that only the tests use belongs in the tests, not in the package.
+or an option that only the tests use belongs in the tests, not in the
+package.
 """
 
 import ast
@@ -36,9 +38,13 @@ def _uses(tree, name):
     return walk(tree)
 
 
+def _trees():
+    return [ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))
+            if path.name != "__init__.py"]
+
+
 def test_every_export_has_a_caller_in_src():
-    trees = [ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))
-             if path.name != "__init__.py"]
+    trees = _trees()
     unused = sorted(name for name in _exports() - set(EXEMPT)
                     if not any(_uses(tree, name) for tree in trees))
     assert unused == []
@@ -46,3 +52,63 @@ def test_every_export_has_a_caller_in_src():
 
 def test_exemptions_are_exports():
     assert set(EXEMPT) <= _exports()
+
+
+def _defaulted(fn):
+    """{parameter: position in a call} of the defaulted parameters of
+    ``fn``; the position of a keyword-only one is None."""
+    positional = fn.args.posonlyargs + fn.args.args
+    bound = int(bool(positional) and positional[0].arg in ("self", "cls"))
+    out = {a.arg: i - bound for i, a in enumerate(positional)
+           if i >= len(positional) - len(fn.args.defaults)}
+    out.update((a.arg, None) for a, d in zip(fn.args.kwonlyargs,
+                                            fn.args.kw_defaults) if d is not None)
+    return out
+
+
+def _settings(tree, defaulted):
+    """(callee, parameter, forwarded) for each argument a call in ``tree``
+    passes to a defaulted parameter.  ``forwarded`` is ``(function,
+    parameter)`` when the argument is a defaulted parameter of an enclosing
+    function, passed on unchanged, else None."""
+    def walk(node, scope):
+        if isinstance(node, ast.FunctionDef):
+            scope = {**scope, **{a.arg: node.name for a in ast.walk(node.args)
+                                 if isinstance(a, ast.arg)}}
+        if isinstance(node, ast.Call):
+            func = node.func
+            callee = getattr(func, "id", None) or getattr(func, "attr", None)
+            positional = dict(enumerate(node.args))
+            for param, i in defaulted.get(callee, {}).items():
+                arg = next((k.value for k in node.keywords if k.arg == param),
+                           positional.get(i))
+                if arg is None:
+                    continue
+                owner = scope.get(getattr(arg, "id", None))
+                forwarded = owner is not None and arg.id in defaulted.get(owner, {})
+                yield callee, param, (owner, arg.id) if forwarded else None
+        for child in ast.iter_child_nodes(node):
+            yield from walk(child, scope)
+    return walk(tree, {})
+
+
+def test_every_default_of_an_export_is_set_in_src():
+    trees = _trees()
+    # methods too: a method can forward its own parameter
+    defaulted = {fn.name: _defaulted(fn) for tree in trees for fn in ast.walk(tree)
+                 if isinstance(fn, ast.FunctionDef)}
+    settings = [s for tree in trees for s in _settings(tree, defaulted)]
+    # a parameter forwarded from a caller is set when the caller's is
+    done = set()
+    while True:
+        found = {(callee, param) for callee, param, forwarded in settings
+                 if forwarded is None or forwarded in done}
+        if found <= done:
+            break
+        done |= found
+    functions = {fn.name for tree in trees for fn in tree.body
+                 if isinstance(fn, ast.FunctionDef)}
+    unset = sorted(f"{name}({param})"
+                   for name in (_exports() - set(EXEMPT)) & functions
+                   for param in defaulted[name] if (name, param) not in done)
+    assert unset == []

@@ -7,8 +7,6 @@ from tropcm import (ConeCA, Ideal, apply_change, cm_fan_audit, default_ring,
                     verify_gr_presentation, verify_initial_formula,
                     verify_iterated_initial, verify_quasival_decomposition,
                     verify_weight_sum, well_poised_check)
-import tropcm.cache
-from tropcm.cache import GBCache
 from tropcm.theorems import FAIL, HYPOTHESIS, PASS, UNDETERMINED
 
 from conftest import ideal_from
@@ -349,37 +347,33 @@ def test_cm_fan_audit_passes_on_corpus(e_conic_generic, e_pluck_generic):
         assert rep.verdict == PASS
 
 
-def test_cm_fan_audit_uses_only_the_injected_cache(tmp_path, monkeypatch):
+def test_cm_fan_audit_writes_the_process_cache(tmp_path, fresh_cache):
     # the generic rational normal quartic, as the benchmark builds it
     R5 = default_ring(5)
     top, bottom = ["x1", "x2", "x3", "x4"], ["x2", "x3", "x4", "x5"]
     minors = [f"{top[a]}*{bottom[b]} - {top[b]}*{bottom[a]}"
               for a in range(4) for b in range(a + 1, 4)]
     I = apply_change(random_gl(5, seed=42, bound=100), ideal_from(R5, *minors))
-    shared = GBCache()
-    monkeypatch.setattr(tropcm.cache, "_default", shared)
-    injected = GBCache(directory=str(tmp_path))
-    rep = cm_fan_audit(I, samples_per_cone=3, seed=42, cache=injected)
+    fresh_cache(tmp_path)
+    rep = cm_fan_audit(I, samples_per_cone=3, seed=42)
     assert rep.verdict == PASS
     assert list(tmp_path.glob("*.json"))
-    assert shared._mem == {}
 
 
 @pytest.mark.parametrize("check", [
-    lambda I, cache: verify_initial_formula(
-        I, {0}, sample_interior(ConeCA(frozenset({0}), 4), 7), cache=cache),
-    lambda I, cache: verify_gr_presentation(I, {0}, cache=cache),
-    lambda I, cache: verify_iterated_initial(I, {0}, 0, cache=cache),
+    lambda I: verify_initial_formula(
+        I, {0}, sample_interior(ConeCA(frozenset({0}), 4), 7)),
+    lambda I: verify_gr_presentation(I, {0}),
+    lambda I: verify_iterated_initial(I, {0}, 0),
 ], ids=["initial-formula", "gr-presentation", "iterated-initial"])
-def test_equality_claims_use_only_the_injected_cache(check, monkeypatch):
+def test_equality_claims_write_the_process_cache(check, tmp_path, fresh_cache):
     # the generic twisted cubic: ideals are compared by their reduced bases
-    # in the caller's cache, not through the process-wide one
+    # in the process-wide cache
     cubic = ideal_from(R4, "x1*x3 - x2^2", "x1*x4 - x2*x3", "x2*x4 - x3^2")
     I = apply_change(random_gl(4, seed=7, bound=100), cubic)
-    shared = GBCache()
-    monkeypatch.setattr(tropcm.cache, "_default", shared)
-    assert check(I, GBCache()).verdict == PASS
-    assert shared._mem == {}
+    fresh_cache(tmp_path)
+    assert check(I).verdict == PASS
+    assert list(tmp_path.glob("*.json"))
 
 
 def test_cm_fan_audit_single_sample_flagged(e_conic_generic):
