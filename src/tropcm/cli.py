@@ -350,6 +350,16 @@ def cmd_verify(args):
 def cmd_report(args):
     with open(args.report, "r", encoding="utf-8") as fh:
         body = json.load(fh)
+    try:
+        lines, counts = _report_lines(body)
+    except (AttributeError, KeyError, TypeError):
+        raise ValueError(f"{args.report}: not a tropcm report") from None
+    print("\n".join(lines))
+    return 1 if counts.get(FAIL) else 0
+
+
+def _report_lines(body):
+    """The lines ``report`` prints for a report body, and its verdict counts."""
     lines = [f"run {body.get('run_id', '?')}  seed={body.get('seed')}  "
              f"field={body.get('field')}"]
     source = body.get("instance", {}).get("source", "?")
@@ -366,8 +376,7 @@ def cmd_report(args):
             lines.append(f"{'':>20}  witness: {c['evidence']['witness']}")
     summary = "  ".join(f"{k}={v}" for k, v in sorted(counts.items()))
     lines.append(f"totals: {summary or 'no claims'}")
-    print("\n".join(lines))
-    return 1 if counts.get(FAIL) else 0
+    return lines, counts
 
 
 # ---------------------------------------------------------------------------

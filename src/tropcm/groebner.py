@@ -1,10 +1,8 @@
 """Buchberger engine, reduced bases, initial ideals, elimination, membership.
 
-The public surface only accepts homogeneous ideals: weight-refined orders
-are well-founded degreewise, and homogeneity keeps every reduction inside
-one degree.  The raw engine additionally serves the Rabinowitsch-style
-membership tests, which need non-homogeneous ideals; those calls are
-restricted to global well-orders (grevlex, lex, block).
+The engine only takes homogeneous ideals: weight-refined orders are
+well-founded degreewise, and homogeneity keeps every reduction inside one
+degree.
 
 Inside the engine a monomial is one int (see :class:`Packing`); exponent
 tuples appear only where polynomials enter or leave it.
@@ -264,14 +262,14 @@ def _interreduce(lead, packing, ring):
     return _presented(out)
 
 
-def groebner_basis_raw(polys, order, homogeneous=None, hilbert=None):
-    """Reduced Groebner basis of a list of polynomials.
+def groebner_basis_raw(ideal, order, hilbert=None):
+    """Reduced Groebner basis of an ``Ideal``.
 
     Pairs come from a heap, smallest lcm degree first, then lowest lcm
     under ``order``; the Gebauer-Moeller criteria prune them as elements
     arrive.  ``hilbert``, the Hilbert series of the quotient by the ideal,
-    drives a homogeneous run: a degree ends once the leading monomials fill
-    it, and the run ends once their series equals ``hilbert``.
+    drives the run: a degree ends once the leading monomials fill it, and
+    the run ends once their series equals ``hilbert``.
     Over Q the loop runs fraction-free on primitive integer elements; only
     the reduced elements are divided by their leading coefficients, so the
     result is the monic basis with ``Fraction`` coefficients.
@@ -279,19 +277,9 @@ def groebner_basis_raw(polys, order, homogeneous=None, hilbert=None):
     included, outgrow them is redone with fields twice as wide, so no
     exponent bound is imposed.  Deterministic throughout.
     """
-    polys = [p for p in polys if not p.is_zero()]
-    if not polys:
-        return []
-    if homogeneous is None:
-        homogeneous = all(p.is_homogeneous() for p in polys)
-    if not homogeneous and not order.is_global():
-        raise NonHomogeneousError(
-            "non-homogeneous generators require a global order "
-            f"(got {order.descriptor()})")
-    ring = polys[0].ring
+    ring = ideal.ring
     return _widened(lambda nbytes: _buchberger(
-        polys, _packing(ring.nvars, order, nbytes), ring,
-        hilbert if homogeneous else None))
+        ideal.generators, _packing(ring.nvars, order, nbytes), ring, hilbert))
 
 
 def _buchberger(polys, packing, ring, hilbert):
@@ -505,10 +493,10 @@ def buchberger_reduced(ideal, order, reuse=None):
         return hit
     gb = next(filter(None, (rebase(b, order) for b in reversed(reuse or ()))), None)
     if gb is None:
-        hilbert = (hilbert_series_quotient(ideal, GREVLEX)
+        hilbert = (hilbert_series_quotient(ideal)
                    if order.kind == "weight" else None)
         gb = GroebnerBasis(ring, order, groebner_basis_raw(
-            list(ideal.generators), order, homogeneous=True, hilbert=hilbert))
+            ideal, order, hilbert=hilbert))
         if reuse is not None:
             reuse.append(gb)
     cache.put(key, gb, {"ring": ring.descriptor(), "order": order.descriptor()})
@@ -587,17 +575,25 @@ def _fresh_name(ring):
 
 
 def radical_membership(f, ideal):
-    """f in rad(I), decided by 1 in I + <1 - t f> in an extended ring."""
-    if f.is_zero():
-        raise ValueError("radical membership of the zero polynomial")
+    """f in rad(I) for a homogeneous f of degree e >= 1, decided in degree.
+
+    With a new last variable y and J = I + <f - y^e>, k[x,y]/J is free over
+    k[x]/I on 1, y, ..., y^(e-1) and y^(qe+r) = f^q y^r, so y is nilpotent
+    exactly when f is.  y^m is the grevlex-smallest monomial of degree m,
+    so y^m lies in J exactly when the reduced basis of J holds a c*y^m.
+    """
+    e = f.degree()
+    if e < 1 or not f.is_homogeneous():
+        raise ValueError(
+            f"radical membership needs a homogeneous f of positive degree: {f}")
     ring = ideal.ring
     ext = ring.extended(_fresh_name(ring))
     positions = list(range(ring.nvars))
-    t = ext.variable(ext.nvars - 1)
     gens = [g.extend(ext, positions) for g in ideal.generators]
-    gens.append(ext.one() - t * f.extend(ext, positions))
-    basis = groebner_basis_raw(gens, GREVLEX, homogeneous=False)
-    return any(mono_degree(g.leading(GREVLEX)[0]) == 0 for g in basis)
+    gens.append(f.extend(ext, positions) - ext.variable(ring.nvars) ** e)
+    basis = groebner_basis_raw(Ideal(ext, gens), GREVLEX)
+    return any(g.terms.keys() == {(0,) * ring.nvars + (g.degree(),)}
+               for g in basis)
 
 
 def contains_monomial(ideal):
@@ -627,9 +623,9 @@ def contains_monomial(ideal):
 # ---------------------------------------------------------------------------
 # Hilbert data
 
-def hilbert_series_quotient(ideal, order=GREVLEX):
-    """Hilbert series of k[x]/I via the leading-term ideal under ``order``."""
-    return buchberger_reduced(ideal, order).hilbert_series()
+def hilbert_series_quotient(ideal):
+    """Hilbert series of k[x]/I via the grevlex leading-term ideal."""
+    return buchberger_reduced(ideal, GREVLEX).hilbert_series()
 
 
 def krull_dimension(ideal):

@@ -118,15 +118,6 @@ class MonomialOrder:
         ka, kb = self.key(a), self.key(b)
         return (ka > kb) - (ka < kb)
 
-    def is_global(self) -> bool:
-        """True when every variable exceeds 1, so reduction is well-founded
-        without a homogeneity assumption."""
-        if self.kind in ("grevlex", "lex"):
-            return True
-        if self.kind == "elim":
-            return self.tiebreak.is_global()
-        return False
-
     def descriptor(self) -> str:
         if self._desc is None:
             if self.kind in ("grevlex", "lex"):

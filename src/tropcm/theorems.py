@@ -141,9 +141,9 @@ def verify_gr_presentation(ideal, A) -> VerificationReport:
         return VerificationReport("gr-presentation", inst, HYPOTHESIS, evidence)
     eps = epsilon_vector(A, n)
     lhs_ideal = initial_ideal(eps, ideal)
-    lhs_series = hilbert_series_quotient(lhs_ideal, GREVLEX)
+    lhs_series = hilbert_series_quotient(lhs_ideal)
     sub_ideal = eliminate(ideal, A)
-    rhs_series = hilbert_series_quotient(sub_ideal, GREVLEX).shift_denominator(len(A))
+    rhs_series = hilbert_series_quotient(sub_ideal).shift_denominator(len(A))
     keep = sorted(set(range(n)) - A)
     rhs_ideal = extend_ideal(sub_ideal, ring, keep)
     series_ok = lhs_series == rhs_series

@@ -263,6 +263,17 @@ def test_cli_report_rendering(conic_path, tmp_path, capsys):
     assert "initial-formula" in text and "pass" in text
 
 
+@pytest.mark.parametrize("body", [[], {"claims": [{}]}],
+                         ids=["list", "claim-without-verdict"])
+def test_cli_report_rejects_a_file_that_is_not_a_report(tmp_path, capsys, body):
+    path = tmp_path / "not-a-report.json"
+    path.write_text(json.dumps(body))
+    code = main(["report", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {path}: not a tropcm report\n"
+
+
 def test_cli_error_handling(tmp_path, capsys):
     code = main(["gb", str(tmp_path / "missing.ideal")])
     err = capsys.readouterr().err

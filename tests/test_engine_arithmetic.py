@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from tropcm import (GREVLEX, Ideal, MonomialOrder, Polynomial,
                     buchberger_reduced, default_ring, normal_form,
-                    parse_polynomial, radical_membership)
+                    parse_polynomial)
 from tropcm.groebner import groebner_basis_raw
 from tropcm.polynomials import monomials_of_degree
 
@@ -39,7 +39,8 @@ GENERATORS = {
     "twisted-cubic": list(TWISTED_CUBIC.generators),
     "two-rational-quadrics": _rational_quadrics(5, 2),
 }
-BASES = {(name, o): [str(g) for g in groebner_basis_raw(gens, ORDERS[o], True)]
+BASES = {(name, o): [str(g) for g in
+                     groebner_basis_raw(Ideal(R4, gens), ORDERS[o])]
          for name, gens in GENERATORS.items() for o in ORDERS}
 
 nonzero_rationals = st.builds(
@@ -53,7 +54,7 @@ nonzero_rationals = st.builds(
 def test_rescaled_generators_give_the_same_reduced_basis(case, data):
     name, order_name = case
     gens = [g.scale(data.draw(nonzero_rationals)) for g in GENERATORS[name]]
-    basis = groebner_basis_raw(gens, ORDERS[order_name], True)
+    basis = groebner_basis_raw(Ideal(R4, gens), ORDERS[order_name])
     assert [str(g) for g in basis] == BASES[case]
 
 
@@ -67,19 +68,12 @@ def _assert_monic_fractions(basis, order):
 
 def test_engine_output_is_monic_with_fraction_coefficients():
     single = [parse_polynomial("2*x1 - 4*x2", R4)]
-    for gens in list(GENERATORS.values()) + [single]:
+    unit = [parse_polynomial("5/2", R4), parse_polynomial("3*x1 - 9*x2", R4)]
+    for gens in list(GENERATORS.values()) + [single, unit]:
         for order in ORDERS.values():
-            _assert_monic_fractions(groebner_basis_raw(gens, order, True), order)
-
-
-def test_inhomogeneous_engine_output_is_monic_with_fraction_coefficients():
-    gens = [parse_polynomial("3*x1^2 - x2", R4), parse_polynomial("x2 - 5/2", R4)]
-    _assert_monic_fractions(groebner_basis_raw(gens, GREVLEX, False), GREVLEX)
-    unit = [parse_polynomial("2*x1 - 4", R4), parse_polynomial("3*x1 - 9", R4)]
-    assert groebner_basis_raw(unit, GREVLEX, False) == [R4.one()]
-    _assert_monic_fractions(groebner_basis_raw(unit, GREVLEX, False), GREVLEX)
-    assert radical_membership(parse_polynomial("x1 - x2", R4),
-                              ideal_from(R4, "x1^2 - 2*x1*x2 + x2^2"))
+            _assert_monic_fractions(groebner_basis_raw(Ideal(R4, gens), order),
+                                    order)
+    assert groebner_basis_raw(Ideal(R4, unit), GREVLEX) == [R4.one()]
 
 
 cubics = st.dictionaries(

@@ -102,7 +102,7 @@ def orders_of(n):
 
 
 def cold(ideal, order):
-    return [str(g) for g in groebner_basis_raw(list(ideal.generators), order, True)]
+    return [str(g) for g in groebner_basis_raw(ideal, order)]
 
 
 # -- the Macaulay-matrix oracle --------------------------------------------------
@@ -198,18 +198,16 @@ def test_basis_matches_sympy(name, field_name, order_name, fresh_cache):
 def test_hilbert_stopped_basis_equals_full_run(name, field_name, fresh_cache):
     ideal = instance(name, field_name)
     n = ideal.ring.nvars
-    series = hilbert_series_quotient(ideal, GREVLEX)
+    series = hilbert_series_quotient(ideal)
     for w in (weight_of(n), tuple(range(n)), epsilon(n)):
         order = MonomialOrder.weighted(w)
-        stopped = groebner_basis_raw(list(ideal.generators), order, True,
-                                     hilbert=series)
+        stopped = groebner_basis_raw(ideal, order, hilbert=series)
         assert [str(g) for g in stopped] == cold(ideal, order)
 
 
 def test_rebase_on_rnc4_cone_samples_equals_cold_basis():
     ideal = rnc4_generic()
-    bases = [GroebnerBasis(ideal.ring, order, groebner_basis_raw(
-                 list(ideal.generators), order, True))
+    bases = [GroebnerBasis(ideal.ring, order, groebner_basis_raw(ideal, order))
              for cone in enumerate_generic_fan(5, 2, 0) for k in range(3)
              for order in [MonomialOrder.weighted(sample_interior(cone, SEED + k))]]
     moved = 0

@@ -5,9 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from tropcm import (GREVLEX, LEX, HilbertSeries, Ideal, MonomialOrder,
-                    NonHomogeneousError, buchberger_reduced, contains_monomial,
-                    default_ring, eliminate, extend_ideal,
+from tropcm import (GREVLEX, LEX, QQ, HilbertSeries, Ideal, MonomialOrder,
+                    NonHomogeneousError, PrimeField, buchberger_reduced,
+                    contains_monomial, default_ring, eliminate, extend_ideal,
                     hilbert_series_quotient, ideal_membership, initial_ideal,
                     krull_dimension, normal_form, parse_polynomial,
                     radical_membership)
@@ -182,6 +182,60 @@ def test_radical_membership_examples():
     assert radical_membership(parse_polynomial("x1 + x2", R3), square)
 
 
+TWISTED_CUBIC = ("x1*x3 - x2^2", "x2*x4 - x3^2", "x1*x4 - x2*x3")
+
+# name -> (generators of I, generators of rad(I), probes); a probe's kind is
+# "I" for f in I, "rad" for f in rad(I) but not in I, "out" for f not in rad(I)
+KNOWN_RADICALS = {
+    "monomial": (("x1^2", "x2^3"), ("x1", "x2"), [
+        ("x1^2*x3", "I"), ("x2^3", "I"), ("x1", "rad"), ("x1 + x2", "rad"),
+        ("x1*x2 + x2*x3", "rad"), ("x1*x2*x4", "rad"), ("x3", "out"),
+        ("x1 + x3", "out"), ("x3^2 - x1*x4", "out")]),
+    "squared-linear-form": (("x1^2 - 2*x1*x2 + x2^2",), ("x1 - x2",), [
+        ("x1^2 - 2*x1*x2 + x2^2", "I"), ("x1 - x2", "rad"),
+        ("x1*x3 - x2*x3", "rad"), ("x1^3 - x2^3", "rad"), ("x1", "out"),
+        ("x1^2 - x2^2 + x3^2", "out")]),
+    "linear-plus-square": (("x1 + x2", "x3^2"), ("x1 + x2", "x3"), [
+        ("x1 + x2", "I"), ("x1*x4 + x2*x4", "I"), ("x3", "rad"),
+        ("x1 + x2 + x3", "rad"), ("x3*x4^2", "rad"), ("x4", "out"),
+        ("x1^2 + x3*x4", "out")]),
+    "twisted-cubic-squares": (
+        tuple(f"({g})^2" for g in TWISTED_CUBIC), TWISTED_CUBIC, [
+            ("x1*x3 - x2^2", "rad"), ("x1*x4 - x2*x3 + x2*x4 - x3^2", "rad"),
+            ("x1^2*x4 - x1*x2*x3", "rad"), ("x1", "out"),
+            ("x1*x4 + x2*x3", "out"), ("x1^3 + x4^3", "out")]),
+}
+PROBE_FIELDS = {"Q": QQ, "F32003": PrimeField(32003)}
+
+
+@pytest.mark.parametrize("field_name", sorted(PROBE_FIELDS))
+@pytest.mark.parametrize("name", sorted(KNOWN_RADICALS))
+def test_radical_membership_against_a_known_radical(name, field_name):
+    ring = default_ring(4, PROBE_FIELDS[field_name])
+    gens, radical, probes = KNOWN_RADICALS[name]
+    I, rad = ideal_from(ring, *gens), ideal_from(ring, *radical)
+    for text, kind in probes:
+        f = parse_polynomial(text, ring)
+        # the probe's kind, checked by plain membership
+        assert ideal_membership(f, I) == (kind == "I"), text
+        assert ideal_membership(f, rad) == (kind != "out"), text
+        assert radical_membership(f, I) == (kind != "out"), text
+
+
+@pytest.mark.parametrize("field_name", sorted(PROBE_FIELDS))
+def test_radical_membership_in_a_unit_ideal(field_name):
+    ring = default_ring(3, PROBE_FIELDS[field_name])
+    unit = ideal_from(ring, "3", "x1^2 - x2*x3")
+    for text in ("x1", "x2*x3", "x1^3 + x2^3 - x3^3"):
+        assert radical_membership(parse_polynomial(text, ring), unit)
+
+
+@pytest.mark.parametrize("text", ["0", "1", "-2/3", "x1 + x2^2", "x1^3 - x3"])
+def test_radical_membership_rejects_a_zero_constant_or_mixed_f(text):
+    with pytest.raises(ValueError):
+        radical_membership(parse_polynomial(text, R3), ideal_from(R3, "x1^2"))
+
+
 # -- monomial detection -------------------------------------------------------
 
 def brute_monomial_search(ideal, maxdeg=4):
@@ -224,9 +278,9 @@ def test_hilbert_series_principal_quadrics(e_pluck):
 
 
 def test_hilbert_series_order_independent(e_quad4_generic):
-    base = hilbert_series_quotient(e_quad4_generic, GREVLEX)
+    base = hilbert_series_quotient(e_quad4_generic)
     for order in (LEX, MonomialOrder.weighted((0, 1, 1, 3))):
-        assert hilbert_series_quotient(e_quad4_generic, order) == base
+        assert buchberger_reduced(e_quad4_generic, order).hilbert_series() == base
 
 
 def test_hilbert_function_counts_standard_monomials(e_conic):
@@ -265,9 +319,9 @@ def test_hilbert_series_computed_once_per_basis(e_pluck, monkeypatch, fresh_cach
 
     monkeypatch.setattr(HilbertSeries, "from_leading_monomials",
                         classmethod(counted))
-    series = hilbert_series_quotient(e_pluck, GREVLEX)
+    series = hilbert_series_quotient(e_pluck)
     assert krull_dimension(e_pluck) == krull_dimension(e_pluck) == 5
-    assert hilbert_series_quotient(e_pluck, GREVLEX) is series
+    assert hilbert_series_quotient(e_pluck) is series
     assert gb.hilbert_series() is series
     assert calls == [6]
 

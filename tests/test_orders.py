@@ -66,13 +66,6 @@ def test_total_order_within_degree(order, n, deg):
             assert order.compare(a, c) >= 0     # transitivity
 
 
-def test_globality_flags():
-    assert GREVLEX.is_global()
-    assert LEX.is_global()
-    assert MonomialOrder.elimination([0]).is_global()
-    assert not MonomialOrder.weighted((1, 0)).is_global()
-
-
 fractional_weights = st.lists(
     st.fractions(min_value=-5, max_value=5, max_denominator=12),
     min_size=4, max_size=4)

@@ -55,22 +55,25 @@ def test_exemptions_are_exports():
 
 
 def _defaulted(fn):
-    """{parameter: position in a call} of the defaulted parameters of
-    ``fn``; the position of a keyword-only one is None."""
+    """{parameter: (position in a call, default)} of the defaulted
+    parameters of ``fn``; the position of a keyword-only one is None, and
+    the default is its AST dump."""
     positional = fn.args.posonlyargs + fn.args.args
     bound = int(bool(positional) and positional[0].arg in ("self", "cls"))
-    out = {a.arg: i - bound for i, a in enumerate(positional)
-           if i >= len(positional) - len(fn.args.defaults)}
-    out.update((a.arg, None) for a, d in zip(fn.args.kwonlyargs,
-                                            fn.args.kw_defaults) if d is not None)
+    first = len(positional) - len(fn.args.defaults)
+    out = {a.arg: (i - bound, ast.dump(fn.args.defaults[i - first]))
+           for i, a in enumerate(positional) if i >= first}
+    out.update((a.arg, (None, ast.dump(d))) for a, d in zip(
+        fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None)
     return out
 
 
 def _settings(tree, defaulted):
     """(callee, parameter, forwarded) for each argument a call in ``tree``
-    passes to a defaulted parameter.  ``forwarded`` is ``(function,
-    parameter)`` when the argument is a defaulted parameter of an enclosing
-    function, passed on unchanged, else None."""
+    passes to a defaulted parameter, unless the argument is the default
+    itself (same AST).  ``forwarded`` is ``(function, parameter)`` when the
+    argument is a defaulted parameter of an enclosing function, passed on
+    unchanged, else None."""
     def walk(node, scope):
         if isinstance(node, ast.FunctionDef):
             scope = {**scope, **{a.arg: node.name for a in ast.walk(node.args)
@@ -79,10 +82,10 @@ def _settings(tree, defaulted):
             func = node.func
             callee = getattr(func, "id", None) or getattr(func, "attr", None)
             positional = dict(enumerate(node.args))
-            for param, i in defaulted.get(callee, {}).items():
+            for param, (i, default) in defaulted.get(callee, {}).items():
                 arg = next((k.value for k in node.keywords if k.arg == param),
                            positional.get(i))
-                if arg is None:
+                if arg is None or ast.dump(arg) == default:
                     continue
                 owner = scope.get(getattr(arg, "id", None))
                 forwarded = owner is not None and arg.id in defaulted.get(owner, {})
