@@ -10,6 +10,7 @@ tuples appear only where polynomials enter or leave it.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache, reduce
 from heapq import heapify, heappop, heappush
 from itertools import repeat
@@ -256,9 +257,13 @@ def _interreduce(lead, packing, ring):
         g = _Terms(tail)
         g[lm] = lc
         g = reduce_full(g, minimal[:i] + minimal[i + 1:], packing)
-        inv = field.one() / field.coerce(g[lm])
-        out.append((sum(packing.exponents(lm)), lm, Polynomial(
-            ring, {packing.exponents(m): inv * c for m, c in g.items()})))
+        lc = g[lm]
+        if field.char:
+            inv = field.one() / lc
+            coeffs = {packing.exponents(m): inv * c for m, c in g.items()}
+        else:
+            coeffs = {packing.exponents(m): Fraction(c, lc) for m, c in g.items()}
+        out.append((sum(packing.exponents(lm)), lm, Polynomial(ring, coeffs)))
     return _presented(out)
 
 
@@ -370,9 +375,13 @@ def rebase(gb, order):
 # ideals and bases
 
 class Ideal:
-    """Homogeneous ideal given by generators; zero generators are dropped."""
+    """Homogeneous ideal given by generators; zero generators are dropped.
 
-    __slots__ = ("ring", "generators", "_gen_key")
+    ``_basis`` is a reduced basis known when the ideal was made, or None;
+    ``initial_ideal`` sets it.
+    """
+
+    __slots__ = ("ring", "generators", "_gen_key", "_basis")
 
     def __init__(self, ring, generators):
         gens = []
@@ -386,7 +395,7 @@ class Ideal:
             gens.append(g)
         self.ring = ring
         self.generators = tuple(gens)
-        self._gen_key = None
+        self._gen_key = self._basis = None
 
     def is_zero(self):
         return not self.generators
@@ -476,9 +485,10 @@ class GroebnerBasis:
 def buchberger_reduced(ideal, order, reuse=None):
     """Unique reduced basis of a homogeneous ideal, cached by generators.
 
-    ``reuse`` is a fan sweep's list of weight bases of ``ideal``.  On a
-    cache miss, a basis from it that ``rebase`` accepts for ``order`` is
-    the answer; a basis computed cold is appended to it.  A cold weight
+    On a cache miss the answer is the basis the ideal carries, if it is
+    under ``order``; else a basis from ``reuse``, a fan sweep's list of
+    weight bases of ``ideal``, that ``rebase`` accepts for ``order``; else
+    a basis computed cold, which is appended to ``reuse``.  A cold weight
     basis is driven by the Hilbert series of the grevlex basis.
     """
     cache = default_cache()
@@ -491,7 +501,10 @@ def buchberger_reduced(ideal, order, reuse=None):
     hit = cache.get(key, load)
     if hit is not None:
         return hit
-    gb = next(filter(None, (rebase(b, order) for b in reversed(reuse or ()))), None)
+    gb = ideal._basis
+    if gb is None or gb.order != order:
+        gb = next(filter(None, (rebase(b, order) for b in reversed(reuse or ()))),
+                  None)
     if gb is None:
         hilbert = (hilbert_series_quotient(ideal)
                    if order.kind == "weight" else None)
@@ -527,11 +540,19 @@ def ideal_membership(f, ideal):
 def initial_ideal(w, ideal, reuse=None):
     """in_w(I) = <in_w(g) : g in the reduced basis under the w-refined order>.
 
-    ``reuse`` is passed on to ``buchberger_reduced``; only fan sweeps pass it.
+    These forms are also the reduced basis of in_w(I) under grevlex, the
+    tiebreak of the w-order (Sturmfels, Groebner Bases and Convex
+    Polytopes, ch. 1); the ideal carries it, so its grevlex basis is never
+    computed.  ``reuse`` is passed on to ``buchberger_reduced``; only fan
+    sweeps pass it.
     """
     order = MonomialOrder.weighted(w)
     gb = buchberger_reduced(ideal, order, reuse)
-    return Ideal(ideal.ring, [g.initial_form(w) for g in gb.basis])
+    forms = [g.initial_form(w) for g in gb.basis]
+    inw = Ideal(ideal.ring, forms)
+    # every term of a form has the same weight, so rebase always accepts
+    inw._basis = rebase(GroebnerBasis(ideal.ring, order, forms), GREVLEX)
+    return inw
 
 
 def eliminate(ideal, A):

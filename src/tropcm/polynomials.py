@@ -10,12 +10,13 @@ minimal.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .fields import QQ, FieldError
-from .orders import GREVLEX, integer_weight
+from .fields import QQ
+from .orders import GREVLEX, grevlex_key, integer_weight
 
 
 class RingMismatchError(ValueError):
@@ -342,28 +343,19 @@ class Polynomial:
         """Canonical text form; parse(to_string()) reproduces the polynomial."""
         if not self.terms:
             return "0"
-        parts = []
-        for m in sorted(self.terms, key=GREVLEX.key, reverse=True):
-            c = self.terms[m]
-            parts.append((m, c))
+        names = self.ring.names
         pieces = []
-        for i, (m, c) in enumerate(parts):
-            body = "*".join(
-                f"{self.ring.names[j]}^{e}" if e > 1 else self.ring.names[j]
-                for j, e in enumerate(m) if e)
-            cs = str(c)
-            neg = cs.startswith("-")
-            mag = cs[1:] if neg else cs
-            if body and mag == "1":
-                text = body
-            elif body:
-                text = f"{mag}*{body}"
-            else:
-                text = mag
-            if i == 0:
-                pieces.append(f"-{text}" if neg else text)
-            else:
-                pieces.append(f" - {text}" if neg else f" + {text}")
+        for m in sorted(self.terms, key=grevlex_key, reverse=True):
+            mag = str(self.terms[m])
+            neg = mag[0] == "-"
+            if neg:
+                mag = mag[1:]
+            factors = [n if e == 1 else f"{n}^{e}" for n, e in zip(names, m) if e]
+            if mag != "1" or not factors:
+                factors.insert(0, mag)
+            pieces.append(" - " if neg else " + ")
+            pieces.append("*".join(factors))
+        pieces[0] = "-" if pieces[0] == " - " else ""
         return "".join(pieces)
 
     def __str__(self):
@@ -379,6 +371,10 @@ class Polynomial:
 # parsing
 
 _OPS = set("+-*^()/")
+_NOT_A_DIVISOR = "division only by a nonzero constant"
+# runs of ASCII digits, of word characters (str.isalnum or '_'), of spaces;
+# str.isdigit would also take '²' and '٣'
+_RUN = re.compile(r"([0-9]+)|(\w+)|\s+")
 
 
 def _tokenize(text):
@@ -386,36 +382,30 @@ def _tokenize(text):
     i, n = 0, len(text)
     while i < n:
         ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch == "#":
-            break
         if ch in _OPS:
             toks.append((ch, ch, i))
             i += 1
             continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append(("int", text[i:j], i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(("name", text[i:j], i))
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
+        if ch == "#":
+            break
+        run = _RUN.match(text, i)
+        if run is None or (run.lastindex == 2 and not (ch.isalpha() or ch == "_")):
+            raise ParseError(f"unexpected character {ch!r}", i)
+        j = run.end()
+        if run.lastindex:
+            toks.append(("int" if run.lastindex == 1 else "name", text[i:j], i))
+        i = j
     toks.append(("end", "", n))
     return toks
 
 
 class _Parser:
-    """Recursive descent for +, -, *, ^, parentheses, and a/b coefficients."""
+    """Recursive descent for +, -, *, ^, parentheses, and a/b coefficients.
+
+    A sum is read into one term dict, and the numbers and variable powers
+    of a product into one exponent list and one coefficient; only
+    parenthesised factors and their powers use Polynomial arithmetic.
+    """
 
     def __init__(self, toks, ring):
         self.toks = toks
@@ -440,61 +430,80 @@ class _Parser:
         return p
 
     def expr(self):
-        p = self.term()
-        while self.peek()[0] in ("+", "-"):
-            op = self.take()[0]
-            q = self.term()
-            p = p + q if op == "+" else p - q
-        return p
+        field = self.ring.field
+        terms = {}
+        sign = 1
+        while True:
+            exps, num, den, rest = self.term()
+            c = field.coerce(Fraction(sign * num, den))
+            if rest is None:
+                items = ((tuple(exps), c),)
+            else:
+                items = ((mono_mul(m, exps), c * v) for m, v in rest.terms.items())
+            for m, v in items:
+                s = terms.get(m)
+                terms[m] = v if s is None else s + v
+            op = self.peek()[0]
+            if op != "+" and op != "-":
+                return Polynomial(self.ring, terms)
+            self.pos += 1
+            sign = -1 if op == "-" else 1
 
     def term(self):
-        p = self.factor()
+        """``(exps, num, den, rest)``: the product is num/den * x^exps * rest,
+        where ``rest`` is the product of its parenthesised factors or None."""
+        ring = self.ring
+        exps = [0] * ring.nvars
+        num = den = 1
+        rest = None
+        div = None          # column of the '/' before the current factor
         while True:
-            tok = self.peek()
-            if tok[0] == "*":
-                self.take()
-                p = p * self.factor()
-            elif tok[0] == "/":
-                self.take()
-                q = self.factor()
-                if q.is_zero() or q.degree() > 0:
-                    raise ParseError("division only by a nonzero constant", tok[2])
-                (_, c), = q.terms.items()
-                p = p * self.ring.monomial((0,) * self.ring.nvars,
-                                           self.ring.field.one() / c)
+            # a factor: signs, an atom, an optional ^int
+            kind, text, col = self.take()
+            while kind == "-" or kind == "+":
+                if kind == "-":
+                    num = -num
+                kind, text, col = self.take()
+            if kind == "name":
+                i = ring.index(text)
+                e = self.exponent()
+                if div is not None and e:
+                    raise ParseError(_NOT_A_DIVISOR, div)
+                exps[i] += e
+            elif kind == "int":
+                v = int(text) ** self.exponent()
+                if div is None:
+                    num *= v
+                elif not ring.field.coerce(v):
+                    raise ParseError(_NOT_A_DIVISOR, div)
+                else:
+                    den *= v
+            elif kind == "(":
+                q = self.expr()
+                self.take(")")
+                e = self.exponent()
+                if e != 1:
+                    q = q ** e
+                if div is not None:
+                    if q.is_zero() or q.degree() > 0:
+                        raise ParseError(_NOT_A_DIVISOR, div)
+                    (v,) = q.terms.values()
+                    q = ring.monomial((0,) * ring.nvars, ring.field.one() / v)
+                rest = q if rest is None else rest * q
             else:
-                return p
+                raise ParseError(f"unexpected {text or 'end of input'!r}", col)
+            kind, _, col = self.peek()
+            if kind != "*" and kind != "/":
+                return exps, num, den, rest
+            self.pos += 1
+            div = col if kind == "/" else None
 
-    def factor(self):
-        sign = 1
-        while self.peek()[0] in ("+", "-"):
-            if self.take()[0] == "-":
-                sign = -sign
-        p = self.atom()
-        if self.peek()[0] == "^":
-            tok = self.take()
-            e = self.take("int")
-            p = p ** int(e[1])
-        return p if sign > 0 else -p
-
-    def atom(self):
-        tok = self.peek()
-        if tok[0] == "int":
-            self.take()
-            try:
-                c = self.ring.field.coerce(int(tok[1]))
-            except FieldError as exc:
-                raise ParseError(str(exc), tok[2]) from exc
-            return self.ring.monomial((0,) * self.ring.nvars, c)
-        if tok[0] == "name":
-            self.take()
-            return self.ring.variable(self.ring.index(tok[1]))
-        if tok[0] == "(":
-            self.take()
-            p = self.expr()
-            self.take(")")
-            return p
-        raise ParseError(f"unexpected {tok[1] or 'end of input'!r}", tok[2])
+    def exponent(self):
+        """The int after a '^', or 1 without one."""
+        if self.peek()[0] != "^":
+            return 1
+        self.pos += 1
+        return int(self.take("int")[1])
 
 
 def parse_polynomial(text, ring):

@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 
 import tropcm.cache
-from tropcm import (Ideal, apply_change, default_ring, parse_polynomial,
-                    random_gl)
+from tropcm import (GREVLEX, Ideal, apply_change, default_ring,
+                    parse_polynomial, random_gl)
 from tropcm.polynomials import mono_div, mono_divides
 
 SEED = 42
@@ -20,6 +20,32 @@ def ideal_from(ring, *texts):
 def fraction_weight_value(w, exps):
     """Reference <w, exps>: one Fraction product per coordinate, summed."""
     return sum((Fraction(a) * e for a, e in zip(w, exps)), Fraction(0))
+
+
+def reference_to_string(f):
+    """Reference canonical text: the term-by-term formatter that
+    ``Polynomial.to_string`` replaced, sorted by ``GREVLEX.key``."""
+    if not f.terms:
+        return "0"
+    pieces = []
+    for i, m in enumerate(sorted(f.terms, key=GREVLEX.key, reverse=True)):
+        body = "*".join(
+            f"{f.ring.names[j]}^{e}" if e > 1 else f.ring.names[j]
+            for j, e in enumerate(m) if e)
+        cs = str(f.terms[m])
+        neg = cs.startswith("-")
+        mag = cs[1:] if neg else cs
+        if body and mag == "1":
+            text = body
+        elif body:
+            text = f"{mag}*{body}"
+        else:
+            text = mag
+        if i == 0:
+            pieces.append(f"-{text}" if neg else text)
+        else:
+            pieces.append(f" - {text}" if neg else f" + {text}")
+    return "".join(pieces)
 
 
 def fraction_normal_form(f, basis, order):
@@ -95,6 +121,15 @@ def e_pluck(ring6):
 def _generic(ideal, seed=SEED, bound=BOUND):
     g = random_gl(ideal.ring.nvars, seed, bound)
     return apply_change(g, ideal)
+
+
+@pytest.fixture(scope="session")
+def e_rnc4_generic():
+    """The generic rational normal quartic, as the benchmark builds it."""
+    top, bottom = ["x1", "x2", "x3", "x4"], ["x2", "x3", "x4", "x5"]
+    minors = [f"{top[a]}*{bottom[b]} - {top[b]}*{bottom[a]}"
+              for a in range(4) for b in range(a + 1, 4)]
+    return _generic(ideal_from(default_ring(5), *minors))
 
 
 @pytest.fixture(scope="session")

@@ -6,6 +6,7 @@ from tropcm import (GREVLEX, IdealFileError, buchberger_reduced,
                     load_ideal_file, parse_ideal_text, parse_subset,
                     parse_weight, primeness_check, save_ideal_file)
 import tropcm.cli
+import tropcm.groebner
 from tropcm.cli import main
 
 CONIC = """\
@@ -57,6 +58,23 @@ def test_ideal_text_errors():
         parse_ideal_text("vars: x1\nfield: Fp:abc\n")
     with pytest.raises(IdealFileError, match=":1: duplicate variable names"):
         parse_ideal_text("vars: x x\n")
+    # numbers are ASCII digits
+    with pytest.raises(IdealFileError,
+                       match=r":3: unexpected character '²' \(column 12\)$"):
+        parse_ideal_text("vars: x1 x2\nfield: Q\nx1*x2 + x1^²\n")
+    with pytest.raises(IdealFileError,
+                       match=r":3: unexpected character '٣' \(column 1\)$"):
+        parse_ideal_text("vars: x1 x2\nfield: Q\n٣*x1\n")
+
+
+@pytest.mark.parametrize("line,column", [("x1*x2 + x1^²", 12), ("٣*x1", 1)])
+def test_cli_non_ascii_digits_name_file_and_line(tmp_path, capsys, line, column):
+    path = tmp_path / "digits.ideal"
+    path.write_text(f"vars: x1 x2\nfield: Q\n{line}\n", encoding="utf-8")
+    assert main(["gb", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}:3: unexpected character" in err
+    assert f"(column {column})" in err
 
 
 def test_empty_generator_list_is_zero_ideal():
@@ -204,6 +222,26 @@ def test_cli_run_id_ignores_output_and_cache_paths(conic_path, tmp_path,
     assert first["config"]["output"] != second["config"]["output"]
     assert first["config"]["cache_dir"] != second["config"]["cache_dir"]
     assert first["run_id"] == second["run_id"]
+
+
+def test_cli_audit_cm_warm_cache_repeats_the_report(e_rnc4_generic, tmp_path,
+                                                   fresh_cache, monkeypatch,
+                                                   capsys):
+    path = tmp_path / "rnc4.ideal"
+    save_ideal_file(e_rnc4_generic, str(path))
+    cache = tmp_path / "gbcache"
+    argv = ["audit-cm", str(path), "--cache-dir", str(cache)]
+    fresh_cache(cache)
+    assert main(argv) == 0
+    cold = capsys.readouterr().out
+    runs = []
+    raw = tropcm.groebner.groebner_basis_raw
+    monkeypatch.setattr(tropcm.groebner, "groebner_basis_raw",
+                        lambda *args, **kw: runs.append(args) or raw(*args, **kw))
+    fresh_cache(cache)          # as a new process: the same directory
+    assert main(argv) == 0
+    assert capsys.readouterr().out == cold
+    assert runs == []
 
 
 def test_cli_verify_fail_exit_code(tmp_path, capsys):

@@ -9,8 +9,9 @@ engine over Q) and the generic 2x4 minors over Q (about 7 s in sympy; the
 same instance runs over F_32003).
 
 The same instances test the paths that skip work: Gebauer-Moeller pair
-pruning, the Hilbert stop of weight bases and the in-cone reuse of the
-fan sweeps must all give the cold reduced basis.
+pruning, the Hilbert stop of weight bases, the in-cone reuse of the fan
+sweeps and the grevlex basis an initial ideal carries must all give the
+cold reduced basis.
 """
 
 import random
@@ -23,8 +24,8 @@ import pytest
 from tropcm import (GREVLEX, LEX, QQ, Ideal, MonomialOrder, PrimeField,
                     apply_change, buchberger_reduced, default_ring,
                     enumerate_generic_fan, hilbert_series_quotient,
-                    monomials_of_degree, parse_polynomial, random_gl,
-                    sample_interior)
+                    initial_ideal, krull_dimension, monomials_of_degree,
+                    parse_polynomial, random_gl, sample_interior)
 from tropcm.groebner import GroebnerBasis, groebner_basis_raw, rebase
 from tropcm.macaulay import graded_slice, initial_slice_oracle
 from tropcm.polynomials import Polynomial, mono_divides
@@ -77,14 +78,15 @@ def instance(name, field_name):
     if name == "gr25-generic":
         ring = default_ring(10, field)
         return _generic(Ideal(ring, _pluecker_g25(ring)), field)
+    if name == "rnc4-generic":
+        ring = default_ring(5, field)
+        return _generic(Ideal(ring, _minors(ring, ["x1", "x2", "x3", "x4"],
+                                            ["x2", "x3", "x4", "x5"])), field)
     raise KeyError(name)
 
 
 def rnc4_generic():
-    ring = default_ring(5)
-    ideal = Ideal(ring, _minors(ring, ["x1", "x2", "x3", "x4"],
-                                ["x2", "x3", "x4", "x5"]))
-    return _generic(ideal, QQ)
+    return instance("rnc4-generic", "Q")
 
 
 def weight_of(n):
@@ -219,6 +221,22 @@ def test_rebase_on_rnc4_cone_samples_equals_cold_basis():
                 assert hit.strings() == own.strings()
                 moved += gb is not own
     assert moved > 0
+
+
+@pytest.mark.parametrize("field_name", FIELDS)
+@pytest.mark.parametrize("name", ["rnc4-generic", "minors-2x4-generic",
+                                  "two-quadrics"])
+def test_initial_ideal_carries_its_cold_grevlex_basis(name, field_name,
+                                                      fresh_cache):
+    ideal = instance(name, field_name)
+    n = ideal.ring.nvars
+    bases = []
+    for cone in enumerate_generic_fan(n, krull_dimension(ideal), 0):
+        for k in range(3):
+            inw = initial_ideal(sample_interior(cone, SEED + k), ideal, bases)
+            cold = groebner_basis_raw(Ideal(inw.ring, inw.generators), GREVLEX)
+            assert list(inw._basis.basis) == cold
+            assert list(buchberger_reduced(inw, GREVLEX).basis) == cold
 
 
 def test_rebase_refuses_a_changed_leading_term(fresh_cache):

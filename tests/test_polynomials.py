@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -7,8 +8,9 @@ from hypothesis import strategies as st
 from tropcm import (ParseError, Polynomial, Ring, default_ring,
                     parse_polynomial, weight_value)
 from tropcm.fields import PrimeField
+from tropcm.polynomials import _RUN
 
-from conftest import fraction_weight_value
+from conftest import fraction_weight_value, reference_to_string
 
 R3 = default_ring(3)
 
@@ -45,6 +47,117 @@ def test_parse_errors():
         parse_polynomial("x1 / x2", R3)
 
 
+F7 = Ring(("x1", "x2", "x3"), PrimeField(7))
+
+# the exact message and column of each malformed input
+PARSE_ERRORS = [
+    (R3, "x1 +", "unexpected 'end of input' (column 5)"),
+    (R3, "", "unexpected 'end of input' (column 1)"),
+    (R3, "#c", "unexpected 'end of input' (column 3)"),
+    (R3, "2/0", "division only by a nonzero constant (column 2)"),
+    (R3, "x1/x2", "division only by a nonzero constant (column 3)"),
+    (R3, "3/x1", "division only by a nonzero constant (column 2)"),
+    (R3, "2/(x1-x1)", "division only by a nonzero constant (column 2)"),
+    (R3, "(x1", "expected ), found '' (column 4)"),
+    (R3, "x1 + (x2", "expected ), found '' (column 9)"),
+    (R3, "x1)", "unexpected ')' (column 3)"),
+    (R3, "()", "unexpected ')' (column 2)"),
+    (R3, "x1^", "expected int, found '' (column 4)"),
+    (R3, "x1^x2", "expected int, found 'x2' (column 4)"),
+    (R3, "x1^-2", "expected int, found '-' (column 4)"),
+    (R3, "x1^2^3", "unexpected '^' (column 5)"),
+    (R3, "x1 $", "unexpected character '$' (column 4)"),
+    (R3, "x1.5", "unexpected character '.' (column 3)"),
+    (R3, "x1 + * x2", "unexpected '*' (column 6)"),
+    (R3, "*x1", "unexpected '*' (column 1)"),
+    (R3, "/2", "unexpected '/' (column 1)"),
+    (R3, "x1//2", "unexpected '/' (column 4)"),
+    (R3, "x1 x2", "unexpected 'x2' (column 4)"),
+    (R3, "3x1", "unexpected 'x1' (column 2)"),
+    (R3, "x9 + x1", "unknown variable 'x9'"),
+    (R3, "x1/x9", "unknown variable 'x9'"),
+    (F7, "1/7", "division only by a nonzero constant (column 2)"),
+    (F7, "x1/14", "division only by a nonzero constant (column 3)"),
+    (F7, "2/(3+4)", "division only by a nonzero constant (column 2)"),
+]
+
+
+@pytest.mark.parametrize("ring,text,message", PARSE_ERRORS)
+def test_parse_error_messages(ring, text, message):
+    with pytest.raises(ParseError) as info:
+        parse_polynomial(text, ring)
+    assert str(info.value) == message
+
+
+def test_tokenizer_classes_match_str_methods():
+    # the tokenizer reads \w as str.isalnum() or '_', and \s as str.isspace()
+    for ch in map(chr, range(sys.maxunicode + 1)):
+        run = _RUN.match(ch)
+        kind = None if run is None else run.lastindex or "space"
+        expected = (1 if ch in "0123456789" else
+                    2 if ch.isalnum() or ch == "_" else
+                    "space" if ch.isspace() else None)
+        assert kind == expected, ch
+
+
+# expression trees as (text, value, level): the text reads back as the value
+# computed with Polynomial arithmetic; a child whose level is above what its
+# parent's grammar slot takes is put in parentheses
+ATOM, FACTOR, TERM, SUM = range(4)
+
+
+def _slot(node, level):
+    return node[0] if node[2] <= level else f"({node[0]})"
+
+
+def _expression_trees(ring):
+    zero = (0,) * ring.nvars
+    numbers = st.integers(0, 12).map(
+        lambda k: (str(k), ring.monomial(zero, k), ATOM))
+    names = st.integers(0, ring.nvars - 1).map(
+        lambda i: (ring.names[i], ring.variable(i), ATOM))
+
+    def power(node, e):
+        return f"{_slot(node, ATOM)}^{e}", node[1] ** e, FACTOR
+
+    def sign(node, neg):
+        return (f"{'-' if neg else '+'}{_slot(node, FACTOR)}",
+                -node[1] if neg else node[1], FACTOR)
+
+    def product(a, b):
+        return f"{_slot(a, TERM)}*{_slot(b, FACTOR)}", a[1] * b[1], TERM
+
+    def quotient(a, b):
+        inverse = ring.monomial(zero, ring.field.one() / b[1].terms[zero])
+        return f"{_slot(a, TERM)}/{_slot(b, FACTOR)}", a[1] * inverse, TERM
+
+    def plus(a, b, neg):
+        return (f"{_slot(a, SUM)} {'-' if neg else '+'} {_slot(b, TERM)}",
+                a[1] - b[1] if neg else a[1] + b[1], SUM)
+
+    def grow(children, divisors):
+        pairs = st.tuples(children, children)
+        return st.one_of(
+            st.tuples(children, st.integers(0, 3)).map(lambda t: power(*t)),
+            st.tuples(children, st.booleans()).map(lambda t: sign(*t)),
+            pairs.map(lambda t: product(*t)),
+            st.tuples(children, children, st.booleans()).map(lambda t: plus(*t)),
+            *([st.tuples(children, divisors).map(lambda t: quotient(*t))]
+              if divisors is not None else []))
+
+    constants = st.recursive(numbers, lambda c: grow(c, None), max_leaves=4)
+    divisors = constants.filter(lambda node: not node[1].is_zero())
+    return st.recursive(numbers | names, lambda c: grow(c, divisors),
+                        max_leaves=8)
+
+
+@given(st.sampled_from([R3, F7]).flatmap(_expression_trees))
+@settings(max_examples=150, deadline=None)
+def test_parse_equals_polynomial_arithmetic(node):
+    text, value, _ = node
+    assert parse_polynomial(text, value.ring) == value
+
+
 def test_parse_parentheses_and_signs():
     f = parse_polynomial("-(x1 - x2)^2 + 2*(x1*x2)", R3)
     g = parse_polynomial("-x1^2 + 4*x1*x2 - x2^2", R3)
@@ -72,6 +185,22 @@ poly_strategy = st.builds(
 @settings(max_examples=120, deadline=None)
 def test_format_parse_round_trip(f):
     assert parse_polynomial(f.to_string(), R3) == f
+
+
+def _polys(ring, coefficients):
+    return st.lists(st.tuples(
+        st.tuples(*[st.integers(0, 11)] * ring.nvars), coefficients),
+        max_size=8).map(lambda terms: Polynomial(ring, {
+            m: ring.field.coerce(c) for m, c in terms}))
+
+
+@given(st.one_of(
+    _polys(default_ring(4), st.fractions(min_value=-40, max_value=40)),
+    _polys(Ring(("a", "b_2", "x10"), PrimeField(32003)),
+           st.integers(-40000, 40000))))
+@settings(max_examples=150, deadline=None)
+def test_to_string_equals_reference_formatter(f):
+    assert f.to_string() == reference_to_string(f)
 
 
 @given(poly_strategy)

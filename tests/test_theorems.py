@@ -1,5 +1,6 @@
 import pytest
 
+import tropcm.groebner
 from tropcm import (ConeCA, Ideal, apply_change, cm_fan_audit, default_ring,
                     epsilon_vector, hilbert_series_quotient, initial_ideal,
                     parse_polynomial, primeness_check, radicality_spot_check,
@@ -347,17 +348,27 @@ def test_cm_fan_audit_passes_on_corpus(e_conic_generic, e_pluck_generic):
         assert rep.verdict == PASS
 
 
-def test_cm_fan_audit_writes_the_process_cache(tmp_path, fresh_cache):
-    # the generic rational normal quartic, as the benchmark builds it
-    R5 = default_ring(5)
-    top, bottom = ["x1", "x2", "x3", "x4"], ["x2", "x3", "x4", "x5"]
-    minors = [f"{top[a]}*{bottom[b]} - {top[b]}*{bottom[a]}"
-              for a in range(4) for b in range(a + 1, 4)]
-    I = apply_change(random_gl(5, seed=42, bound=100), ideal_from(R5, *minors))
+def test_cm_fan_audit_writes_the_process_cache(e_rnc4_generic, tmp_path,
+                                               fresh_cache):
     fresh_cache(tmp_path)
-    rep = cm_fan_audit(I, samples_per_cone=3, seed=42)
+    rep = cm_fan_audit(e_rnc4_generic, samples_per_cone=3, seed=42)
     assert rep.verdict == PASS
     assert list(tmp_path.glob("*.json"))
+
+
+def test_cm_fan_audit_computes_one_grevlex_basis(e_rnc4_generic, monkeypatch,
+                                                 fresh_cache):
+    # the instance's own; each initial ideal carries its grevlex basis
+    runs = []
+    raw = tropcm.groebner.groebner_basis_raw
+
+    def counted(ideal, order, hilbert=None):
+        runs.append(order.kind)
+        return raw(ideal, order, hilbert)
+
+    monkeypatch.setattr(tropcm.groebner, "groebner_basis_raw", counted)
+    assert cm_fan_audit(e_rnc4_generic, samples_per_cone=3, seed=42).verdict == PASS
+    assert runs.count("grevlex") == 1
 
 
 @pytest.mark.parametrize("check", [
