@@ -5,14 +5,16 @@ order descriptor.  Verification suites recompute the same bases heavily,
 so hits matter.  Memory holds parsed basis objects, so a hit costs a dict
 lookup; the disk mirror (text JSON, one file per basis) makes them survive
 across runs.  A disk entry is parsed once, on its first lookup, and an
-unreadable one counts as a miss.  Single-writer/many-reader: all access
-goes through one lock.
+unreadable one counts as a miss.  All access goes through one lock, and
+each write renames a temporary file of its own, so processes can share a
+directory.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import tempfile
 import threading
 
 # The builtin sha256 module spares loading OpenSSL's libcrypto through
@@ -82,8 +84,8 @@ class GBCache:
                 payload = {"basis": basis.strings()}
                 if meta:
                     payload.update(meta)
-                tmp = self._path(key) + ".tmp"
-                with open(tmp, "w", encoding="utf-8") as fh:
+                fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=self.directory)
+                with open(fd, "w", encoding="utf-8") as fh:
                     json.dump(payload, fh, indent=1, sort_keys=True)
                 os.replace(tmp, self._path(key))
 

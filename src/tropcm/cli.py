@@ -218,15 +218,6 @@ def cmd_quasival(args):
     return 0
 
 
-def cmd_audit_cm(args):
-    ideal = _load(args)
-    cfg = RunConfig.from_args(args)
-    report = cm_fan_audit(ideal, samples_per_cone=cfg.samples_per_cone,
-                          seed=cfg.seed)
-    _emit(_report_payload(cfg, ideal, args.ideal, [report]), args)
-    return _exit_status([report])
-
-
 def cmd_prime_check(args):
     ideal = _load(args)
     if args.w:
@@ -456,7 +447,9 @@ def build_parser():
     p = sub.add_parser("audit-cm", parents=[common],
                        help="initial-ideal constancy per maximal cone")
     p.add_argument("ideal")
-    p.set_defaults(func=cmd_audit_cm)
+    # the same run as ``verify --claim cm-fan``
+    p.set_defaults(func=cmd_verify, claim="cm-fan", A=None, w=None, u=None,
+                   index=None)
 
     p = sub.add_parser("prime-check", parents=[common],
                        help="primeness certificate of I (or in_w(I))")

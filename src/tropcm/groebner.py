@@ -11,7 +11,7 @@ tuples appear only where polynomials enter or leave it.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import repeat
 from math import gcd, lcm
@@ -32,18 +32,16 @@ class NonHomogeneousError(ValueError):
 # packed monomials
 
 class _Overflow(Exception):
-    """An exponent outgrew the fields of a packing; ``args[0]`` is their
-    width in bytes."""
+    """A monomial or a degree does not fit the fields of a packing."""
 
 
-def _widened(attempt):
-    """``attempt(1)``, redone with fields twice as wide on each overflow."""
+def _width(degree):
+    """Bytes per field, a power of two, whose fields hold ``degree``; 1 for
+    degree 0 and for -1, the degree of the zero polynomial."""
     nbytes = 1
-    while True:
-        try:
-            return attempt(nbytes)
-        except _Overflow as exc:
-            nbytes = 2 * exc.args[0]
+    while max(degree, 0) >> (8 * nbytes - 1):
+        nbytes *= 2
+    return nbytes
 
 
 class _Terms(dict):
@@ -64,8 +62,9 @@ class Packing:
     ``2**bits`` this is linear and order-preserving: a product is ``a + b``,
     a quotient ``a - b``, ``a < b`` exactly when ``a`` is below ``b``, and
     ``b`` divides ``a`` exactly when ``not (a - b) & guards`` (the lowest
-    field that borrows sets its guard).  A sum that sets a guard has
-    overflowed; the engine then redoes its work in a wider packing.
+    field that borrows sets its guard).  The engine's work is homogeneous:
+    every monomial of a reduction has the degree of the polynomial reduced,
+    so fields that hold that degree (``_width``) hold every sum it forms.
     """
 
     __slots__ = ("nbytes", "width", "shift", "low", "guards", "vec")
@@ -89,10 +88,10 @@ class Packing:
         except (ValueError, OverflowError):
             if min(m) < 0:
                 raise ValueError(f"negative exponent in {m}") from None
-            raise _Overflow(self.nbytes) from None
+            raise _Overflow(m) from None
         p = int.from_bytes(raw, "little")
         if p & self.guards:
-            raise _Overflow(self.nbytes)
+            raise _Overflow(m)
         return (sum(map(mul, self.vec, m)) << self.shift) + p
 
     def exponents(self, p):
@@ -123,12 +122,11 @@ class Packing:
 _packing = lru_cache(maxsize=16)(Packing)
 
 
-def _element(terms, packing):
-    """``(lm, lc, tail, top)`` of an engine polynomial: the tail holds the
-    other ``(monomial, coefficient)`` pairs, ``top`` the lcm of all terms."""
+def _element(terms):
+    """``(lm, lc, tail)`` of an engine polynomial: the tail holds the other
+    ``(monomial, coefficient)`` pairs."""
     lm = max(terms)
-    return (lm, terms[lm], [t for t in terms.items() if t[0] != lm],
-            reduce(packing.lcm, terms, 0))
+    return lm, terms[lm], [t for t in terms.items() if t[0] != lm]
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +147,8 @@ def reduce_full(f, lead, packing):
     integer element (the engine's elements over Q) works fraction-free: the
     partial result, work and remainder, is first scaled by ``lc/gcd(c, lc)``,
     so the result is a positive integer multiple of the normal form.
-    Raises ``_Overflow`` when a product leaves the packing.
+    ``packing`` must hold the degree of ``f``: each added term has the
+    degree of the term it replaces, so no sum then leaves a field.
     """
     if not lead:
         return f
@@ -163,7 +162,7 @@ def reduce_full(f, lead, packing):
         c = work.pop(m, None)
         if c is None:
             continue
-        for gm, gc, tail, top in lead:
+        for gm, gc, tail in lead:
             if not (m - gm) & guards:
                 break
         else:
@@ -178,8 +177,6 @@ def reduce_full(f, lead, packing):
                 for t in rem:
                     rem[t] *= scale
         mult = m - gm
-        if (top + mult) & guards:
-            raise _Overflow(packing.nbytes)
         for tm, tc in tail:
             dest = tm + mult
             s = work.get(dest)
@@ -198,8 +195,8 @@ def reduce_full(f, lead, packing):
 def s_polynomial(f, g, packing):
     """The S-polynomial of two engine elements; for primitive integer
     elements the leading coefficients are cross-multiplied over their gcd."""
-    mf, cf, tf, topf = f
-    mg, cg, tg, topg = g
+    mf, cf, tf = f
+    mg, cg, tg = g
     if cf == cg:
         cf = cg = 1
     else:
@@ -208,8 +205,6 @@ def s_polynomial(f, g, packing):
     l = packing.lcm(mf, mg)
     l = packing.pack(packing.exponents(l))
     uf, ug = l - mf, l - mg
-    if (topf + uf) & packing.guards or (topg + ug) & packing.guards:
-        raise _Overflow(packing.nbytes)
     s = _Terms({tm + uf: tc * cg for tm, tc in tf})
     for tm, tc in tg:
         v = s.get(tm + ug, 0) - tc * cf
@@ -251,7 +246,7 @@ def _interreduce(lead, packing, ring):
             minimal.append(e)
     field = ring.field
     out = []
-    for i, (lm, lc, tail, _) in enumerate(minimal):
+    for i, (lm, lc, tail) in enumerate(minimal):
         # the leading term survives tail reduction; dividing by it makes
         # the element monic and turns integer coefficients into Fractions
         g = _Terms(tail)
@@ -278,18 +273,25 @@ def groebner_basis_raw(ideal, order, hilbert=None):
     Over Q the loop runs fraction-free on primitive integer elements; only
     the reduced elements are divided by their leading coefficients, so the
     result is the monic basis with ``Fraction`` coefficients.
-    Monomials start in one-byte fields; a run whose exponents, input
-    included, outgrow them is redone with fields twice as wide, so no
-    exponent bound is imposed.  Deterministic throughout.
+    Fields start wide enough for the generators' degrees; a run that reaches
+    a pair of higher degree than they hold is redone with fields twice as
+    wide, so no exponent bound is imposed.  Deterministic throughout.
     """
     ring = ideal.ring
-    return _widened(lambda nbytes: _buchberger(
-        ideal.generators, _packing(ring.nvars, order, nbytes), ring, hilbert))
+    nbytes = _width(max((g.degree() for g in ideal.generators), default=0))
+    while True:
+        try:
+            return _buchberger(ideal.generators,
+                               _packing(ring.nvars, order, nbytes), ring, hilbert)
+        except _Overflow:
+            nbytes *= 2
 
 
 def _buchberger(polys, packing, ring, hilbert):
-    """The loop of ``groebner_basis_raw`` with monomials in ``packing``."""
+    """The loop of ``groebner_basis_raw`` with monomials in ``packing``;
+    ``_Overflow`` once a pair to reduce has a degree the fields cannot hold."""
     nvars = ring.nvars
+    bits = 8 * packing.nbytes - 1
     guards = packing.guards
     lead = []      # every element, oldest first, all used for reduction
     active = []    # indices of elements no newer leading monomial divides
@@ -297,7 +299,7 @@ def _buchberger(polys, packing, ring, hilbert):
     heap = []
 
     def add(terms):
-        e = _element(_engine_form(terms, ring.field), packing)
+        e = _element(_engine_form(terms, ring.field))
         m = e[0]
         k = len(lead)
         lead.append(e)
@@ -341,6 +343,8 @@ def _buchberger(polys, packing, ring, hilbert):
             missing = reached.hilbert_function(d) - hilbert.hilbert_function(d)
         if missing == 0:
             continue
+        if d >> bits:
+            raise _Overflow(d)
         s = reduce_full(s_polynomial(lead[i], lead[j], packing), lead, packing)
         if not s.is_zero():
             add(s)
@@ -435,14 +439,10 @@ class GroebnerBasis:
 
     def _leading(self):
         """``(nbytes, lms)``, computed once: the field width in bytes that
-        holds every exponent, and the leading monomials of the nonzero
-        elements, found with the order's linear key."""
+        holds every element's degree, and the leading monomials of the
+        nonzero elements, found with the order's linear key."""
         if self._lead is None:
-            top = max((max(m, default=0) for g in self.basis for m in g.terms),
-                      default=0)
-            nbytes = 1
-            while top >> (8 * nbytes - 1):
-                nbytes *= 2
+            nbytes = _width(max((g.degree() for g in self.basis), default=0))
             vec = repeat(_packing(self.ring.nvars, self.order, nbytes).vec)
             self._lead = nbytes, [
                 max(zip(map(sum, map(map, repeat(mul), vec, g.terms)), g.terms))[1]
@@ -452,13 +452,13 @@ class GroebnerBasis:
     def leading_monomials(self):
         return list(self._leading()[1])
 
-    def packed(self, nbytes=1):
+    def packed(self, nbytes):
         """``(packing, elements)`` of the nonzero elements for ``reduce_full``,
         built once; rebuilt when a caller needs fields of ``nbytes`` bytes."""
         if self._packed is None or self._packed[0].nbytes < nbytes:
             packing = _packing(self.ring.nvars, self.order,
                                max(nbytes, self._leading()[0]))
-            self._packed = packing, [_element(packing.terms(g), packing)
+            self._packed = packing, [_element(packing.terms(g))
                                      for g in self.basis if g.terms]
         return self._packed
 
@@ -485,26 +485,28 @@ class GroebnerBasis:
 def buchberger_reduced(ideal, order, reuse=None):
     """Unique reduced basis of a homogeneous ideal, cached by generators.
 
-    On a cache miss the answer is the basis the ideal carries, if it is
-    under ``order``; else a basis from ``reuse``, a fan sweep's list of
-    weight bases of ``ideal``, that ``rebase`` accepts for ``order``; else
-    a basis computed cold, which is appended to ``reuse``.  A cold weight
-    basis is driven by the Hilbert series of the grevlex basis.
+    On a cache miss the answer is the first basis that ``rebase`` accepts
+    for ``order``, of the one the ideal carries and then ``reuse``, a fan
+    sweep's list of weight bases of ``ideal``, newest first; else a basis
+    computed cold, which is appended to ``reuse``.  A cold weight basis is
+    driven by the Hilbert series of the grevlex basis.  A cached entry with
+    a non-homogeneous element is a miss: field widths rest on homogeneity.
     """
     cache = default_cache()
     ring = ideal.ring
 
     def load(strings):
-        return GroebnerBasis(ring, order, [parse_polynomial(s, ring) for s in strings])
+        basis = [parse_polynomial(s, ring) for s in strings]
+        if not all(g.is_homogeneous() for g in basis):
+            raise NonHomogeneousError("non-homogeneous cached basis element")
+        return GroebnerBasis(ring, order, basis)
 
     key = digest(ideal.generator_key(), order.descriptor())
     hit = cache.get(key, load)
     if hit is not None:
         return hit
-    gb = ideal._basis
-    if gb is None or gb.order != order:
-        gb = next(filter(None, (rebase(b, order) for b in reversed(reuse or ()))),
-                  None)
+    known = [b for b in (ideal._basis, *reversed(reuse or ())) if b is not None]
+    gb = next((b for b in map(rebase, known, repeat(order)) if b is not None), None)
     if gb is None:
         hilbert = (hilbert_series_quotient(ideal)
                    if order.kind == "weight" else None)
@@ -520,13 +522,8 @@ def normal_form(f, gb: GroebnerBasis):
     """Remainder of f against a reduced basis; supported on standard monomials."""
     if f.ring != gb.ring:
         raise ValueError("polynomial and basis from different rings")
-
-    def attempt(nbytes):
-        packing, lead = gb.packed(nbytes)
-        return packing.polynomial(
-            f.ring, reduce_full(packing.terms(f), lead, packing))
-
-    return _widened(attempt)
+    packing, lead = gb.packed(_width(f.degree()))
+    return packing.polynomial(f.ring, reduce_full(packing.terms(f), lead, packing))
 
 
 def ideal_membership(f, ideal):
@@ -542,7 +539,9 @@ def initial_ideal(w, ideal, reuse=None):
 
     These forms are also the reduced basis of in_w(I) under grevlex, the
     tiebreak of the w-order (Sturmfels, Groebner Bases and Convex
-    Polytopes, ch. 1); the ideal carries it, so its grevlex basis is never
+    Polytopes, ch. 1).  The ideal carries them under the w-order, and a
+    cache miss on its grevlex basis rebases them (every term of a form has
+    the same weight, so that rebase accepts); its grevlex basis is never
     computed.  ``reuse`` is passed on to ``buchberger_reduced``; only fan
     sweeps pass it.
     """
@@ -550,8 +549,7 @@ def initial_ideal(w, ideal, reuse=None):
     gb = buchberger_reduced(ideal, order, reuse)
     forms = [g.initial_form(w) for g in gb.basis]
     inw = Ideal(ideal.ring, forms)
-    # every term of a form has the same weight, so rebase always accepts
-    inw._basis = rebase(GroebnerBasis(ideal.ring, order, forms), GREVLEX)
+    inw._basis = GroebnerBasis(ideal.ring, order, forms)
     return inw
 
 

@@ -45,16 +45,14 @@ class MonomialOrder:
     a fixed degree, which suffices for homogeneous computation.
     """
 
-    __slots__ = ("kind", "weight", "tiebreak", "block", "_desc", "iweight",
-                 "weight_scale")
+    __slots__ = ("kind", "weight", "tiebreak", "block", "_desc", "iweight")
 
     def __init__(self, kind, weight=None, tiebreak=None, block=None):
         self.kind = kind
         self.weight = tuple(Fraction(x) for x in weight) if weight is not None else None
         # integer sums in ``key``, and the same order (see integer_weight)
-        self.iweight = self.weight_scale = None
-        if self.weight is not None:
-            self.iweight, self.weight_scale = integer_weight(self.weight)
+        self.iweight = (integer_weight(self.weight)[0]
+                        if self.weight is not None else None)
         self.tiebreak = tiebreak
         self.block = frozenset(block) if block is not None else None
         self._desc = None

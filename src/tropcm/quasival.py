@@ -219,7 +219,10 @@ class Quasivaluation:
 
 def scale(c, v: Quasivaluation) -> Quasivaluation:
     """c (.) v, scaling every value; c must be non-negative."""
-    c = Fraction(c)
+    try:
+        c = Fraction(c)
+    except ZeroDivisionError:
+        raise ValueError(f"scaling factor {c} has a zero denominator") from None
     if c < 0:
         raise ValueError("scaling factor must be non-negative")
     return Quasivaluation("scaled", v.ideal, factor=c, inner=v)

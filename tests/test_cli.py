@@ -282,6 +282,16 @@ def test_cli_audit_cm(conic_path, capsys):
     assert data["claims"][0]["claim"] == "cm-fan-coincidence"
 
 
+@pytest.mark.parametrize("path", ["conic_path", "pluck_path"])
+def test_cli_audit_cm_is_verify_cm_fan(path, request, capsys, fresh_cache):
+    path = request.getfixturevalue(path)
+    runs = []
+    for argv in (["audit-cm", path], ["verify", path, "--claim", "cm-fan"]):
+        fresh_cache()
+        runs.append((main(argv), capsys.readouterr()))
+    assert runs[0] == runs[1]
+
+
 def test_cli_prime_check(conic_path, capsys):
     code, data = run_json(capsys, ["prime-check", conic_path])
     assert code == 0
@@ -349,6 +359,13 @@ def test_cli_quasival_rejects_negative_maxdeg(conic_path, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith("error: --maxdeg") and captured.out == ""
+
+
+def test_cli_quasival_rejects_a_zero_denominator_scale(conic_path, capsys):
+    code = main(["quasival", conic_path, "--deg", "--scale", "1/0"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: scaling factor 1/0 has a zero denominator\n"
 
 
 FP7_CONIC = "vars: x1 x2 x3\nfield: Fp:7\nx1*x3 - x2^2\n"

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import random
 from fractions import Fraction
 
@@ -12,7 +13,7 @@ from tropcm import (GREVLEX, LEX, QQ, HilbertSeries, Ideal, MonomialOrder,
                     krull_dimension, normal_form, parse_polynomial,
                     radical_membership)
 import tropcm.groebner
-from tropcm.cache import digest
+from tropcm.cache import GBCache, digest
 from tropcm.macaulay import graded_slice, initial_slice_oracle
 from tropcm.polynomials import monomials_of_degree
 
@@ -118,6 +119,26 @@ def test_initial_degeneration_preserves_hilbert_series(generic_corpus):
         for _ in range(3):
             w = tuple(Fraction(rng.randint(0, 5)) for _ in range(n))
             assert hilbert_series_quotient(initial_ideal(w, I)) == hs
+
+
+def test_initial_ideal_rebases_its_carried_basis_only_on_a_miss(
+        e_quad4_generic, monkeypatch, fresh_cache):
+    calls = []
+    original = tropcm.groebner.rebase
+
+    def counted(gb, order):
+        calls.append(order)
+        return original(gb, order)
+
+    monkeypatch.setattr(tropcm.groebner, "rebase", counted)
+    w = (Fraction(3), Fraction(0), Fraction(1), Fraction(2))
+    inw = initial_ideal(w, e_quad4_generic)
+    assert calls == []
+    first = buchberger_reduced(inw, GREVLEX)
+    assert calls == [GREVLEX]
+    again = initial_ideal(w, e_quad4_generic)
+    assert buchberger_reduced(again, GREVLEX) is first
+    assert calls == [GREVLEX]
 
 
 def test_initial_ideal_matches_macaulay_oracle(corpus, generic_corpus):
@@ -401,7 +422,8 @@ def test_cache_fresh_memory_and_disk_agree(tmp_path, monkeypatch, fresh_cache, o
     lambda text: json.dumps({"ring": "QQ[x1,x2,x3]"}),  # no basis
     lambda text: json.dumps({"basis": ["x1 +* y7"]}),   # not a polynomial
     lambda text: json.dumps({"basis": "x1"}),           # not a list
-], ids=["truncated", "no-basis", "unparsable", "not-a-list"])
+    lambda text: json.dumps({"basis": ["x1^2 - x2"]}),  # not homogeneous
+], ids=["truncated", "no-basis", "unparsable", "not-a-list", "non-homogeneous"])
 def test_cache_unreadable_entry_is_recomputed(tmp_path, fresh_cache, damage):
     I = ideal_from(R3, "x1*x3 - x2^2", "x1^2 + x2*x3")
     fresh_cache(tmp_path)
@@ -415,6 +437,34 @@ def test_cache_unreadable_entry_is_recomputed(tmp_path, fresh_cache, damage):
     raw_key = digest(I.generator_key(), GREVLEX.descriptor())
     entry = json.loads((tmp_path / f"{raw_key}.json").read_text(encoding="utf-8"))
     assert entry["basis"] == expected.strings()
+
+
+class _Strings:
+    def __init__(self, *strings):
+        self._strings = list(strings)
+
+    def strings(self):
+        return self._strings
+
+
+def test_cache_writers_sharing_a_directory_do_not_collide(tmp_path, monkeypatch):
+    # a second cache on the same directory stands in for another process; it
+    # writes the same key while the first is between its write and rename
+    first, second = GBCache(str(tmp_path)), GBCache(str(tmp_path))
+    replace = os.replace
+    raced = []
+
+    def racing(src, dst):
+        if not raced:
+            raced.append(src)
+            second.put("key", _Strings("x2"))
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", racing)
+    first.put("key", _Strings("x1"))
+    assert raced
+    assert os.listdir(tmp_path) == ["key.json"]
+    assert json.loads((tmp_path / "key.json").read_text())["basis"] == ["x1"]
 
 
 def test_digest_is_sha256():

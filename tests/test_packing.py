@@ -3,10 +3,11 @@
 Within the field width, packed arithmetic must agree with exponent
 tuples: the linear key and the packed ints order monomials like
 ``MonomialOrder.key``, and divisibility, lcm, products and quotients match
-the tuple helpers.  A product that leaves a field is detected.  Past the
-width the engine widens its fields, so inputs with large exponents give
-the same reduced bases as an engine without any bound (the expected bases
-below are the tuple engine's output).
+the tuple helpers.  A product that leaves a field sets a guard bit, and
+``pack`` refuses it.  The engine sizes its fields by degree: a run whose
+pairs outgrow them is redone with wider fields, so inputs with large
+exponents give the same reduced bases as an engine without any bound (the
+expected bases below are the tuple engine's output).
 """
 
 from fractions import Fraction
@@ -17,7 +18,8 @@ from hypothesis import strategies as st
 
 from tropcm import (GREVLEX, LEX, Ideal, MonomialOrder, buchberger_reduced,
                     default_ring, normal_form, parse_polynomial)
-from tropcm.groebner import Packing, _Overflow, groebner_basis_raw
+import tropcm.groebner
+from tropcm.groebner import Packing, _Overflow, _width, groebner_basis_raw
 from tropcm.polynomials import mono_div, mono_divides, mono_mul
 
 N = 4
@@ -135,16 +137,55 @@ def test_weight_run_with_negative_weight_past_the_width():
         "x2^2 - x1*x3", "x1^200*x2 - x3^201", "x1^201*x3 - x2*x3^201"]
 
 
-@pytest.mark.parametrize("text,expected", [
-    ("x1^300", "x3^300"),
-    ("x3^200*x2^60 + x1^129", "x3^260 + x3^129"),
-    ("x1^40000*x2", "x3^40001"),
-])
-def test_normal_form_past_the_width_of_the_basis(text, expected):
+@pytest.mark.parametrize("degree,nbytes", [
+    (-1, 1), (0, 1), (127, 1), (128, 2), (32767, 2), (32768, 4), (1 << 31, 8)])
+def test_width_holds_the_degree(degree, nbytes):
+    assert _width(degree) == nbytes
+
+
+@pytest.mark.parametrize("e,widths", [(100, [1]), (127, [1, 2]), (40000, [4])])
+def test_run_is_redone_once_when_a_pair_degree_outgrows_the_width(
+        e, widths, monkeypatch):
+    # a degree-127 input fits one-byte fields, its degree-128 pairs do not
+    seen = []
+    run = tropcm.groebner._buchberger
+
+    def recorded(polys, packing, ring, hilbert):
+        seen.append(packing.nbytes)
+        return run(polys, packing, ring, hilbert)
+
+    monkeypatch.setattr(tropcm.groebner, "_buchberger", recorded)
+    assert _basis(R3, GREVLEX, f"x1^{e} - x2^{e}", "x1*x2 - x3^2")[-1] == (
+        f"x2^{e + 1} - x1^{e - 1}*x3^2")
+    assert seen == widths
+
+
+NF_ORDERS = [GREVLEX, MonomialOrder.weighted((1, -2, 3)),
+             MonomialOrder.elimination([0])]
+
+
+# the standard monomials here are the powers of x3 under every order; an id
+# names the order unless it is grevlex
+@pytest.mark.parametrize("text,expected,order", [
+    pytest.param(text, expected, order,
+                 id="-".join([text, expected] + [order.kind] * (order != GREVLEX)))
+    for order in NF_ORDERS
+    for text, expected in [("x1^300", "x3^300"),
+                           ("x3^200*x2^60 + x1^129", "x3^260 + x3^129"),
+                           ("x1^40000*x2", "x3^40001")]])
+def test_normal_form_past_the_width_of_the_basis(text, expected, order):
     ideal = Ideal(R3, [parse_polynomial("x1*x2 - x3^2", R3),
                        parse_polynomial("x1^2 - x2*x3", R3)])
-    gb = buchberger_reduced(ideal, GREVLEX)
+    gb = buchberger_reduced(ideal, order)
     assert str(normal_form(parse_polynomial(text, R3), gb)) == expected
+
+
+@pytest.mark.parametrize("order", NF_ORDERS, ids=lambda o: o.kind)
+def test_normal_form_of_zero_and_of_a_constant(order):
+    ideal = Ideal(R3, [parse_polynomial("x1*x2 - x3^2", R3)])
+    gb = buchberger_reduced(ideal, order)
+    assert normal_form(R3.zero(), gb).is_zero()
+    assert str(normal_form(parse_polynomial("-7/2", R3), gb)) == "-7/2"
 
 
 def test_negative_exponent_is_rejected_not_widened():
