@@ -4,10 +4,10 @@ Keys combine the ring descriptor, a hash of the generating data, and the
 order descriptor.  Verification suites recompute the same bases heavily,
 so hits matter.  Memory holds parsed basis objects, so a hit costs a dict
 lookup; the disk mirror (text JSON, one file per basis) makes them survive
-across runs.  A disk entry is parsed once, on its first lookup, and an
-unreadable one counts as a miss.  All access goes through one lock, and
-each write renames a temporary file of its own, so processes can share a
-directory.
+across runs.  A disk entry is parsed once, on its first lookup; an
+unreadable one, or one written for another ring or order, counts as a
+miss.  All access goes through one lock, and each write renames a
+temporary file of its own, so processes can share a directory.
 """
 
 from __future__ import annotations
@@ -49,13 +49,15 @@ class GBCache:
     def _path(self, key):
         return os.path.join(self.directory, key + ".json")
 
-    def get(self, key, load):
+    def get(self, key, load, meta):
         """The basis cached under ``key``, or None.
 
         A disk entry becomes a basis through ``load(strings)`` and is then
         kept in memory.  An entry that cannot be read, lacks a list of
-        strings under ``basis``, or that ``load`` rejects with a
-        ``ValueError`` is a miss; the caller's next ``put`` overwrites it.
+        strings under ``basis``, lacks or differs from any field of
+        ``meta`` (the fields ``put`` writes beside the basis), or that
+        ``load`` rejects with a ``ValueError`` is a miss; the caller's next
+        ``put`` overwrites it.
         """
         with self._lock:
             hit = self._mem.get(key)
@@ -66,9 +68,11 @@ class GBCache:
                 return None
             try:
                 with open(path, "r", encoding="utf-8") as fh:
-                    strings = json.load(fh)["basis"]
+                    entry = json.load(fh)
+                strings = entry["basis"]
                 if not (isinstance(strings, list)
-                        and all(isinstance(s, str) for s in strings)):
+                        and all(isinstance(s, str) for s in strings)
+                        and all(entry.get(k) == v for k, v in meta.items())):
                     return None
                 basis = load(strings)
             except (OSError, ValueError, KeyError, TypeError):
@@ -76,14 +80,12 @@ class GBCache:
             self._mem[key] = basis
             return basis
 
-    def put(self, key, basis, meta=None):
+    def put(self, key, basis, meta):
         with self._lock:
             self._mem[key] = basis
             if self.directory:
                 os.makedirs(self.directory, exist_ok=True)
-                payload = {"basis": basis.strings()}
-                if meta:
-                    payload.update(meta)
+                payload = {"basis": basis.strings(), **meta}
                 fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=self.directory)
                 with open(fd, "w", encoding="utf-8") as fh:
                     json.dump(payload, fh, indent=1, sort_keys=True)

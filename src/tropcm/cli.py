@@ -12,7 +12,6 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import asdict, dataclass
 from itertools import combinations
 
 from .cache import digest, set_cache_directory
@@ -33,30 +32,20 @@ from .theorems import (FAIL, VerificationReport, cm_fan_audit,
                        well_poised_check)
 
 
-@dataclass
 class RunConfig:
-    """The run's options; the ideal file, not a flag, names the field."""
+    """The run's options, from parsed arguments; the ideal file, not a
+    flag, names the field."""
 
-    seed: int = 42
-    bound: int = 100
-    maxdeg: int = 4
-    samples: int = 50
-    samples_per_cone: int = 3
-    cache_dir: str = ""
-    output: str = ""
+    __slots__ = ("seed", "bound", "maxdeg", "samples", "samples_per_cone",
+                 "cache_dir", "output")
 
-    def __post_init__(self):
-        for flag, value in (("--maxdeg", self.maxdeg),
-                            ("--samples", self.samples)):
+    def __init__(self, args):
+        for flag, value in (("--maxdeg", args.maxdeg), ("--samples", args.samples)):
             if value < 0:
                 raise ValueError(f"{flag} must be non-negative")
-
-    @classmethod
-    def from_args(cls, args):
-        return cls(seed=args.seed, bound=args.bound,
-                   maxdeg=args.maxdeg, samples=args.samples,
-                   samples_per_cone=args.samples_per_cone,
-                   cache_dir=args.cache_dir or "", output=args.output or "")
+        self.seed, self.bound, self.maxdeg = args.seed, args.bound, args.maxdeg
+        self.samples, self.samples_per_cone = args.samples, args.samples_per_cone
+        self.cache_dir, self.output = args.cache_dir or "", args.output or ""
 
 
 def _emit(obj, args):
@@ -88,16 +77,17 @@ def _report_payload(cfg, ideal, source, reports):
                                    json.dumps(c["params"], sort_keys=True,
                                               default=str)))
     field = ideal.ring.field.name
-    body = {"seed": cfg.seed, "field": field,
-            "config": {**asdict(cfg), "field": field},
+    config = {"seed": cfg.seed, "bound": cfg.bound, "maxdeg": cfg.maxdeg,
+              "samples": cfg.samples, "samples_per_cone": cfg.samples_per_cone,
+              "field": field}
+    body = {"seed": cfg.seed, "field": field, "config": config,
             "instance": {"source": source,
                          "vars": list(ideal.ring.names),
                          "generators": [str(g) for g in ideal.generators]},
             "claims": claims}
-    # where the run writes its report and its bases does not change them
-    hashed = dict(body, config={k: v for k, v in body["config"].items()
-                                if k not in ("output", "cache_dir")})
-    body["run_id"] = digest(json.dumps(hashed, sort_keys=True, default=str))[:12]
+    # the run_id leaves out where the run writes its report and its bases
+    body["run_id"] = digest(json.dumps(body, sort_keys=True, default=str))[:12]
+    config.update(cache_dir=cfg.cache_dir, output=cfg.output)
     return body
 
 
@@ -139,7 +129,7 @@ def cmd_trop_member(args):
 
 def cmd_generic(args):
     ideal = _load(args)
-    cfg = RunConfig.from_args(args)
+    cfg = RunConfig(args)
     n = ideal.ring.nvars
     seed = cfg.seed
     reseeds = 0
@@ -190,7 +180,7 @@ def cmd_fan(args):
 
 def cmd_quasival(args):
     ideal = _load(args)
-    cfg = RunConfig.from_args(args)
+    cfg = RunConfig(args)
     ring = ideal.ring
     if args.w:
         v = Quasivaluation.weight(ideal, parse_weight(args.w, ring.nvars))
@@ -316,7 +306,7 @@ _FLAG_NAMES = {"A": "--A", "index": "-i", "u": "-u", "w": "-w"}
 
 def cmd_verify(args):
     ideal = _load(args)
-    cfg = RunConfig.from_args(args)
+    cfg = RunConfig(args)
     n = ideal.ring.nvars
     parsed = argparse.Namespace(
         A=parse_subset(args.A, n) if args.A is not None else None,

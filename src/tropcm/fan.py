@@ -9,23 +9,29 @@ All membership tests are exact rational comparisons.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
 from .groebner import contains_monomial, initial_ideal
 
 
-@dataclass(frozen=True)
 class ConeCA:
     """C_A = {w : w_i = min(w) for all i outside A}; dimension |A| + 1."""
 
-    A: frozenset
-    n: int
+    __slots__ = ("A", "n")
 
-    def __post_init__(self):
-        if any(i < 0 or i >= self.n for i in self.A):
+    def __init__(self, A, n):
+        if any(i < 0 or i >= n for i in A):
             raise ValueError("cone subset out of range")
+        self.A, self.n = A, n
+
+    def __eq__(self, other):
+        if other.__class__ is not ConeCA:
+            return NotImplemented
+        return self.A == other.A and self.n == other.n
+
+    def __hash__(self):
+        return hash((self.A, self.n))
 
     @property
     def complement(self):

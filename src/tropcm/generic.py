@@ -10,7 +10,6 @@ nothing stronger.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from itertools import combinations
 
@@ -19,14 +18,22 @@ from .groebner import Ideal, krull_dimension
 from .macaulay import row_echelon
 
 
-@dataclass(frozen=True)
 class LinearChange:
     """Invertible n x n matrix; row j holds the image of the j-th variable."""
 
-    matrix: tuple
-    seed: int
-    bound: int
-    field: object = QQ
+    __slots__ = ("matrix", "seed", "bound", "field")
+
+    def __init__(self, matrix, seed, bound, field=QQ):
+        self.matrix, self.seed, self.bound, self.field = matrix, seed, bound, field
+
+    def __eq__(self, other):
+        if other.__class__ is not LinearChange:
+            return NotImplemented
+        return (self.matrix, self.seed, self.bound, self.field) == (
+            other.matrix, other.seed, other.bound, other.field)
+
+    def __hash__(self):
+        return hash((self.matrix, self.seed, self.bound, self.field))
 
     @property
     def n(self):
@@ -69,11 +76,20 @@ def apply_change(g: LinearChange, ideal: Ideal) -> Ideal:
     return Ideal(ring, [p.substitute(images, ring) for p in ideal.generators])
 
 
-@dataclass(frozen=True)
 class AuditCheck:
-    A: tuple          # 1-based, sorted
-    expected_dim: int
-    actual_dim: int
+    __slots__ = ("A", "expected_dim", "actual_dim")    # A: 1-based, sorted
+
+    def __init__(self, A, expected_dim, actual_dim):
+        self.A, self.expected_dim, self.actual_dim = A, expected_dim, actual_dim
+
+    def __eq__(self, other):
+        if other.__class__ is not AuditCheck:
+            return NotImplemented
+        return (self.A, self.expected_dim, self.actual_dim) == (
+            other.A, other.expected_dim, other.actual_dim)
+
+    def __hash__(self):
+        return hash((self.A, self.expected_dim, self.actual_dim))
 
     @property
     def ok(self):
@@ -84,11 +100,11 @@ class AuditCheck:
                 "actual_dim": self.actual_dim, "pass": self.ok}
 
 
-@dataclass
 class GenericityAudit:
-    d: int
-    seed: int
-    checks: list = dataclass_field(default_factory=list)
+    __slots__ = ("d", "seed", "checks")
+
+    def __init__(self, d, seed, checks=None):
+        self.d, self.seed, self.checks = d, seed, [] if checks is None else checks
 
     @property
     def passed(self):

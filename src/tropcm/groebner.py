@@ -489,8 +489,9 @@ def buchberger_reduced(ideal, order, reuse=None):
     for ``order``, of the one the ideal carries and then ``reuse``, a fan
     sweep's list of weight bases of ``ideal``, newest first; else a basis
     computed cold, which is appended to ``reuse``.  A cold weight basis is
-    driven by the Hilbert series of the grevlex basis.  A cached entry with
-    a non-homogeneous element is a miss: field widths rest on homogeneity.
+    driven by the Hilbert series of the grevlex basis.  A cached entry
+    written for another ring or order is a miss, as is one with a
+    non-homogeneous element: field widths rest on homogeneity.
     """
     cache = default_cache()
     ring = ideal.ring
@@ -502,7 +503,8 @@ def buchberger_reduced(ideal, order, reuse=None):
         return GroebnerBasis(ring, order, basis)
 
     key = digest(ideal.generator_key(), order.descriptor())
-    hit = cache.get(key, load)
+    meta = {"ring": ring.descriptor(), "order": order.descriptor()}
+    hit = cache.get(key, load, meta)
     if hit is not None:
         return hit
     known = [b for b in (ideal._basis, *reversed(reuse or ())) if b is not None]
@@ -514,7 +516,7 @@ def buchberger_reduced(ideal, order, reuse=None):
             ideal, order, hilbert=hilbert))
         if reuse is not None:
             reuse.append(gb)
-    cache.put(key, gb, {"ring": ring.descriptor(), "order": order.descriptor()})
+    cache.put(key, gb, meta)
     return gb
 
 

@@ -8,7 +8,6 @@ been cancelled and N(1) != 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
 from .polynomials import mono_degree, mono_divides, mono_gcd
@@ -104,12 +103,13 @@ def hilbert_numerator(gens, n):
     return _poly_trim(num)
 
 
-@dataclass(frozen=True)
 class HilbertSeries:
     """N(t) / (1-t)^nvars with integer N."""
 
-    numerator: tuple
-    nvars: int
+    __slots__ = ("numerator", "nvars")
+
+    def __init__(self, numerator, nvars):
+        self.numerator, self.nvars = numerator, nvars
 
     @classmethod
     def from_leading_monomials(cls, gens, n):

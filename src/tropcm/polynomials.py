@@ -11,7 +11,6 @@ minimal.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
@@ -83,20 +82,23 @@ def weight_value(w, exps):
 # ---------------------------------------------------------------------------
 # rings
 
-@dataclass(frozen=True)
 class Ring:
     """Ambient polynomial ring: variable names plus a coefficient field."""
 
-    names: tuple
-    field: object = QQ
+    __slots__ = ("names", "field", "nvars")
 
-    def __post_init__(self):
-        if len(set(self.names)) != len(self.names):
+    def __init__(self, names, field=QQ):
+        if len(set(names)) != len(names):
             raise ValueError("duplicate variable names")
+        self.names, self.field, self.nvars = names, field, len(names)
 
-    @property
-    def nvars(self):
-        return len(self.names)
+    def __eq__(self, other):
+        if other.__class__ is not Ring:
+            return NotImplemented
+        return self is other or (self.names == other.names and self.field == other.field)
+
+    def __hash__(self):
+        return hash((self.names, self.field))
 
     def index(self, name):
         try:

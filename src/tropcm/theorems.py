@@ -13,7 +13,6 @@ of its Groebner cone (``groebner.rebase``, exact).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 
 from .fan import (ConeCA, cone_contains, enumerate_generic_fan, epsilon_vector,
@@ -37,12 +36,12 @@ HYPOTHESIS = "hypothesis-not-met"
 _POWMAX = 4     # highest power the radicality spot check tries
 
 
-@dataclass
 class VerificationReport:
-    claim: str
-    instance: dict
-    verdict: str
-    evidence: dict = dataclass_field(default_factory=dict)
+    __slots__ = ("claim", "instance", "verdict", "evidence")
+
+    def __init__(self, claim, instance, verdict, evidence=None):
+        self.claim, self.instance, self.verdict = claim, instance, verdict
+        self.evidence = {} if evidence is None else evidence
 
     def to_dict(self):
         # the wire name for the per-claim instance data is "params"
@@ -54,10 +53,12 @@ class VerificationReport:
         return self.verdict == FAIL
 
 
-@dataclass
 class PrimenessCertificate:
-    method: str           # linear | principal-quadric-rank | monomial | small-field-factor-search
-    data: dict
+    # method: linear | principal-quadric-rank | monomial | small-field-factor-search
+    __slots__ = ("method", "data")
+
+    def __init__(self, method, data):
+        self.method, self.data = method, data
 
     def to_dict(self):
         return {"method": self.method, "data": self.data}

@@ -2,11 +2,12 @@ import json
 
 import pytest
 
-from tropcm import (GREVLEX, IdealFileError, buchberger_reduced,
+from tropcm import (GREVLEX, LEX, IdealFileError, buchberger_reduced,
                     load_ideal_file, parse_ideal_text, parse_subset,
                     parse_weight, primeness_check, save_ideal_file)
 import tropcm.cli
 import tropcm.groebner
+from tropcm.cache import digest
 from tropcm.cli import main
 
 CONIC = """\
@@ -108,6 +109,29 @@ def test_cli_gb(conic_path, capsys):
     code, data = run_json(capsys, ["gb", conic_path])
     assert code == 0
     assert data["basis"] == ["x2^2 - x1*x3"]
+
+
+def test_cli_gb_ignores_a_cache_entry_written_for_another_order(tmp_path, capsys,
+                                                               fresh_cache):
+    path = tmp_path / "cubic.ideal"
+    path.write_text("vars: x1 x2 x3 x4\nx1*x3 - x2^2\nx1*x4 - x2*x3\nx2*x4 - x3^2\n")
+    cache = tmp_path / "gbcache"
+    ideal = load_ideal_file(str(path))
+    files = {order: cache / (digest(ideal.generator_key(), order.descriptor()) + ".json")
+             for order in (GREVLEX, LEX)}
+    bases = {}
+    for order in (GREVLEX, LEX):
+        fresh_cache()       # as a new process
+        argv = ["gb", str(path), "--order", order.kind, "--cache-dir", str(cache)]
+        bases[order] = run_json(capsys, argv)[1]
+    assert bases[GREVLEX]["basis"] != bases[LEX]["basis"]
+    grevlex_entry = files[GREVLEX].read_bytes()
+    files[GREVLEX].write_bytes(files[LEX].read_bytes())
+    fresh_cache()
+    code, data = run_json(capsys, ["gb", str(path), "--cache-dir", str(cache)])
+    assert code == 0
+    assert data == bases[GREVLEX]
+    assert files[GREVLEX].read_bytes() == grevlex_entry     # overwritten
 
 
 def test_cli_initial(conic_path, capsys):
@@ -222,6 +246,21 @@ def test_cli_run_id_ignores_output_and_cache_paths(conic_path, tmp_path,
     assert first["config"]["output"] != second["config"]["output"]
     assert first["config"]["cache_dir"] != second["config"]["cache_dir"]
     assert first["run_id"] == second["run_id"]
+
+
+def test_cli_report_config_block_and_run_id(tmp_path, monkeypatch, fresh_cache,
+                                            capsys):
+    monkeypatch.chdir(tmp_path)     # the report names its source as given
+    (tmp_path / "conic.ideal").write_text(CONIC)
+    code, data = run_json(capsys, [
+        "verify", "conic.ideal", "--claim", "cor-initial", "--A", "1", "-w", "1,0,0",
+        "--seed", "7", "--bound", "50", "--maxdeg", "2", "--samples", "5",
+        "--samples-per-cone", "2", "--cache-dir", "gbcache"])
+    assert code == 0
+    assert data["config"] == {"seed": 7, "bound": 50, "maxdeg": 2, "samples": 5,
+                              "samples_per_cone": 2, "cache_dir": "gbcache",
+                              "output": "", "field": "Q"}
+    assert data["run_id"] == "544dd4f9e7bd"
 
 
 def test_cli_audit_cm_warm_cache_repeats_the_report(e_rnc4_generic, tmp_path,

@@ -423,7 +423,11 @@ def test_cache_fresh_memory_and_disk_agree(tmp_path, monkeypatch, fresh_cache, o
     lambda text: json.dumps({"basis": ["x1 +* y7"]}),   # not a polynomial
     lambda text: json.dumps({"basis": "x1"}),           # not a list
     lambda text: json.dumps({"basis": ["x1^2 - x2"]}),  # not homogeneous
-], ids=["truncated", "no-basis", "unparsable", "not-a-list", "non-homogeneous"])
+    lambda text: json.dumps({"basis": ["x1"]}),         # no ring, no order
+    lambda text: json.dumps(dict(json.loads(text), ring="Fp:7[x1,x2,x3]")),
+    lambda text: json.dumps(dict(json.loads(text), order="lex")),
+], ids=["truncated", "no-basis", "unparsable", "not-a-list", "non-homogeneous",
+        "no-metadata", "other-ring", "other-order"])
 def test_cache_unreadable_entry_is_recomputed(tmp_path, fresh_cache, damage):
     I = ideal_from(R3, "x1*x3 - x2^2", "x1^2 + x2*x3")
     fresh_cache(tmp_path)
@@ -436,7 +440,8 @@ def test_cache_unreadable_entry_is_recomputed(tmp_path, fresh_cache, damage):
     assert again.strings() == expected.strings()
     raw_key = digest(I.generator_key(), GREVLEX.descriptor())
     entry = json.loads((tmp_path / f"{raw_key}.json").read_text(encoding="utf-8"))
-    assert entry["basis"] == expected.strings()
+    assert entry == {"basis": expected.strings(), "ring": "Q[x1,x2,x3]",
+                     "order": "grevlex"}
 
 
 class _Strings:
@@ -457,11 +462,11 @@ def test_cache_writers_sharing_a_directory_do_not_collide(tmp_path, monkeypatch)
     def racing(src, dst):
         if not raced:
             raced.append(src)
-            second.put("key", _Strings("x2"))
+            second.put("key", _Strings("x2"), {})
         replace(src, dst)
 
     monkeypatch.setattr(os, "replace", racing)
-    first.put("key", _Strings("x1"))
+    first.put("key", _Strings("x1"), {})
     assert raced
     assert os.listdir(tmp_path) == ["key.json"]
     assert json.loads((tmp_path / "key.json").read_text())["basis"] == ["x1"]
