@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 import threading
 
 # The builtin sha256 module spares loading OpenSSL's libcrypto through
@@ -86,8 +85,9 @@ class GBCache:
             if self.directory:
                 os.makedirs(self.directory, exist_ok=True)
                 payload = {"basis": basis.strings(), **meta}
-                fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=self.directory)
-                with open(fd, "w", encoding="utf-8") as fh:
+                # unique to this process and cache; the lock serialises threads
+                tmp = f"{self._path(key)}.{os.getpid()}.{id(self)}.tmp"
+                with open(tmp, "w", encoding="utf-8") as fh:
                     json.dump(payload, fh, indent=1, sort_keys=True)
                 os.replace(tmp, self._path(key))
 

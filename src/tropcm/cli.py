@@ -33,15 +33,16 @@ from .theorems import (FAIL, VerificationReport, cm_fan_audit,
 
 
 class RunConfig:
-    """The run's options, from parsed arguments; the ideal file, not a
-    flag, names the field."""
+    """The run's options, from parsed arguments, with no count below zero;
+    the ideal file, not a flag, names the field."""
 
     __slots__ = ("seed", "bound", "maxdeg", "samples", "samples_per_cone",
                  "cache_dir", "output")
 
     def __init__(self, args):
-        for flag, value in (("--maxdeg", args.maxdeg), ("--samples", args.samples)):
-            if value < 0:
+        for flag in ("--maxdeg", "--samples", "--audit-maxA", "--audit-subsets"):
+            value = getattr(args, flag[2:].replace("-", "_"), None)
+            if value is not None and value < 0:
                 raise ValueError(f"{flag} must be non-negative")
         self.seed, self.bound, self.maxdeg = args.seed, args.bound, args.maxdeg
         self.samples, self.samples_per_cone = args.samples, args.samples_per_cone

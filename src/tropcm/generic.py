@@ -103,8 +103,8 @@ class AuditCheck:
 class GenericityAudit:
     __slots__ = ("d", "seed", "checks")
 
-    def __init__(self, d, seed, checks=None):
-        self.d, self.seed, self.checks = d, seed, [] if checks is None else checks
+    def __init__(self, d, seed):
+        self.d, self.seed, self.checks = d, seed, []
 
     @property
     def passed(self):

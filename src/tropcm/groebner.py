@@ -539,8 +539,8 @@ def ideal_membership(f, ideal):
 def initial_ideal(w, ideal, reuse=None):
     """in_w(I) = <in_w(g) : g in the reduced basis under the w-refined order>.
 
-    These forms are also the reduced basis of in_w(I) under grevlex, the
-    tiebreak of the w-order (Sturmfels, Groebner Bases and Convex
+    These forms are also the reduced basis of in_w(I) under grevlex, which
+    breaks the ties of the w-order (Sturmfels, Groebner Bases and Convex
     Polytopes, ch. 1).  The ideal carries them under the w-order, and a
     cache miss on its grevlex basis rebases them (every term of a form has
     the same weight, so that rebase accepts); its grevlex basis is never
@@ -558,9 +558,11 @@ def initial_ideal(w, ideal, reuse=None):
 def eliminate(ideal, A):
     """I_A: intersect I + <x_i : i in A> with the subring on the rest.
 
-    ``A`` holds 0-based variable indices.  Computed through a block
-    elimination order; the surviving basis elements generate the kernel of
-    the induced presentation of the quotient by the chosen variables.
+    ``A`` holds 0-based variable indices.  Computed under the weight -1 on
+    x_A and 0 elsewhere, the elimination order with grevlex ties, from the
+    generators: never rebased from a weight basis of I.  The surviving
+    basis elements generate the kernel of the induced presentation of the
+    quotient by the chosen variables.
     """
     ring = ideal.ring
     A = sorted(set(A))
@@ -570,7 +572,7 @@ def eliminate(ideal, A):
         return ideal
     gens = list(ideal.generators) + [ring.variable(i) for i in A]
     ext = Ideal(ring, gens)
-    order = MonomialOrder.elimination(A)
+    order = MonomialOrder.weighted([-(i in A) for i in range(ring.nvars)])
     gb = buchberger_reduced(ext, order)
     keep = [i for i in range(ring.nvars) if i not in A]
     sub = ring.subring(keep)

@@ -1,26 +1,22 @@
-"""Monomial orders: grevlex, lex, weight refinements, block elimination.
+"""Monomial orders: grevlex, lex and grevlex-refined weights.
 
 All comparisons use the min convention for weights: among monomials of a
 fixed degree the leading one has the *smallest* inner product with the
-weight vector, ties broken by the base order.  ``key`` returns a flat
-tuple of integers where a bigger key means closer to leading;
+weight vector, ties broken by grevlex.  So the weight -1 on the variables
+of A and 0 elsewhere is the order that eliminates them.  ``key`` returns a
+flat tuple of integers where a bigger key means closer to leading;
 ``linear_key`` folds it into one integer vector for the Groebner engine.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import zip_longest
 from math import lcm
 from operator import mul, neg
 
 
 def grevlex_key(exps):
     return (sum(exps), *map(neg, reversed(exps)))
-
-
-def lex_key(exps):
-    return tuple(exps)
 
 
 def integer_weight(w):
@@ -38,105 +34,64 @@ def integer_weight(w):
 class MonomialOrder:
     """A total order on monomials of each degree, identified by a descriptor.
 
-    Kinds: ``grevlex``, ``lex``, ``weight`` (weight-refined, min convention)
-    and ``elim`` (block order eliminating a variable subset).  Only the
-    degree-compatible kinds (grevlex, lex, elim over a global base) are
-    well-orders on all monomials; weight refinements are total only within
-    a fixed degree, which suffices for homogeneous computation.
+    Kinds: ``grevlex``, ``lex`` and ``weight`` (min convention, ties broken
+    by grevlex).  Grevlex and lex are well-orders on all monomials; a
+    weight order is total only within a fixed degree, which suffices for
+    homogeneous computation.
     """
 
-    __slots__ = ("kind", "weight", "tiebreak", "block", "_desc", "iweight")
+    __slots__ = ("kind", "weight", "iweight", "_desc")
 
-    def __init__(self, kind, weight=None, tiebreak=None, block=None):
-        self.kind = kind
-        self.weight = tuple(Fraction(x) for x in weight) if weight is not None else None
-        # integer sums in ``key``, and the same order (see integer_weight)
-        self.iweight = (integer_weight(self.weight)[0]
-                        if self.weight is not None else None)
-        self.tiebreak = tiebreak
-        self.block = frozenset(block) if block is not None else None
-        self._desc = None
-
-    @classmethod
-    def grevlex(cls):
-        return cls("grevlex")
+    def __init__(self, kind, weight=None):
+        self.kind = self._desc = kind
+        self.weight = self.iweight = None
+        if kind == "weight":
+            self.weight = tuple(Fraction(x) for x in weight)
+            # integer sums in ``key``, and the same order (see integer_weight)
+            self.iweight = integer_weight(self.weight)[0]
+            self._desc = f"weight({','.join(map(str, self.weight))});grevlex"
 
     @classmethod
-    def lex(cls):
-        return cls("lex")
-
-    @classmethod
-    def weighted(cls, w, tiebreak=None):
-        return cls("weight", weight=w, tiebreak=tiebreak or cls.grevlex())
-
-    @classmethod
-    def elimination(cls, block, tiebreak=None):
-        """Block order ranking monomials by total degree in ``block`` first."""
-        return cls("elim", block=block, tiebreak=tiebreak or cls.grevlex())
+    def weighted(cls, w):
+        return cls("weight", w)
 
     def key(self, exps):
         if self.kind == "grevlex":
             return grevlex_key(exps)
         if self.kind == "lex":
-            return lex_key(exps)
-        if self.kind == "weight":
-            return (-sum(map(mul, self.iweight, exps)),) + self.tiebreak.key(exps)
-        if self.kind == "elim":
-            bd = sum(exps[i] for i in self.block)
-            return (bd,) + self.tiebreak.key(exps)
-        raise ValueError(f"unknown order kind {self.kind!r}")
+            return tuple(exps)
+        return (-sum(map(mul, self.iweight, exps)), *grevlex_key(exps))
 
     def linear_key(self, n, bits):
         """Integer vector ``v`` of length ``n``: ``v . a < v . b`` exactly
         when ``key(a) < key(b)``, for exponents below ``2**bits``.
 
         Every ``key`` is a tuple of linear forms compared left to right.
-        Within the bound each form after the first varies by less than a
-        known span, so the forms fold into one mixed-radix sum.
+        Within the bound the grevlex forms of a weight key vary by less
+        than a known span, so they fold under the weight into one
+        mixed-radix sum.
         """
         if self.kind == "lex":
             return tuple(1 << (bits * (n - 1 - i)) for i in range(n))
+        top = 1 << (bits * n)
+        grevlex = tuple(top - (1 << (bits * i)) for i in range(n))
         if self.kind == "grevlex":
-            top = 1 << (bits * n)
-            return tuple(top - (1 << (bits * i)) for i in range(n))
-        inner = self.tiebreak.linear_key(n, bits)
-        if self.kind == "weight":
-            outer = tuple(map(neg, self.iweight[:n]))
-        elif self.kind == "elim":
-            outer = tuple(int(i in self.block) for i in range(n))
-        else:
-            raise ValueError(f"unknown order kind {self.kind!r}")
-        span = ((1 << bits) - 1) * sum(map(abs, inner)) + 1
-        return tuple(o * span + v for o, v in zip_longest(outer, inner, fillvalue=0))
-
-    def compare(self, a, b) -> int:
-        """-1, 0, or 1 as ``a`` is below, equal to, or above ``b``."""
-        if len(a) != len(b):
-            raise ValueError("monomials from rings of different sizes")
-        ka, kb = self.key(a), self.key(b)
-        return (ka > kb) - (ka < kb)
+            return grevlex
+        span = ((1 << bits) - 1) * sum(grevlex) + 1
+        return tuple(v - w * span for w, v in zip(self.iweight, grevlex))
 
     def descriptor(self) -> str:
-        if self._desc is None:
-            if self.kind in ("grevlex", "lex"):
-                self._desc = self.kind
-            elif self.kind == "weight":
-                ws = ",".join(str(w) for w in self.weight)
-                self._desc = f"weight({ws});{self.tiebreak.descriptor()}"
-            else:
-                bs = ",".join(str(i + 1) for i in sorted(self.block))
-                self._desc = f"elim({bs});{self.tiebreak.descriptor()}"
         return self._desc
 
     def __eq__(self, other):
-        return isinstance(other, MonomialOrder) and self.descriptor() == other.descriptor()
+        return isinstance(other, MonomialOrder) and self._desc == other._desc
 
     def __hash__(self):
-        return hash(self.descriptor())
+        return hash(self._desc)
 
     def __repr__(self):
-        return f"MonomialOrder({self.descriptor()})"
+        return f"MonomialOrder({self._desc})"
 
 
-GREVLEX = MonomialOrder.grevlex()
-LEX = MonomialOrder.lex()
+GREVLEX = MonomialOrder("grevlex")
+LEX = MonomialOrder("lex")

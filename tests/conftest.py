@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 
 import tropcm.cache
-from tropcm import (GREVLEX, Ideal, apply_change, default_ring,
-                    parse_polynomial, random_gl)
+from tropcm import (GREVLEX, Ideal, MonomialOrder, apply_change,
+                    default_ring, parse_polynomial, random_gl)
 from tropcm.polynomials import mono_div, mono_divides
 
 SEED = 42
@@ -15,6 +15,20 @@ BOUND = 100
 
 def ideal_from(ring, *texts):
     return Ideal(ring, [parse_polynomial(t, ring) for t in texts])
+
+
+def compare(order, a, b):
+    """-1, 0, or 1 as ``a`` is below, equal to, or above ``b`` in ``order``."""
+    if len(a) != len(b):
+        raise ValueError("monomials from rings of different sizes")
+    ka, kb = order.key(a), order.key(b)
+    return (ka > kb) - (ka < kb)
+
+
+def elimination(A, n):
+    """The order eliminating the 0-based variables ``A`` of ``n``: the
+    weight -1 on them and 0 elsewhere, ties broken by grevlex."""
+    return MonomialOrder.weighted([-(i in A) for i in range(n)])
 
 
 def fraction_weight_value(w, exps):

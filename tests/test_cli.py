@@ -400,6 +400,15 @@ def test_cli_quasival_rejects_negative_maxdeg(conic_path, capsys):
     assert captured.err.startswith("error: --maxdeg") and captured.out == ""
 
 
+@pytest.mark.parametrize("flag", ["--audit-maxA", "--audit-subsets"])
+def test_cli_generic_rejects_a_negative_audit_count(conic_path, capsys, flag):
+    # -1 subsets would audit nothing and pass, or leak random.sample's error
+    code = main(["generic", conic_path, flag, "-1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {flag} must be non-negative\n"
+
+
 def test_cli_quasival_rejects_a_zero_denominator_scale(conic_path, capsys):
     code = main(["quasival", conic_path, "--deg", "--scale", "1/0"])
     captured = capsys.readouterr()

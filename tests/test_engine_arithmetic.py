@@ -18,12 +18,12 @@ from tropcm import (GREVLEX, Ideal, MonomialOrder, Polynomial,
 from tropcm.groebner import groebner_basis_raw
 from tropcm.polynomials import monomials_of_degree
 
-from conftest import fraction_normal_form, ideal_from
+from conftest import elimination, fraction_normal_form, ideal_from
 
 R4 = default_ring(4)
 ORDERS = {"grevlex": GREVLEX,
           "weight": MonomialOrder.weighted((Fraction(1, 2), 0, Fraction(3, 2), 1)),
-          "elim": MonomialOrder.elimination([0])}
+          "elim": elimination({0}, 4)}
 
 
 def _rational_quadrics(seed, count):

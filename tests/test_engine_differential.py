@@ -1,7 +1,7 @@
 """The Buchberger engine on non-principal ideals, against independent oracles.
 
 Each instance is built over Q and over F_32003.  Its reduced bases under
-grevlex, a fractional weight order and an elimination order are checked
+grevlex, a fractional weight order and an elimination weight are checked
 against Macaulay-matrix slices of the generators in degrees 2 and 3, and
 its grevlex and lex bases against sympy's, where sympy is installed.  Two
 lex cases are left out for time: generic Gr(2,5) (about a minute in the
@@ -29,6 +29,8 @@ from tropcm import (GREVLEX, LEX, QQ, Ideal, MonomialOrder, PrimeField,
 from tropcm.groebner import GroebnerBasis, groebner_basis_raw, rebase
 from tropcm.macaulay import graded_slice, initial_slice_oracle
 from tropcm.polynomials import Polynomial, mono_divides
+
+from conftest import elimination
 
 FIELDS = {"Q": QQ, "F32003": PrimeField(32003)}
 NAMES = ("twisted-cubic", "minors-2x4", "minors-2x4-generic",
@@ -100,7 +102,7 @@ def epsilon(n):
 def orders_of(n):
     return {"grevlex": GREVLEX,
             "weight": MonomialOrder.weighted(weight_of(n)),
-            "elim": MonomialOrder.elimination([0])}
+            "elim": elimination({0}, n)}
 
 
 def cold(ideal, order):

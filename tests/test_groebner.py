@@ -17,7 +17,7 @@ from tropcm.cache import GBCache, digest
 from tropcm.macaulay import graded_slice, initial_slice_oracle
 from tropcm.polynomials import monomials_of_degree
 
-from conftest import ideal_from
+from conftest import elimination, ideal_from
 
 R3 = default_ring(3)
 
@@ -374,9 +374,9 @@ def test_cache_canonical_key_shares_across_generating_sets(tmp_path, fresh_cache
     assert len(list(tmp_path.glob("*.json"))) >= n_files
 
 
-CACHE_ORDERS = [GREVLEX,
-                MonomialOrder.weighted((Fraction(1, 2), 0, Fraction(1, 3))),
-                MonomialOrder.elimination([0])]
+CACHE_ORDERS = {"grevlex": GREVLEX,
+                "weight": MonomialOrder.weighted((Fraction(1, 2), 0, Fraction(1, 3))),
+                "elim": elimination({0}, 3)}
 
 
 def count_parses(monkeypatch):
@@ -394,15 +394,15 @@ def count_parses(monkeypatch):
 def test_cache_entries_record_ring_and_order(tmp_path, fresh_cache):
     fresh_cache(tmp_path)
     I = ideal_from(R3, "x1*x3 - x2^2", "x1^2 + x2*x3")
-    for order in reversed(CACHE_ORDERS):
+    for order in reversed(CACHE_ORDERS.values()):
         buchberger_reduced(I, order)
     entries = [json.loads(p.read_text()) for p in tmp_path.glob("*.json")]
-    # elim, weight, and the grevlex basis that drives the weight run
+    # two weight bases, and the grevlex basis that drives both weight runs
     assert len(entries) == 3
     assert all(set(e) == {"basis", "ring", "order"} for e in entries)
 
 
-@pytest.mark.parametrize("order", CACHE_ORDERS, ids=lambda o: o.kind)
+@pytest.mark.parametrize("order", CACHE_ORDERS.values(), ids=list(CACHE_ORDERS))
 def test_cache_fresh_memory_and_disk_agree(tmp_path, monkeypatch, fresh_cache, order):
     parses = count_parses(monkeypatch)
     I = ideal_from(R3, "x1*x3 - x2^2", "x1^2 + x2*x3")

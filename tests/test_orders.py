@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import partial
 from itertools import product
 
 import pytest
@@ -9,61 +10,63 @@ from tropcm import GREVLEX, LEX, MonomialOrder
 from tropcm.orders import grevlex_key
 from tropcm.polynomials import monomials_of_degree, weight_value
 
+from conftest import compare, elimination
+
 
 def test_grevlex_same_degree():
     # x1^2 beats x1*x2
-    assert GREVLEX.compare((2, 0), (1, 1)) > 0
-    assert GREVLEX.compare((1, 1), (2, 0)) < 0
+    assert compare(GREVLEX, (2, 0), (1, 1)) > 0
+    assert compare(GREVLEX, (1, 1), (2, 0)) < 0
 
 
 def test_grevlex_degree_first():
-    assert GREVLEX.compare((0, 3), (2, 0)) > 0
+    assert compare(GREVLEX, (0, 3), (2, 0)) > 0
 
 
 def test_lex():
-    assert LEX.compare((1, 0, 0), (0, 5, 5)) > 0
+    assert compare(LEX, (1, 0, 0), (0, 5, 5)) > 0
 
 
 def test_weight_refined_min_convention():
     order = MonomialOrder.weighted((1, 0, 0))
     # weight 0 beats weight 1 within one degree
-    assert order.compare((0, 2, 0), (1, 0, 1)) > 0
+    assert compare(order, (0, 2, 0), (1, 0, 1)) > 0
 
 
 def test_reflexive_equal():
     for order in (GREVLEX, LEX, MonomialOrder.weighted((1, 2, 3))):
-        assert order.compare((1, 2, 0), (1, 2, 0)) == 0
+        assert compare(order, (1, 2, 0), (1, 2, 0)) == 0
 
 
-def test_elimination_block_dominates():
-    order = MonomialOrder.elimination([0])
-    # any monomial containing x1 beats any of the same degree without it
-    assert order.compare((1, 0, 0), (0, 2, 0)) > 0
-    assert order.compare((1, 0, 1), (0, 3, 0)) > 0
+def test_minus_one_on_A_orders_as_degree_in_A_then_grevlex():
+    # the block order that eliminates x_A: total degree in x_A first
+    monos = [m for deg in range(5) for m in monomials_of_degree(4, deg)]
+    for A in ({0}, {1, 3}, {0, 1, 2}):
+        block = sorted(monos, key=lambda m: (sum(m[i] for i in A), *grevlex_key(m)))
+        assert sorted(monos, key=elimination(A, 4).key) == block
 
 
 @pytest.mark.parametrize("order", [
     GREVLEX, LEX,
     MonomialOrder.weighted((Fraction(1, 2), 0, 1, 0)),
     MonomialOrder.weighted((1, 1, 1, 1)),
-    MonomialOrder.elimination([0, 2]),
+    partial(elimination, {0, 2}),           # sized to n in the test
 ])
 @pytest.mark.parametrize("n,deg", [(3, 4), (4, 2), (4, 4)])
 def test_total_order_within_degree(order, n, deg):
     monos = monomials_of_degree(n, deg)
-    w = order.weight
-    if w is not None and len(w) != n:
+    if callable(order):
+        order = order(n)
+    if order.weight is not None and len(order.weight) != n:
         pytest.skip("weight length bound to n=4")
-    if order.block is not None and any(i >= n for i in order.block):
-        pytest.skip("block bound to larger n")
     for a, b in product(monos, monos):
-        cab = order.compare(a, b)
-        cba = order.compare(b, a)
+        cab = compare(order, a, b)
+        cba = compare(order, b, a)
         assert cab == -cba                      # antisymmetry
         assert (cab == 0) == (a == b)           # totality within a degree
     for a, b, c in product(monos[:8], monos[:8], monos[:8]):
-        if order.compare(a, b) >= 0 and order.compare(b, c) >= 0:
-            assert order.compare(a, c) >= 0     # transitivity
+        if compare(order, a, b) >= 0 and compare(order, b, c) >= 0:
+            assert compare(order, a, c) >= 0    # transitivity
 
 
 fractional_weights = st.lists(

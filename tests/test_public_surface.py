@@ -1,5 +1,6 @@
 """Every name the package exports has a caller in ``src/``, and every
-defaulted parameter of an exported function is set by some call there.
+defaulted parameter of an exported function, or of a constructor or
+method of an exported class, is set by some call there.
 
 A name counts as used when some module other than ``__init__.py`` refers
 to it outside its own definition; an import alone does not count.  A name
@@ -68,19 +69,34 @@ def _defaulted(fn):
     return out
 
 
-def _settings(tree, defaulted):
+def _functions(tree):
+    """{definition: name its calls use} of every function and method in
+    ``tree``; a class's ``__init__`` is called by the class name."""
+    names = {fn: fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)}
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef):
+            names.update((fn, cls.name) for fn in cls.body
+                         if isinstance(fn, ast.FunctionDef) and fn.name == "__init__")
+    return names
+
+
+def _settings(tree, names, defaulted):
     """(callee, parameter, forwarded) for each argument a call in ``tree``
     passes to a defaulted parameter, unless the argument is the default
-    itself (same AST).  ``forwarded`` is ``(function, parameter)`` when the
-    argument is a defaulted parameter of an enclosing function, passed on
-    unchanged, else None."""
-    def walk(node, scope):
+    itself (same AST).  ``cls(...)`` inside a class calls that class.
+    ``forwarded`` is ``(function, parameter)`` when the argument is a
+    defaulted parameter of an enclosing function, passed on unchanged,
+    else None."""
+    def walk(node, scope, cls):
+        if isinstance(node, ast.ClassDef):
+            cls = node.name
         if isinstance(node, ast.FunctionDef):
-            scope = {**scope, **{a.arg: node.name for a in ast.walk(node.args)
+            scope = {**scope, **{a.arg: names[node] for a in ast.walk(node.args)
                                  if isinstance(a, ast.arg)}}
         if isinstance(node, ast.Call):
             func = node.func
             callee = getattr(func, "id", None) or getattr(func, "attr", None)
+            callee = cls if callee == "cls" else callee
             positional = dict(enumerate(node.args))
             for param, (i, default) in defaulted.get(callee, {}).items():
                 arg = next((k.value for k in node.keywords if k.arg == param),
@@ -91,16 +107,32 @@ def _settings(tree, defaulted):
                 forwarded = owner is not None and arg.id in defaulted.get(owner, {})
                 yield callee, param, (owner, arg.id) if forwarded else None
         for child in ast.iter_child_nodes(node):
-            yield from walk(child, scope)
-    return walk(tree, {})
+            yield from walk(child, scope, cls)
+    return walk(tree, {}, None)
+
+
+def _exported_callables(trees):
+    """Names under which calls reach an export: each exported function,
+    and each exported class with its methods."""
+    exports = _exports() - set(EXEMPT)
+    out = set()
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and node.name in exports:
+                out.add(node.name)
+            elif isinstance(node, ast.ClassDef) and node.name in exports:
+                out.add(node.name)
+                out.update(fn.name for fn in node.body
+                           if isinstance(fn, ast.FunctionDef) and fn.name != "__init__")
+    return out
 
 
 def test_every_default_of_an_export_is_set_in_src():
     trees = _trees()
+    names = {fn: name for tree in trees for fn, name in _functions(tree).items()}
     # methods too: a method can forward its own parameter
-    defaulted = {fn.name: _defaulted(fn) for tree in trees for fn in ast.walk(tree)
-                 if isinstance(fn, ast.FunctionDef)}
-    settings = [s for tree in trees for s in _settings(tree, defaulted)]
+    defaulted = {name: _defaulted(fn) for fn, name in names.items()}
+    settings = [s for tree in trees for s in _settings(tree, names, defaulted)]
     # a parameter forwarded from a caller is set when the caller's is
     done = set()
     while True:
@@ -109,9 +141,6 @@ def test_every_default_of_an_export_is_set_in_src():
         if found <= done:
             break
         done |= found
-    functions = {fn.name for tree in trees for fn in tree.body
-                 if isinstance(fn, ast.FunctionDef)}
-    unset = sorted(f"{name}({param})"
-                   for name in (_exports() - set(EXEMPT)) & functions
-                   for param in defaulted[name] if (name, param) not in done)
+    unset = sorted(f"{name}({param})" for name in _exported_callables(trees)
+                   for param in defaulted.get(name, {}) if (name, param) not in done)
     assert unset == []

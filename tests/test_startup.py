@@ -7,8 +7,10 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# ``dataclasses`` and the modules it pulls in; nothing in tropcm needs them
-UNWANTED = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+# ``dataclasses`` and the modules it pulls in, and ``tempfile`` with the
+# ``shutil`` it loads; nothing in tropcm needs them
+UNWANTED = {"dataclasses", "inspect", "ast", "dis", "tokenize",
+            "tempfile", "shutil"}
 
 PROBE = """\
 import sys
