@@ -8,9 +8,9 @@ from .polynomials import (ParseError, Polynomial, Ring, RingMismatchError,
 from .hilbert import HilbertSeries
 from .groebner import (GroebnerBasis, Ideal, NonHomogeneousError,
                        buchberger_reduced, contains_monomial, eliminate,
-                       extend_ideal, hilbert_series_quotient,
-                       ideal_membership, initial_ideal, krull_dimension,
-                       normal_form, radical_membership)
+                       hilbert_series_quotient, ideal_membership,
+                       initial_ideal, krull_dimension, normal_form,
+                       radical_membership)
 from .fan import (ConeCA, cone_contains, enumerate_generic_fan, epsilon_vector,
                   sample_interior, trop_membership)
 from .quasival import (INFINITY, ConeShareError, Quasivaluation, adic_order,

@@ -33,17 +33,21 @@ from .theorems import (FAIL, VerificationReport, cm_fan_audit,
 
 
 class RunConfig:
-    """The run's options, from parsed arguments, with no count below zero;
+    """The run's options, from parsed arguments, with no count below zero
+    and no audit count below one (an audit of no subset would pass);
     the ideal file, not a flag, names the field."""
 
     __slots__ = ("seed", "bound", "maxdeg", "samples", "samples_per_cone",
                  "cache_dir", "output")
 
     def __init__(self, args):
-        for flag in ("--maxdeg", "--samples", "--audit-maxA", "--audit-subsets"):
+        for flag, least, words in (("--maxdeg", 0, "non-negative"),
+                                   ("--samples", 0, "non-negative"),
+                                   ("--audit-maxA", 1, "at least 1"),
+                                   ("--audit-subsets", 1, "at least 1")):
             value = getattr(args, flag[2:].replace("-", "_"), None)
-            if value is not None and value < 0:
-                raise ValueError(f"{flag} must be non-negative")
+            if value is not None and value < least:
+                raise ValueError(f"{flag} must be {words}")
         self.seed, self.bound, self.maxdeg = args.seed, args.bound, args.maxdeg
         self.samples, self.samples_per_cone = args.samples, args.samples_per_cone
         self.cache_dir, self.output = args.cache_dir or "", args.output or ""

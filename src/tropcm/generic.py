@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .fields import QQ, PrimeField
-from .groebner import Ideal, krull_dimension
+from .groebner import Ideal, eliminate, krull_dimension
 from .macaulay import row_echelon
 
 
@@ -110,10 +110,6 @@ class GenericityAudit:
     def passed(self):
         return all(c.ok for c in self.checks)
 
-    @property
-    def failures(self):
-        return [c for c in self.checks if not c.ok]
-
     def to_dict(self):
         return {"d": self.d, "seed": self.seed, "pass": self.passed,
                 "checks": [c.to_dict() for c in self.checks]}
@@ -137,9 +133,8 @@ def genericity_audit(ideal, maxA=None, max_subsets=None, seed=0) -> GenericityAu
         rng = random.Random(repr(("audit", seed, n, d, maxA)))
         subsets = sorted(rng.sample(subsets, max_subsets))
     audit = GenericityAudit(d=d, seed=seed)
-    ring = ideal.ring
     for A in subsets:
-        cut = Ideal(ring, list(ideal.generators) + [ring.variable(i) for i in A])
-        actual = krull_dimension(cut)
+        # k[x]/(I + <x_A>) is k[x]/I_A k[x] without the |A| free variables x_A
+        actual = krull_dimension(eliminate(ideal, A)) - len(A)
         audit.checks.append(AuditCheck(tuple(i + 1 for i in A), d - len(A), actual))
     return audit

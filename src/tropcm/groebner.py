@@ -556,35 +556,23 @@ def initial_ideal(w, ideal, reuse=None):
 
 
 def eliminate(ideal, A):
-    """I_A: intersect I + <x_i : i in A> with the subring on the rest.
+    """I_A k[x]: the generators of I with x_i set to zero for i in A.
 
-    ``A`` holds 0-based variable indices.  Computed under the weight -1 on
-    x_A and 0 elsewhere, the elimination order with grevlex ties, from the
-    generators: never rebased from a weight basis of I.  The surviving
-    basis elements generate the kernel of the induced presentation of the
-    quotient by the chosen variables.
+    ``A`` holds 0-based variable indices.  I_A = (I + <x_A>) meet k[x_rest]
+    is the image of I under k[x] -> k[x]/<x_A> = k[x_rest], so the images
+    of the generators generate it; no basis is computed.  The result stays
+    in the ring of I, as the extension of I_A, and k[x]/(I + <x_A>) is
+    k[x]/I_A k[x] with the |A| variables x_A left out.
     """
     ring = ideal.ring
-    A = sorted(set(A))
+    A = set(A)
     if any(i < 0 or i >= ring.nvars for i in A):
         raise ValueError("variable index out of range")
     if not A:
         return ideal
-    gens = list(ideal.generators) + [ring.variable(i) for i in A]
-    ext = Ideal(ring, gens)
-    order = MonomialOrder.weighted([-(i in A) for i in range(ring.nvars)])
-    gb = buchberger_reduced(ext, order)
-    keep = [i for i in range(ring.nvars) if i not in A]
-    sub = ring.subring(keep)
-    out = [g.restrict(sub, keep) for g in gb.basis
-           if not (g.support_vars() & set(A))]
-    return Ideal(sub, out)
-
-
-def extend_ideal(sub_ideal, full_ring, positions):
-    """Extension of an ideal in a subring: same generators inside full_ring."""
-    gens = [g.extend(full_ring, positions) for g in sub_ideal.generators]
-    return Ideal(full_ring, gens)
+    return Ideal(ring, [Polynomial(ring, {m: c for m, c in g.terms.items()
+                                          if not any(m[i] for i in A)})
+                        for g in ideal.generators])
 
 
 # ---------------------------------------------------------------------------

@@ -143,10 +143,6 @@ class HilbertSeries:
                 total += c * (comb(n - 1 + m - j, n - 1) if n > 0 else (1 if m == j else 0))
         return total
 
-    def shift_denominator(self, k):
-        """Multiply the series by 1 / (1-t)^k (adjoin k polynomial variables)."""
-        return HilbertSeries(self.numerator, self.nvars + k)
-
     def __eq__(self, other):
         if not isinstance(other, HilbertSeries):
             return NotImplemented

@@ -122,11 +122,6 @@ class Ring:
             return self.zero()
         return Polynomial(self, {tuple(exps): c})
 
-    def subring(self, keep):
-        """Ring on the variables with (0-based) indices in ``keep``, order kept."""
-        keep = sorted(keep)
-        return Ring(tuple(self.names[i] for i in keep), self.field)
-
     def extended(self, extra_name):
         if extra_name in self.names:
             raise ValueError(f"variable {extra_name!r} already present")
@@ -174,12 +169,6 @@ class Polynomial:
         for m, c in self.terms.items():
             comps.setdefault(mono_degree(m), {})[m] = c
         return {d: Polynomial(self.ring, t) for d, t in sorted(comps.items())}
-
-    def support_vars(self):
-        used = set()
-        for m in self.terms:
-            used.update(i for i, e in enumerate(m) if e)
-        return used
 
     def monomial_content(self):
         """GCD of the monomials of f (exponent tuple); zero vector for f = 0."""
@@ -313,24 +302,8 @@ class Polynomial:
             out = out + part
         return out
 
-    def restrict(self, subring, keep):
-        """Move into the subring on ``keep`` (0-based, sorted); support must fit."""
-        keep = sorted(keep)
-        pos = {i: j for j, i in enumerate(keep)}
-        res = {}
-        for m, c in self.terms.items():
-            exps = [0] * len(keep)
-            for i, e in enumerate(m):
-                if e:
-                    if i not in pos:
-                        raise ValueError(
-                            f"variable {self.ring.names[i]} not in the subring")
-                    exps[pos[i]] = e
-            res[tuple(exps)] = c
-        return Polynomial(subring, res)
-
     def extend(self, superring, positions):
-        """Inverse of restrict: place variable j at positions[j] in superring."""
+        """Place variable j at positions[j] in superring."""
         res = {}
         for m, c in self.terms.items():
             exps = [0] * superring.nvars

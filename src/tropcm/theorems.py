@@ -1,13 +1,14 @@
 """Executable verification of the structural claims on concrete instances.
 
 Every check computes its two sides through disjoint code paths (initial
-ideals vs elimination, Hilbert recursion vs basis equality, normal-form
-evaluation vs adic membership) and compares exactly.  Failed hypotheses
-are reported as such, never silently folded into pass or fail; verdicts
-are ``pass``, ``fail``, ``undetermined`` (primeness outside certificate
-range) or ``hypothesis-not-met``.  Only the two fan sweeps, which compare
-samples rather than two routes, reuse a weight basis across the weights
-of its Groebner cone (``groebner.rebase``, exact).
+ideals vs generators with x_A set to zero, Hilbert recursion vs basis
+equality, normal-form evaluation vs adic membership) and compares
+exactly.  Failed hypotheses are reported as such, never silently folded
+into pass or fail; verdicts are ``pass``, ``fail``, ``undetermined``
+(primeness outside certificate range) or ``hypothesis-not-met``.  Only the
+two fan sweeps, which compare samples rather than two routes, reuse a
+weight basis across the weights of its Groebner cone (``groebner.rebase``,
+exact).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from fractions import Fraction
 
 from .fan import (ConeCA, cone_contains, enumerate_generic_fan, epsilon_vector,
                   sample_interior, trop_membership)
-from .groebner import (Ideal, buchberger_reduced, eliminate, extend_ideal,
+from .groebner import (buchberger_reduced, eliminate,
                        hilbert_series_quotient, ideal_membership,
                        initial_ideal, krull_dimension, normal_form,
                        radical_membership)
@@ -83,12 +84,13 @@ def _instance(ideal, **extra):
 
 
 def _dimension_hypothesis(ideal, A, d):
-    """The audited regular-sequence condition: cutting by A drops dim by |A|."""
+    """The audited regular-sequence condition: cutting by A drops dim by |A|.
+
+    k[x]/(I + <x_A>) is k[x]/I_A k[x] without the |A| free variables x_A.
+    """
     if not A:
         return True, d
-    ring = ideal.ring
-    cut = Ideal(ring, list(ideal.generators) + [ring.variable(i) for i in A])
-    actual = krull_dimension(cut)
+    actual = krull_dimension(eliminate(ideal, A)) - len(A)
     return actual == d - len(A), actual
 
 
@@ -97,8 +99,7 @@ def _dimension_hypothesis(ideal, A, d):
 
 def verify_initial_formula(ideal, A, w) -> VerificationReport:
     """in_w(I) against the extension of the elimination ideal I_A."""
-    ring = ideal.ring
-    n = ring.nvars
+    n = ideal.ring.nvars
     A = frozenset(A)
     d = krull_dimension(ideal)
     inst = _instance(ideal, A=_fmt_A(A), w=_fmt_w(w), d=d)
@@ -113,10 +114,9 @@ def verify_initial_formula(ideal, A, w) -> VerificationReport:
                               if not interior else "|A| exceeds d - 1")
         return VerificationReport("initial-formula", inst, HYPOTHESIS, evidence)
     lhs = initial_ideal(w, ideal)
-    keep = sorted(set(range(n)) - A)
-    rhs = extend_ideal(eliminate(ideal, A), ring, keep)
     lhs_basis = evidence["initial_ideal_basis"] = _basis_strings(lhs)
-    rhs_basis = evidence["eliminated_extension_basis"] = _basis_strings(rhs)
+    rhs_basis = evidence["eliminated_extension_basis"] = _basis_strings(
+        eliminate(ideal, A))
     if lhs_basis == rhs_basis:
         return VerificationReport("initial-formula", inst, PASS, evidence)
     evidence["witness"] = "reduced bases differ"
@@ -126,12 +126,12 @@ def verify_initial_formula(ideal, A, w) -> VerificationReport:
 def verify_gr_presentation(ideal, A) -> VerificationReport:
     """Associated graded of ord_A: Hilbert identity plus basis identity.
 
-    HS(k[x]/in_eps(I)) must equal HS(k[x_rest]/I_A) / (1-t)^|A| and the
-    initial ideal must equal the extension of I_A, so the quotient really
-    is a polynomial ring over the sliced algebra.
+    HS(k[x]/in_eps(I)) must equal HS(k[x]/I_A k[x]), which is
+    HS(k[x_rest]/I_A) / (1-t)^|A|, and the initial ideal must equal the
+    extension I_A k[x], so the quotient really is a polynomial ring over
+    the sliced algebra.
     """
-    ring = ideal.ring
-    n = ring.nvars
+    n = ideal.ring.nvars
     A = frozenset(A)
     d = krull_dimension(ideal)
     inst = _instance(ideal, A=_fmt_A(A), d=d)
@@ -143,10 +143,8 @@ def verify_gr_presentation(ideal, A) -> VerificationReport:
     eps = epsilon_vector(A, n)
     lhs_ideal = initial_ideal(eps, ideal)
     lhs_series = hilbert_series_quotient(lhs_ideal)
-    sub_ideal = eliminate(ideal, A)
-    rhs_series = hilbert_series_quotient(sub_ideal).shift_denominator(len(A))
-    keep = sorted(set(range(n)) - A)
-    rhs_ideal = extend_ideal(sub_ideal, ring, keep)
+    rhs_ideal = eliminate(ideal, A)
+    rhs_series = hilbert_series_quotient(rhs_ideal)
     series_ok = lhs_series == rhs_series
     lhs_basis = _basis_strings(lhs_ideal)
     basis_ok = lhs_basis == _basis_strings(rhs_ideal)

@@ -6,7 +6,8 @@ import pytest
 
 import tropcm.cache
 from tropcm import (GREVLEX, Ideal, MonomialOrder, apply_change,
-                    default_ring, parse_polynomial, random_gl)
+                    buchberger_reduced, default_ring, parse_polynomial,
+                    random_gl)
 from tropcm.polynomials import mono_div, mono_divides
 
 SEED = 42
@@ -29,6 +30,17 @@ def elimination(A, n):
     """The order eliminating the 0-based variables ``A`` of ``n``: the
     weight -1 on them and 0 elsewhere, ties broken by grevlex."""
     return MonomialOrder.weighted([-(i in A) for i in range(n)])
+
+
+def eliminate_by_order(ideal, A):
+    """Reference I_A k[x]: the elements free of x_A in the reduced basis of
+    I + <x_i : i in A> under the order that eliminates x_A (Sturmfels,
+    Groebner Bases and Convex Polytopes, ch. 1), kept in the ring of I."""
+    ring = ideal.ring
+    cut = Ideal(ring, list(ideal.generators) + [ring.variable(i) for i in A])
+    basis = buchberger_reduced(cut, elimination(A, ring.nvars)).basis
+    return Ideal(ring, [g for g in basis
+                        if not any(m[i] for m in g.terms for i in A)])
 
 
 def fraction_weight_value(w, exps):

@@ -406,7 +406,28 @@ def test_cli_generic_rejects_a_negative_audit_count(conic_path, capsys, flag):
     code = main(["generic", conic_path, flag, "-1"])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
-    assert captured.err == f"error: {flag} must be non-negative\n"
+    assert captured.err == f"error: {flag} must be at least 1\n"
+
+
+@pytest.mark.parametrize("flag", ["--audit-maxA", "--audit-subsets"])
+def test_cli_generic_refuses_an_audit_of_no_subset(conic_path, capsys, flag):
+    # 0 would audit nothing and still print "pass": true with no checks
+    code = main(["generic", conic_path, flag, "0"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {flag} must be at least 1\n"
+    assert main(["generic", conic_path, flag, "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["checks"]
+
+
+def test_cli_generic_default_audit_in_dimension_one_is_empty(tmp_path,
+                                                            capsys):
+    # d = 1, so the default maxA = d - 1 = 0 audits no subset, legitimately
+    path = tmp_path / "point.ideal"
+    path.write_text("vars: x1 x2\nfield: Q\nx1\n")
+    assert main(["generic", str(path)]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["pass"] is True and summary["checks"] == []
 
 
 def test_cli_quasival_rejects_a_zero_denominator_scale(conic_path, capsys):

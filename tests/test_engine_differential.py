@@ -3,7 +3,9 @@
 Each instance is built over Q and over F_32003.  Its reduced bases under
 grevlex, a fractional weight order and an elimination weight are checked
 against Macaulay-matrix slices of the generators in degrees 2 and 3, and
-its grevlex and lex bases against sympy's, where sympy is installed.  Two
+its grevlex and lex bases against sympy's, where sympy is installed.
+``eliminate``, which sets x_A to zero in the generators, is checked
+against the x_A-free part of an elimination basis of I + <x_A>.  Two
 lex cases are left out for time: generic Gr(2,5) (about a minute in the
 engine over Q) and the generic 2x4 minors over Q (about 7 s in sympy; the
 same instance runs over F_32003).
@@ -22,7 +24,7 @@ from itertools import combinations
 import pytest
 
 from tropcm import (GREVLEX, LEX, QQ, Ideal, MonomialOrder, PrimeField,
-                    apply_change, buchberger_reduced, default_ring,
+                    apply_change, buchberger_reduced, default_ring, eliminate,
                     enumerate_generic_fan, hilbert_series_quotient,
                     initial_ideal, krull_dimension, monomials_of_degree,
                     parse_polynomial, random_gl, sample_interior)
@@ -30,7 +32,7 @@ from tropcm.groebner import GroebnerBasis, groebner_basis_raw, rebase
 from tropcm.macaulay import graded_slice, initial_slice_oracle
 from tropcm.polynomials import Polynomial, mono_divides
 
-from conftest import elimination
+from conftest import eliminate_by_order, elimination
 
 FIELDS = {"Q": QQ, "F32003": PrimeField(32003)}
 NAMES = ("twisted-cubic", "minors-2x4", "minors-2x4-generic",
@@ -193,6 +195,23 @@ def test_basis_matches_sympy(name, field_name, order_name, fresh_cache):
     expected = _sympy_basis(ideal, order_name)
     order = {"grevlex": GREVLEX, "lex": LEX}[order_name]
     assert sorted(buchberger_reduced(ideal, order).strings()) == expected
+
+
+# -- elimination by substitution -----------------------------------------------
+
+@pytest.mark.parametrize("field_name", FIELDS)
+@pytest.mark.parametrize("name", NAMES)
+def test_eliminate_equals_the_elimination_order(name, field_name, fresh_cache):
+    ideal = instance(name, field_name)
+    n = ideal.ring.nvars
+    for A in [A for size in range(3) for A in combinations(range(n), size)]:
+        substituted = eliminate(ideal, A)
+        reference = eliminate_by_order(ideal, A)
+        assert (buchberger_reduced(substituted, GREVLEX).strings()
+                == buchberger_reduced(reference, GREVLEX).strings()), A
+        cut = Ideal(ideal.ring, list(ideal.generators)
+                    + [ideal.ring.variable(i) for i in A])
+        assert krull_dimension(cut) == krull_dimension(substituted) - len(A), A
 
 
 # -- Hilbert stop and in-cone reuse ---------------------------------------------

@@ -97,7 +97,7 @@ def test_audit_flags_failures_monotonically():
     for j in (2, 3, 4):
         assert not by_A[(1, j)].ok
     assert not audit.passed
-    assert audit.failures
+    assert any(not c.ok for c in audit.checks)
 
 
 def test_audit_sampling_is_deterministic(e_pluck_generic):

@@ -328,11 +328,12 @@ def test_substitute_permutation():
     assert f.substitute(images) == parse_polynomial("x2*x1 - x3^2", R3)
 
 
-def test_restrict_extend_round_trip():
-    f = parse_polynomial("x2^2 - x2*x3", R3)
-    sub = R3.subring([1, 2])
-    g = f.restrict(sub, [1, 2])
-    assert g.ring.names == ("x2", "x3")
-    assert g.extend(R3, [1, 2]) == f
-    with pytest.raises(ValueError):
-        parse_polynomial("x1*x2", R3).restrict(sub, [1, 2])
+def test_extend_places_each_variable():
+    pair = Ring(("x2", "x3"))
+    g = parse_polynomial("x2^2 - x2*x3", pair)
+    assert g.extend(R3, [1, 2]) == parse_polynomial("x2^2 - x2*x3", R3)
+    assert g.extend(R3, [2, 0]) == parse_polynomial("x3^2 - x1*x3", R3)
+    # the ring radical_membership builds: one more variable, placed last
+    ext = R3.extended("t")
+    f = parse_polynomial("x1*x3 - x2^2", R3)
+    assert f.extend(ext, [0, 1, 2]) == parse_polynomial("x1*x3 - x2^2", ext)

@@ -1,6 +1,7 @@
-"""Every name the package exports has a caller in ``src/``, and every
-defaulted parameter of an exported function, or of a constructor or
-method of an exported class, is set by some call there.
+"""Every name the package exports has a caller in ``src/``, so has every
+public method and property of an exported class, and every defaulted
+parameter of an exported function, or of a constructor or method of an
+exported class, is set by some call there.
 
 A name counts as used when some module other than ``__init__.py`` refers
 to it outside its own definition; an import alone does not count.  A name
@@ -48,6 +49,21 @@ def test_every_export_has_a_caller_in_src():
     trees = _trees()
     unused = sorted(name for name in _exports() - set(EXEMPT)
                     if not any(_uses(tree, name) for tree in trees))
+    assert unused == []
+
+
+def _exported_classes(trees):
+    exports = _exports() - set(EXEMPT)
+    return [node for tree in trees for node in tree.body
+            if isinstance(node, ast.ClassDef) and node.name in exports]
+
+
+def test_every_public_method_of_an_exported_class_has_a_caller_in_src():
+    trees = _trees()
+    unused = sorted(f"{cls.name}.{fn.name}" for cls in _exported_classes(trees)
+                    for fn in cls.body if isinstance(fn, ast.FunctionDef)
+                    and not fn.name.startswith("_")
+                    and not any(_uses(tree, fn.name) for tree in trees))
     assert unused == []
 
 
@@ -115,15 +131,12 @@ def _exported_callables(trees):
     """Names under which calls reach an export: each exported function,
     and each exported class with its methods."""
     exports = _exports() - set(EXEMPT)
-    out = set()
-    for tree in trees:
-        for node in tree.body:
-            if isinstance(node, ast.FunctionDef) and node.name in exports:
-                out.add(node.name)
-            elif isinstance(node, ast.ClassDef) and node.name in exports:
-                out.add(node.name)
-                out.update(fn.name for fn in node.body
-                           if isinstance(fn, ast.FunctionDef) and fn.name != "__init__")
+    out = {node.name for tree in trees for node in tree.body
+           if isinstance(node, ast.FunctionDef) and node.name in exports}
+    for cls in _exported_classes(trees):
+        out.add(cls.name)
+        out.update(fn.name for fn in cls.body
+                   if isinstance(fn, ast.FunctionDef) and fn.name != "__init__")
     return out
 
 

@@ -42,3 +42,29 @@ def test_verify_g24_report_matches_the_benchmark_reference(tmp_path,
     expected = reference["verify-g24"]
     assert checks.verdict_counts(report) == expected["verdicts"]
     assert checks.normalized_digest(report) == expected["digest"]
+
+
+# the seed-42 generic rational normal quartic: a non-principal instance,
+# so both sides of every claim run on an ideal with several generators
+RNC4_DIGEST = "092fdbb6818ca58b7b34479923360c87ccbb669945d7ac446f987b50ce63185b"
+RNC4_VERDICTS = {
+    "cm-fan-coincidence:pass": 1, "epsilon-facts:pass": 6,
+    "genericity-audit:pass": 1, "gr-presentation:pass": 6,
+    "initial-formula:pass": 6, "iterated-initial:pass": 3,
+    "quasival-decomposition:pass": 3, "radicality-spot:pass": 1,
+    "weight-sum:pass": 3, "well-poised:undetermined": 1,
+}
+
+
+def test_verify_rnc4_report_keeps_its_digest(tmp_path, monkeypatch, capsys):
+    instances = _perfbench_module("instances")
+    checks = _perfbench_module("checks")
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "rnc4.raw.ideal").write_text(
+        instances.raw_text(instances.rational_normal_quartic))
+    assert main(instances.generic_args("rnc4.raw.ideal", "rnc4.ideal", 42)) == 0
+    instances.check_generic_summary(capsys.readouterr().out, 42)
+    assert main(["verify", "rnc4.ideal", "--claim", "all", "--maxdeg", "2"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert checks.verdict_counts(report) == RNC4_VERDICTS
+    assert checks.normalized_digest(report) == RNC4_DIGEST
