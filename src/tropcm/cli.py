@@ -14,13 +14,13 @@ import random
 import sys
 from itertools import combinations
 
-from .cache import digest, set_cache_directory
+from .cache import set_cache_directory, sha256
 from .fan import ConeCA, enumerate_generic_fan, sample_interior
 from .generic import apply_change, genericity_audit, random_gl
 from .groebner import (buchberger_reduced, contains_monomial, initial_ideal,
                        krull_dimension)
 from .ideal_io import (IdealFileError, gb_to_dict, load_ideal_file,
-                       parse_subset, parse_weight, save_ideal_file)
+                       parse_subset, parse_weight, save_ideal_file, write_json)
 from .orders import GREVLEX, LEX, MonomialOrder
 from .polynomials import ParseError, parse_polynomial
 from .quasival import Quasivaluation, scale, standard_basis_slice
@@ -53,13 +53,17 @@ class RunConfig:
         self.cache_dir, self.output = args.cache_dir or "", args.output or ""
 
 
+def _print_json(obj, stream):
+    write_json(obj, stream.write, indent=2)
+    stream.write("\n")
+
+
 def _emit(obj, args):
-    text = json.dumps(obj, indent=2, sort_keys=True, default=str)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+            _print_json(obj, fh)
     else:
-        print(text)
+        _print_json(obj, sys.stdout)
 
 
 def _load(args):
@@ -90,8 +94,12 @@ def _report_payload(cfg, ideal, source, reports):
                          "vars": list(ideal.ring.names),
                          "generators": [str(g) for g in ideal.generators]},
             "claims": claims}
-    # the run_id leaves out where the run writes its report and its bases
-    body["run_id"] = digest(json.dumps(body, sort_keys=True, default=str))[:12]
+    # the run_id leaves out where the run writes its report and its bases;
+    # it is cache.digest of the body's one-line text
+    h = sha256()
+    write_json(body, lambda text: h.update(text.encode("ascii")))
+    h.update(b"\x00")
+    body["run_id"] = h.hexdigest()[:12]
     config.update(cache_dir=cfg.cache_dir, output=cfg.output)
     return body
 
@@ -158,7 +166,7 @@ def cmd_generic(args):
                "pass": audit.passed, "checks": audit.to_dict()["checks"],
                "ideal": [str(g) for g in transformed.generators],
                "written": args.output or None}
-    print(json.dumps(summary, indent=2, sort_keys=True, default=str))
+    _print_json(summary, sys.stdout)
     return 0 if audit.passed else 1
 
 

@@ -1,4 +1,5 @@
-"""Reading and writing .ideal files, weight vectors, and subset arguments.
+"""Reading and writing .ideal files, weight vectors, and subset arguments,
+and writing JSON text in pieces.
 
 File grammar::
 
@@ -13,7 +14,9 @@ rejected at load time.
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .fields import QQ, FieldError, field_from_name
 from .groebner import Ideal
@@ -115,3 +118,71 @@ def gb_to_dict(gb):
     return {"ring": gb.ring.descriptor(),
             "order": gb.order.descriptor(),
             "basis": gb.strings()}
+
+
+# The JSON writer lives here, not in cli.py: without .pyc files, compiling
+# cli.py is the peak of ``import tropcm.cli``, so its size is resident memory.
+
+# pieces of JSON text gathered before each call of the sink
+_PIECES = 4096
+_scalar_text = json.JSONEncoder().encode
+
+
+def _key_text(key):
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    if key is None or isinstance(key, (int, float)):
+        return encode_basestring_ascii(_scalar_text(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {key.__class__.__name__}")
+
+
+def write_json(obj, sink, indent=None):
+    """Pass ``sink`` the text of ``json.dumps(obj, indent=indent,
+    sort_keys=True, default=str)``, a few thousand pieces per call, so no
+    whole report text is ever held."""
+    step = None if indent is None else " " * indent
+    comma = ", " if step is None else ","
+    pieces = []
+    put = pieces.append
+
+    def value(o, nl):
+        # nl: a newline and this level's indent, or None on one line
+        if isinstance(o, str):
+            put(encode_basestring_ascii(o))
+        elif type(o) is int:
+            put(int.__repr__(o))
+        elif o is None or isinstance(o, (int, float)):
+            put(_scalar_text(o))
+        elif isinstance(o, (list, tuple, dict)):
+            is_dict = isinstance(o, dict)
+            brackets = "{}" if is_dict else "[]"
+            if not o:
+                put(brackets)
+                return
+            inner = None if nl is None else nl + step
+            put(brackets[0] if inner is None else brackets[0] + inner)
+            between = comma if inner is None else comma + inner
+            first = True
+            for item in sorted(o.items()) if is_dict else o:
+                if first:
+                    first = False
+                else:
+                    put(between)
+                if is_dict:
+                    put(_key_text(item[0]))
+                    put(": ")
+                    item = item[1]
+                if isinstance(item, str):
+                    put(encode_basestring_ascii(item))
+                else:
+                    value(item, inner)
+                if len(pieces) >= _PIECES:
+                    sink("".join(pieces))
+                    pieces.clear()
+            put(brackets[1] if nl is None else nl + brackets[1])
+        else:
+            put(encode_basestring_ascii(str(o)))
+
+    value(obj, None if step is None else "\n")
+    sink("".join(pieces))

@@ -516,6 +516,9 @@ def radicality_spot_check(ideal, samples=50, seed=0) -> VerificationReport:
         if f.is_zero() or ideal_membership(f, ideal):
             continue
         tried += 1
+        # f^m in I puts f in rad(I), so only a radical member has powers to try
+        if not radical_membership(f, ideal):
+            continue
         power = f
         for m in range(2, _POWMAX + 1):
             power = power * f
@@ -524,7 +527,7 @@ def radicality_spot_check(ideal, samples=50, seed=0) -> VerificationReport:
                     "radicality-spot", inst, FAIL,
                     {"witness": str(f), "power": m,
                      "note": "f^m in I with f not in I"})
-        if probe_radical and radical_membership(f, ideal):
+        if probe_radical:
             return VerificationReport(
                 "radicality-spot", inst, FAIL,
                 {"witness": str(f),

@@ -1,14 +1,22 @@
+import argparse
 import json
+import sys
+import tracemalloc
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tropcm import (GREVLEX, LEX, IdealFileError, buchberger_reduced,
                     load_ideal_file, parse_ideal_text, parse_subset,
                     parse_weight, primeness_check, save_ideal_file)
 import tropcm.cli
 import tropcm.groebner
-from tropcm.cache import digest
+from tropcm.cache import digest, sha256
 from tropcm.cli import main
+from tropcm.ideal_io import write_json
+from tropcm.theorems import VerificationReport
 
 CONIC = """\
 # a conic hypersurface
@@ -469,3 +477,101 @@ def test_cli_output_file_round_trip(conic_path, tmp_path, capsys):
     assert code == 0
     data = json.loads(out.read_text())
     assert data["basis"] == ["x2^2 - x1*x3"]
+
+
+# -- report text ------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv, output_line", [
+    (["gb"], False),
+    (["fan"], False),
+    (["verify", "--claim", "cor-initial", "--A", "1", "-w", "1,0,0"], True),
+])
+def test_cli_stdout_and_output_file_hold_the_same_bytes(conic_path, tmp_path,
+                                                       capsys, argv,
+                                                       output_line):
+    assert main(argv + [conic_path]) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "report.json"
+    assert main(argv + [conic_path, "-o", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    if output_line:     # the report names the file it is written to
+        printed = printed.replace('"output": ""',
+                                  f'"output": {json.dumps(str(out))}', 1)
+    assert out.read_bytes() == printed.encode("ascii")
+
+
+def _writer_text(obj, indent):
+    pieces = []
+    write_json(obj, pieces.append, indent)
+    return "".join(pieces)
+
+
+# one key type per dict: json sorts the keys, and str and int do not compare
+_dict_keys = (st.text(), st.one_of(st.integers(), st.floats(), st.booleans()),
+              st.none())
+_json_values = st.recursive(
+    st.one_of(st.text(), st.integers(), st.booleans(), st.none(), st.floats(),
+              st.fractions()),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        *(st.dictionaries(keys, children, max_size=4) for keys in _dict_keys)),
+    max_leaves=24)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json_values)
+def test_report_writer_matches_json_dumps(obj):
+    for indent in (2, None):
+        assert _writer_text(obj, indent) == json.dumps(
+            obj, indent=indent, sort_keys=True, default=str)
+
+
+def test_report_writer_rejects_the_keys_json_rejects():
+    with pytest.raises(TypeError, match="keys must be str"):
+        _writer_text({(1, 2): 0}, 2)
+
+
+class _DigestStream:
+    """A text stream that keeps the SHA-256 of what it is given, not the text."""
+
+    def __init__(self):
+        self.sha = sha256()
+
+    def write(self, text):
+        self.sha.update(text.encode("utf-8"))
+        return len(text)
+
+
+def test_report_is_hashed_and_written_in_bounded_memory(conic_path,
+                                                        monkeypatch):
+    ideal = load_ideal_file(conic_path)
+    cfg = tropcm.cli.RunConfig(argparse.Namespace(
+        seed=42, bound=100, maxdeg=2, samples=5, samples_per_cone=3,
+        cache_dir=None, output=None))
+    # shaped like the well-poised evidence: cone samples holding Gram matrices
+    samples = [{"A": [k % 7, k % 11], "verdict": "NotPrime",
+                "matrix": [[str(Fraction(k * i - j, 7 + i + j)) for j in range(6)]
+                           for i in range(6)]}
+               for k in range(4000)]
+    reports = [VerificationReport("well-poised", {"samples_per_cone": 3},
+                                  "pass", {"samples": samples})]
+    stream = _DigestStream()
+    monkeypatch.setattr(sys, "stdout", stream)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        body = tropcm.cli._report_payload(cfg, ideal, "synthetic", reports)
+        tropcm.cli._emit(body, argparse.Namespace(output=None))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    text = json.dumps(body, indent=2, sort_keys=True, default=str) + "\n"
+    assert len(text) > 5_000_000
+    assert peak - before < 1_000_000
+    assert stream.sha.hexdigest() == sha256(text.encode("utf-8")).hexdigest()
+    hashed = {k: v for k, v in body.items() if k != "run_id"}
+    hashed["config"] = {k: v for k, v in body["config"].items()
+                        if k not in ("cache_dir", "output")}
+    assert body["run_id"] == digest(
+        json.dumps(hashed, sort_keys=True, default=str))[:12]
