@@ -32,25 +32,16 @@ from .theorems import (FAIL, VerificationReport, cm_fan_audit,
                        well_poised_check)
 
 
-class RunConfig:
-    """The run's options, from parsed arguments, with no count below zero
-    and no audit count below one (an audit of no subset would pass);
-    the ideal file, not a flag, names the field."""
-
-    __slots__ = ("seed", "bound", "maxdeg", "samples", "samples_per_cone",
-                 "cache_dir", "output")
-
-    def __init__(self, args):
-        for flag, least, words in (("--maxdeg", 0, "non-negative"),
-                                   ("--samples", 0, "non-negative"),
-                                   ("--audit-maxA", 1, "at least 1"),
-                                   ("--audit-subsets", 1, "at least 1")):
-            value = getattr(args, flag[2:].replace("-", "_"), None)
-            if value is not None and value < least:
-                raise ValueError(f"{flag} must be {words}")
-        self.seed, self.bound, self.maxdeg = args.seed, args.bound, args.maxdeg
-        self.samples, self.samples_per_cone = args.samples, args.samples_per_cone
-        self.cache_dir, self.output = args.cache_dir or "", args.output or ""
+def _check_counts(args):
+    """No count below zero and no audit count below one (an audit of no
+    subset would pass)."""
+    for flag, least, words in (("--maxdeg", 0, "non-negative"),
+                               ("--samples", 0, "non-negative"),
+                               ("--audit-maxA", 1, "at least 1"),
+                               ("--audit-subsets", 1, "at least 1")):
+        value = getattr(args, flag[2:].replace("-", "_"), None)
+        if value is not None and value < least:
+            raise ValueError(f"{flag} must be {words}")
 
 
 def _print_json(obj, stream):
@@ -72,24 +63,16 @@ def _load(args):
     return load_ideal_file(args.ideal)
 
 
-def _order_from_args(args, n):
-    if getattr(args, "w", None):
-        return MonomialOrder.weighted(parse_weight(args.w, n))
-    if getattr(args, "order", "grevlex") == "lex":
-        return LEX
-    return GREVLEX
-
-
-def _report_payload(cfg, ideal, source, reports):
+def _report_payload(args, ideal, source, reports):
     claims = sorted((r.to_dict() for r in reports),
                     key=lambda c: (c["claim"],
                                    json.dumps(c["params"], sort_keys=True,
                                               default=str)))
     field = ideal.ring.field.name
-    config = {"seed": cfg.seed, "bound": cfg.bound, "maxdeg": cfg.maxdeg,
-              "samples": cfg.samples, "samples_per_cone": cfg.samples_per_cone,
+    config = {"seed": args.seed, "bound": args.bound, "maxdeg": args.maxdeg,
+              "samples": args.samples, "samples_per_cone": args.samples_per_cone,
               "field": field}
-    body = {"seed": cfg.seed, "field": field, "config": config,
+    body = {"seed": args.seed, "field": field, "config": config,
             "instance": {"source": source,
                          "vars": list(ideal.ring.names),
                          "generators": [str(g) for g in ideal.generators]},
@@ -100,12 +83,8 @@ def _report_payload(cfg, ideal, source, reports):
     write_json(body, lambda text: h.update(text.encode("ascii")))
     h.update(b"\x00")
     body["run_id"] = h.hexdigest()[:12]
-    config.update(cache_dir=cfg.cache_dir, output=cfg.output)
+    config.update(cache_dir=args.cache_dir or "", output=args.output or "")
     return body
-
-
-def _exit_status(reports):
-    return 1 if any(r.failed for r in reports) else 0
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +92,10 @@ def _exit_status(reports):
 
 def cmd_gb(args):
     ideal = _load(args)
-    order = _order_from_args(args, ideal.ring.nvars)
+    if args.w:
+        order = MonomialOrder.weighted(parse_weight(args.w, ideal.ring.nvars))
+    else:
+        order = LEX if args.order == "lex" else GREVLEX
     gb = buchberger_reduced(ideal, order)
     _emit(gb_to_dict(gb), args)
     return 0
@@ -142,29 +124,26 @@ def cmd_trop_member(args):
 
 def cmd_generic(args):
     ideal = _load(args)
-    cfg = RunConfig(args)
+    _check_counts(args)
     n = ideal.ring.nvars
-    seed = cfg.seed
+    seed = args.seed
     reseeds = 0
-    transformed = None
-    audit = None
     while True:
-        g = random_gl(n, seed, cfg.bound, ideal.ring.field)
+        g = random_gl(n, seed, args.bound, ideal.ring.field)
         candidate = apply_change(g, ideal)
         d = krull_dimension(candidate)
         max_a = args.audit_maxA if args.audit_maxA is not None else d - 1
         audit = genericity_audit(candidate, maxA=max_a,
                                  max_subsets=args.audit_subsets, seed=seed)
         if audit.passed or reseeds >= 5:
-            transformed = candidate
             break
         reseeds += 1
         seed += 1
     if args.output:
-        save_ideal_file(transformed, args.output)
-    summary = {"seed": seed, "bound": cfg.bound, "reseeds": reseeds,
+        save_ideal_file(candidate, args.output)
+    summary = {"seed": seed, "bound": args.bound, "reseeds": reseeds,
                "pass": audit.passed, "checks": audit.to_dict()["checks"],
-               "ideal": [str(g) for g in transformed.generators],
+               "ideal": [str(g) for g in candidate.generators],
                "written": args.output or None}
     _print_json(summary, sys.stdout)
     return 0 if audit.passed else 1
@@ -193,19 +172,15 @@ def cmd_fan(args):
 
 def cmd_quasival(args):
     ideal = _load(args)
-    cfg = RunConfig(args)
-    ring = ideal.ring
-    if args.w:
-        v = Quasivaluation.weight(ideal, parse_weight(args.w, ring.nvars))
-        order = MonomialOrder.weighted(v.w)
+    _check_counts(args)
+    ring, order = ideal.ring, GREVLEX
+    if args.deg:
+        v = Quasivaluation.degree(ideal)
     elif args.adic is not None:
         v = Quasivaluation.adic(ideal, parse_subset(args.adic, ring.nvars))
-        order = GREVLEX
-    elif args.deg:
-        v = Quasivaluation.degree(ideal)
-        order = GREVLEX
     else:
-        raise ValueError("choose one of -w, --adic, --deg")
+        v = Quasivaluation.weight(ideal, parse_weight(args.w, ring.nvars))
+        order = MonomialOrder.weighted(v.w)
     if args.scale is not None:
         v = scale(args.scale, v)
     if args.elements:
@@ -213,7 +188,7 @@ def cmd_quasival(args):
                     for s in args.elements.split(";") if s.strip()]
     else:
         elements = [ring.monomial(m)
-                    for deg in range(cfg.maxdeg + 1)
+                    for deg in range(args.maxdeg + 1)
                     for m in standard_basis_slice(ideal, order, deg)]
     entries = [{"element": str(f), "value": str(v.evaluate(f))}
                for f in elements]
@@ -240,76 +215,66 @@ def _sampled_subsets(n, size, limit, seed, tag):
     return [frozenset(a) for a in subsets]
 
 
-def _full_suite(ideal, cfg):
-    """Every claim on one instance, with seeded sampling kept desk-sized."""
+def _full_suite(ideal, args):
+    """Every claim on one instance, with seeded sampling kept desk-sized:
+    each runs through ``CLAIMS`` with the flags of its job."""
     n = ideal.ring.nvars
     d = krull_dimension(ideal)
-    reports = []
-    audit = genericity_audit(ideal, maxA=d - 1, max_subsets=20, seed=cfg.seed)
-    reports.append(VerificationReport(
+    seed = args.seed
+    audit = genericity_audit(ideal, maxA=d - 1, max_subsets=20, seed=seed)
+    reports = [VerificationReport(
         "genericity-audit",
         {"generators": [str(g) for g in ideal.generators], "d": d},
-        "pass" if audit.passed else "fail", audit.to_dict()))
-    maximal = _sampled_subsets(n, d - 1, 10, cfg.seed, "maxA")
-    codim1 = _sampled_subsets(n, d - 2, 10, cfg.seed, "codim1") if d >= 2 else []
-    for A in maximal + codim1:
-        w = sample_interior(ConeCA(A, n), cfg.seed)
-        reports.append(verify_initial_formula(ideal, A, w))
-        reports.append(verify_gr_presentation(ideal, A))
-        reports.append(verify_epsilon_facts(ideal, A))
-    for A in maximal[:3]:
-        w = sample_interior(ConeCA(A, n), cfg.seed)
-        reports.append(verify_quasival_decomposition(
-            ideal, A, w, maxdeg=cfg.maxdeg, samples=cfg.samples, seed=cfg.seed))
-    for A in maximal[:3]:
-        if A:
-            i = sorted(A)[0]
-            reports.append(verify_iterated_initial(ideal, A, i))
+        "pass" if audit.passed else "fail", audit.to_dict())]
+    maximal = _sampled_subsets(n, d - 1, 10, seed, "maxA")
+    codim1 = _sampled_subsets(n, d - 2, 10, seed, "codim1") if d >= 2 else []
+    jobs = [(claim, {"A": A}) for A in maximal + codim1
+            for claim in ("initial-formula", "gr-presentation", "epsilon-facts")]
+    jobs += [("quasival-decomposition", {"A": A}) for A in maximal[:3]]
+    jobs += [("iterated-initial", {"A": A, "index": min(A) + 1})
+             for A in maximal[:3] if A]
     for k, A in enumerate(maximal[:3]):
         cone = ConeCA(A, n)
-        u = sample_interior(cone, cfg.seed + 2 * k)
-        w = sample_interior(cone, cfg.seed + 2 * k + 1)
-        reports.append(verify_weight_sum(ideal, u, w, maxdeg=cfg.maxdeg))
-    reports.append(radicality_spot_check(ideal, samples=cfg.samples,
-                                         seed=cfg.seed))
-    reports.append(well_poised_check(ideal,
-                                     samples_per_cone=cfg.samples_per_cone,
-                                     seed=cfg.seed))
-    reports.append(cm_fan_audit(ideal, samples_per_cone=cfg.samples_per_cone,
-                                seed=cfg.seed))
+        jobs.append(("weight-sum", {"u": sample_interior(cone, seed + 2 * k),
+                                    "w": sample_interior(cone, seed + 2 * k + 1)}))
+    jobs += [(claim, {}) for claim in ("radical-spot", "well-poised", "cm-fan")]
+    unset = dict.fromkeys(_FLAG_NAMES)
+    for claim, flags in jobs:
+        job = argparse.Namespace(**{**vars(args), **unset, **flags})
+        reports.append(CLAIMS[claim][1](ideal, job))
     return reports
 
 
-def _weight_or_sample(ideal, args, cfg):
+def _weight_or_sample(ideal, args):
     if args.w is not None:
         return args.w
-    return sample_interior(ConeCA(args.A, ideal.ring.nvars), cfg.seed)
+    return sample_interior(ConeCA(args.A, ideal.ring.nvars), args.seed)
 
 
-# claim name -> (parsed flags it requires, checker (ideal, args, cfg) -> report).
+# claim name -> (parsed flags it requires, checker (ideal, args) -> report).
 # A checker names its theorems function when it runs, so a rebinding of the
 # module attribute (a tracer, a test) reaches it.
 CLAIMS = {
-    "initial-formula": (("A",), lambda ideal, args, cfg: verify_initial_formula(
-        ideal, args.A, _weight_or_sample(ideal, args, cfg))),
-    "gr-presentation": (("A",), lambda ideal, args, cfg: verify_gr_presentation(
+    "initial-formula": (("A",), lambda ideal, args: verify_initial_formula(
+        ideal, args.A, _weight_or_sample(ideal, args))),
+    "gr-presentation": (("A",), lambda ideal, args: verify_gr_presentation(
         ideal, args.A)),
     "quasival-decomposition": (
-        ("A",), lambda ideal, args, cfg: verify_quasival_decomposition(
-            ideal, args.A, _weight_or_sample(ideal, args, cfg),
-            maxdeg=cfg.maxdeg, samples=cfg.samples, seed=cfg.seed)),
-    "iterated-initial": (("A", "index"), lambda ideal, args, cfg:
+        ("A",), lambda ideal, args: verify_quasival_decomposition(
+            ideal, args.A, _weight_or_sample(ideal, args),
+            maxdeg=args.maxdeg, samples=args.samples, seed=args.seed)),
+    "iterated-initial": (("A", "index"), lambda ideal, args:
                          verify_iterated_initial(ideal, args.A, args.index - 1)),
-    "weight-sum": (("u", "w"), lambda ideal, args, cfg: verify_weight_sum(
-        ideal, args.u, args.w, maxdeg=cfg.maxdeg)),
-    "epsilon-facts": (("A",), lambda ideal, args, cfg: verify_epsilon_facts(
+    "weight-sum": (("u", "w"), lambda ideal, args: verify_weight_sum(
+        ideal, args.u, args.w, maxdeg=args.maxdeg)),
+    "epsilon-facts": (("A",), lambda ideal, args: verify_epsilon_facts(
         ideal, args.A)),
-    "radical-spot": ((), lambda ideal, args, cfg: radicality_spot_check(
-        ideal, samples=cfg.samples, seed=cfg.seed)),
-    "well-poised": ((), lambda ideal, args, cfg: well_poised_check(
-        ideal, samples_per_cone=cfg.samples_per_cone, seed=cfg.seed)),
-    "cm-fan": ((), lambda ideal, args, cfg: cm_fan_audit(
-        ideal, samples_per_cone=cfg.samples_per_cone, seed=cfg.seed)),
+    "radical-spot": ((), lambda ideal, args: radicality_spot_check(
+        ideal, samples=args.samples, seed=args.seed)),
+    "well-poised": ((), lambda ideal, args: well_poised_check(
+        ideal, samples_per_cone=args.samples_per_cone, seed=args.seed)),
+    "cm-fan": ((), lambda ideal, args: cm_fan_audit(
+        ideal, samples_per_cone=args.samples_per_cone, seed=args.seed)),
 }
 CLAIMS["cor-initial"] = CLAIMS["initial-formula"]
 CLAIMS["quasival-decomp"] = CLAIMS["quasival-decomposition"]
@@ -319,26 +284,25 @@ _FLAG_NAMES = {"A": "--A", "index": "-i", "u": "-u", "w": "-w"}
 
 def cmd_verify(args):
     ideal = _load(args)
-    cfg = RunConfig(args)
+    _check_counts(args)
     n = ideal.ring.nvars
-    parsed = argparse.Namespace(
-        A=parse_subset(args.A, n) if args.A is not None else None,
-        w=parse_weight(args.w, n) if args.w else None,
-        u=parse_weight(args.u, n) if args.u else None,
-        index=args.index)
+    if args.A is not None:
+        args.A = parse_subset(args.A, n)
+    args.w = parse_weight(args.w, n) if args.w else None
+    args.u = parse_weight(args.u, n) if args.u else None
     if args.claim == "all":
-        reports = _full_suite(ideal, cfg)
+        reports = _full_suite(ideal, args)
     elif args.claim in CLAIMS:
         required, checker = CLAIMS[args.claim]
-        if any(getattr(parsed, f) is None for f in required):
+        if any(getattr(args, f) is None for f in required):
             flags = " and ".join(_FLAG_NAMES[f] for f in required)
             verb = "is" if len(required) == 1 else "are"
             raise ValueError(f"{flags} {verb} required for this claim")
-        reports = [checker(ideal, parsed, cfg)]
+        reports = [checker(ideal, args)]
     else:
         raise ValueError(f"unknown claim {args.claim!r}")
-    _emit(_report_payload(cfg, ideal, args.ideal, reports), args)
-    return _exit_status(reports)
+    _emit(_report_payload(args, ideal, args.ideal, reports), args)
+    return 1 if any(r.failed for r in reports) else 0
 
 
 def cmd_report(args):
@@ -376,69 +340,73 @@ def _report_lines(body):
 # ---------------------------------------------------------------------------
 # parser
 
+def _options(*flags):
+    """A parent parser of integer options, from (flag, default) pairs."""
+    parent = argparse.ArgumentParser(add_help=False)
+    for flag, default in flags:
+        parent.add_argument(flag, type=int, default=default)
+    return parent
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="tropcm",
         description="Exact workbench for generic tropical initial ideals")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=42)
-    common.add_argument("--bound", type=int, default=100)
-    common.add_argument("--maxdeg", type=int, default=4)
-    common.add_argument("--samples", type=int, default=50)
-    common.add_argument("--samples-per-cone", dest="samples_per_cone",
-                        type=int, default=3)
-    common.add_argument("--cache-dir", dest="cache_dir", default=None,
-                        help="directory for the persisted basis cache")
-    common.add_argument("-o", "--output", default=None,
-                        help="write JSON here instead of stdout")
+    # each command takes the option groups it reads and refuses the others;
+    # verify and audit-cm take them all, as their report config records them
+    io = argparse.ArgumentParser(add_help=False)
+    io.add_argument("ideal")
+    io.add_argument("--cache-dir", dest="cache_dir", default=None,
+                    help="directory for the persisted basis cache")
+    io.add_argument("-o", "--output", default=None,
+                    help="write JSON here instead of stdout")
+    seed, bound = _options(("--seed", 42)), _options(("--bound", 100))
+    maxdeg = _options(("--maxdeg", 4))
+    samples = _options(("--samples", 50), ("--samples-per-cone", 3))
+    everything = [io, seed, bound, maxdeg, samples]
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gb", parents=[common], help="reduced Groebner basis")
-    p.add_argument("ideal")
+    p = sub.add_parser("gb", parents=[io], help="reduced Groebner basis")
     p.add_argument("--order", choices=["grevlex", "lex"], default="grevlex")
     p.add_argument("-w", default=None, help="weight vector refining the order")
     p.set_defaults(func=cmd_gb)
 
-    p = sub.add_parser("initial", parents=[common], help="initial ideal in_w(I)")
-    p.add_argument("ideal")
+    p = sub.add_parser("initial", parents=[io], help="initial ideal in_w(I)")
     p.add_argument("-w", required=True)
     p.set_defaults(func=cmd_initial)
 
-    p = sub.add_parser("trop-member", parents=[common],
+    p = sub.add_parser("trop-member", parents=[io],
                        help="does w lie in Trop(I)?")
-    p.add_argument("ideal")
     p.add_argument("-w", required=True)
     p.set_defaults(func=cmd_trop_member)
 
-    p = sub.add_parser("generic", parents=[common],
+    p = sub.add_parser("generic", parents=[io, seed, bound],
                        help="seeded change of coordinates plus audit; "
                             "-o names the transformed ideal file")
-    p.add_argument("ideal")
     p.add_argument("--audit-maxA", dest="audit_maxA", type=int, default=None)
     p.add_argument("--audit-subsets", dest="audit_subsets", type=int,
                    default=20)
     p.set_defaults(func=cmd_generic)
 
-    p = sub.add_parser("fan", parents=[common],
+    p = sub.add_parser("fan", parents=[io, seed],
                        help="per-cone initial data on one fan stratum")
-    p.add_argument("ideal")
     p.add_argument("--codim", type=int, default=0)
     p.set_defaults(func=cmd_fan)
 
-    p = sub.add_parser("quasival", parents=[common],
+    p = sub.add_parser("quasival", parents=[io, maxdeg],
                        help="value table of a quasivaluation")
-    p.add_argument("ideal")
-    p.add_argument("-w", default=None)
-    p.add_argument("--adic", default=None, help="subset for the adic order")
-    p.add_argument("--deg", action="store_true", help="degree quasivaluation")
+    kind = p.add_mutually_exclusive_group(required=True)
+    kind.add_argument("-w", default=None)
+    kind.add_argument("--adic", default=None, help="subset for the adic order")
+    kind.add_argument("--deg", action="store_true",
+                      help="degree quasivaluation")
     p.add_argument("--scale", default=None, help="non-negative rational factor")
     p.add_argument("--elements", default=None,
                    help="semicolon-separated polynomials to evaluate")
     p.set_defaults(func=cmd_quasival)
 
-    p = sub.add_parser("verify", parents=[common],
+    p = sub.add_parser("verify", parents=everything,
                        help="run one claim (or all) and emit a report")
-    p.add_argument("ideal")
     p.add_argument("--claim", required=True)
     p.add_argument("--A", default=None, help="comma-separated 1-based subset")
     p.add_argument("-w", default=None)
@@ -447,16 +415,14 @@ def build_parser():
                    help="1-based index inside A (iterated initials)")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("audit-cm", parents=[common],
+    p = sub.add_parser("audit-cm", parents=everything,
                        help="initial-ideal constancy per maximal cone")
-    p.add_argument("ideal")
     # the same run as ``verify --claim cm-fan``
     p.set_defaults(func=cmd_verify, claim="cm-fan", A=None, w=None, u=None,
                    index=None)
 
-    p = sub.add_parser("prime-check", parents=[common],
+    p = sub.add_parser("prime-check", parents=[io],
                        help="primeness certificate of I (or in_w(I))")
-    p.add_argument("ideal")
     p.add_argument("-w", default=None)
     p.set_defaults(func=cmd_prime_check)
 

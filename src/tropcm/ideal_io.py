@@ -105,9 +105,12 @@ def parse_subset(text, n):
     text = text.strip()
     if not text:
         return frozenset()
+    try:
+        indices = [int(part) for part in text.split(",")]
+    except ValueError as exc:
+        raise ValueError(f"bad subset {text!r}: {exc}") from exc
     out = set()
-    for part in text.split(","):
-        i = int(part)
+    for i in indices:
         if not 1 <= i <= n:
             raise ValueError(f"index {i} outside 1..{n}")
         out.add(i - 1)

@@ -1,4 +1,4 @@
-"""Quasivaluations on k[x]/I, given by I: weight, adic, degree, and sums.
+"""Quasivaluations on k[x]/I, given by I: weight-type and adic.
 
 Weight quasivaluations are evaluated through normal forms: the value of f
 is the minimal weight over the monomials of its remainder against the
@@ -117,29 +117,27 @@ def standard_basis_slice(ideal, order, degree):
 class Quasivaluation:
     """Evaluable quasivaluation on k[x]/I, given by the ideal I.
 
-    Weight, degree and sum kinds carry a weight ``w`` and evaluate through
-    normal forms; adic and scaled kinds do not.  Immutable after
-    construction.
+    A weight-type one (a weight, the degree, a scaling or an in-cone sum
+    of them) carries a weight ``w`` and the order whose normal forms it
+    reads; an adic one carries a ``subset`` and the ``factor`` that scales
+    its order.  Immutable after construction.
     """
 
-    __slots__ = ("kind", "ideal", "w", "subset", "factor", "inner", "parts",
-                 "_order", "_iw", "_scale")
+    __slots__ = ("ideal", "w", "subset", "factor", "_desc", "_order", "_iw",
+                 "_scale")
 
-    def __init__(self, kind, ideal, w=None, subset=None, factor=None,
-                 inner=None, parts=None):
-        self.kind = kind
-        self.ideal = ideal
-        self.w = tuple(Fraction(x) for x in w) if w is not None else None
+    def __init__(self, ideal, descriptor, w=None, order=None, subset=None,
+                 factor=1):
+        self.ideal, self._desc = ideal, descriptor
         if w is not None:
-            # built once for every evaluation; the degree reads grevlex
-            # normal forms, which the all-ones refinement has too
-            self._order = (GREVLEX if kind == "degree"
-                           else MonomialOrder.weighted(self.w))
+            self.w, self.subset, self.factor = (
+                tuple(Fraction(x) for x in w), None, None)
+            # built once for every evaluation
+            self._order = order or MonomialOrder.weighted(self.w)
             self._iw, self._scale = integer_weight(self.w)
-        self.subset = frozenset(subset) if subset is not None else None
-        self.factor = Fraction(factor) if factor is not None else None
-        self.inner = inner
-        self.parts = tuple(parts) if parts is not None else None
+        else:
+            self.w, self.subset, self.factor = (
+                None, frozenset(subset), Fraction(factor))
 
     # -- constructors -----------------------------------------------------------
 
@@ -147,50 +145,33 @@ class Quasivaluation:
     def weight(cls, ideal, w):
         if len(w) != ideal.ring.nvars:
             raise ValueError("weight vector length mismatch")
-        return cls("weight", ideal, w=w)
+        w = tuple(Fraction(x) for x in w)
+        return cls(ideal, "v_w(" + ",".join(str(x) for x in w) + ")", w=w)
 
     @classmethod
     def adic(cls, ideal, A):
-        return cls("adic", ideal, subset=A)
+        A = frozenset(A)
+        inside = ",".join(str(i + 1) for i in sorted(A))
+        return cls(ideal, f"ord_{{{inside}}}", subset=A)
 
     @classmethod
     def degree(cls, ideal):
-        return cls("degree", ideal, w=(1,) * ideal.ring.nvars)
+        # the all-ones weight; its refinement has the grevlex normal forms
+        return cls(ideal, "deg", w=(1,) * ideal.ring.nvars, order=GREVLEX)
 
     # -- evaluation --------------------------------------------------------------
-
-    def effective_weight(self):
-        """The weight vector this quasivaluation evaluates through, if any."""
-        if self.kind != "scaled":
-            return self.w
-        inner = self.inner.effective_weight()
-        if inner is None:
-            return None
-        return tuple(self.factor * x for x in inner)
 
     def evaluate(self, f):
         if f.ring != self.ideal.ring:
             raise ValueError("element from a different ring")
-        if self.w is not None:
-            return self._evaluate_weight(f)
-        if self.kind == "adic":
+        if self.w is None:
             if f.is_zero():
                 return INFINITY
-            vals = [adic_order(self.subset, comp, self.ideal)
-                    for comp in f.homogeneous_components().values()]
-            lo = min(vals)
-            return lo if lo is INFINITY else Fraction(lo)
-        if self.kind == "scaled":
-            val = self.inner.evaluate(f)
-            if val is INFINITY:
-                return INFINITY
-            return self.factor * val
-        raise ValueError(f"unknown quasivaluation kind {self.kind!r}")
-
-    def _evaluate_weight(self, f):
-        """min <w, alpha> over the normal form's support, one Fraction."""
-        gb = buchberger_reduced(self.ideal, self._order)
-        nf = normal_form(f, gb)
+            lo = min(adic_order(self.subset, comp, self.ideal)
+                     for comp in f.homogeneous_components().values())
+            return lo if lo is INFINITY else self.factor * lo
+        # min <w, alpha> over the normal form's support, one Fraction
+        nf = normal_form(f, buchberger_reduced(self.ideal, self._order))
         if nf.is_zero():
             return INFINITY
         iw = self._iw
@@ -200,36 +181,35 @@ class Quasivaluation:
     # -- bookkeeping ---------------------------------------------------------------
 
     def descriptor(self):
-        if self.kind == "weight":
-            return "v_w(" + ",".join(str(x) for x in self.w) + ")"
-        if self.kind == "degree":
-            return "deg"
-        if self.kind == "adic":
-            inside = ",".join(str(i + 1) for i in sorted(self.subset))
-            return f"ord_{{{inside}}}"
-        if self.kind == "scaled":
-            return f"{self.factor} (.) {self.inner.descriptor()}"
-        if self.kind == "oplus":
-            return " (+) ".join(p.descriptor() for p in self.parts)
-        return self.kind
+        return self._desc
 
     def __repr__(self):
-        return f"Quasivaluation({self.descriptor()})"
+        return f"Quasivaluation({self._desc})"
 
 
 def scale(c, v: Quasivaluation) -> Quasivaluation:
-    """c (.) v, scaling every value; c must be non-negative."""
+    """c (.) v, scaling every value; c must be non-negative.
+
+    A weight-type v keeps its order and scales its weight; an adic v
+    scales its factor.
+    """
     try:
         c = Fraction(c)
     except ZeroDivisionError:
         raise ValueError(f"scaling factor {c} has a zero denominator") from None
     if c < 0:
         raise ValueError("scaling factor must be non-negative")
-    return Quasivaluation("scaled", v.ideal, factor=c, inner=v)
+    descriptor = f"{c} (.) {v.descriptor()}"
+    if v.w is None:
+        return Quasivaluation(v.ideal, descriptor, subset=v.subset,
+                              factor=c * v.factor)
+    return Quasivaluation(v.ideal, descriptor, w=[c * x for x in v.w],
+                          order=v._order)
 
 
 def oplus_in_cone(vs) -> Quasivaluation:
-    """Sum of weight quasivaluations sharing one Groebner cone.
+    """Sum of weight quasivaluations sharing one Groebner cone: the weight
+    of the summed weights.
 
     The shared-cone hypothesis is verified against the order refined by
     the total weight: every summand's initial ideal must have the same
@@ -240,24 +220,22 @@ def oplus_in_cone(vs) -> Quasivaluation:
     if not vs:
         raise ValueError("empty sum")
     ideal = vs[0].ideal
-    weights = []
     for v in vs:
         if v.ideal is not ideal and (
                 v.ideal.ring != ideal.ring
                 or buchberger_reduced(v.ideal, GREVLEX).basis
                 != buchberger_reduced(ideal, GREVLEX).basis):
             raise ValueError("summands live on different algebras")
-        u = v.effective_weight()
-        if u is None:
+        if v.w is None:
             raise ConeShareError(
                 f"{v.descriptor()} is not a weight-type quasivaluation")
-        weights.append(u)
-    total = tuple(sum(col) for col in zip(*weights))
+    total = tuple(sum(col) for col in zip(*(v.w for v in vs)))
     order = MonomialOrder.weighted(total)
     base_lt = sorted(buchberger_reduced(ideal, order).leading_monomials())
-    for v, u in zip(vs, weights):
-        inu = initial_ideal(u, ideal)
+    for v in vs:
+        inu = initial_ideal(v.w, ideal)
         if sorted(buchberger_reduced(inu, order).leading_monomials()) != base_lt:
             raise ConeShareError(
                 f"{v.descriptor()} does not share the Groebner cone of the sum")
-    return Quasivaluation("oplus", ideal, w=total, parts=vs)
+    return Quasivaluation(ideal, " (+) ".join(v.descriptor() for v in vs),
+                          w=total)

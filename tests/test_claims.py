@@ -97,6 +97,38 @@ def test_epsilon_facts_with_A_of_size_d_is_unmet(twisted_cubic_generic, capsys):
     assert claim["evidence"]["reason"] == "|A| exceeds d - 1"
 
 
+# report params -> the verify flags that set them; the rest follow from the ideal
+PARAM_FLAGS = {"A": "--A", "i": "-i", "u": "-u", "w": "-w", "maxdeg": "--maxdeg",
+               "samples": "--samples", "samples_per_cone": "--samples-per-cone",
+               "seed": "--seed"}
+DERIVED_PARAMS = {"generators", "d", "powmax"}
+REPORT_TO_CLI = {"cm-fan-coincidence": "cm-fan", "radicality-spot": "radical-spot"}
+
+
+def test_claim_all_entries_match_single_claims(twisted_cubic_generic, capsys):
+    capsys.readouterr()
+    assert main(["verify", twisted_cubic_generic, "--claim", "all",
+                 "--maxdeg", "2", "--samples", "5"]) == 0
+    entries = json.loads(capsys.readouterr().out)["claims"]
+    checked = 0
+    for entry in entries:
+        if entry["claim"] == "genericity-audit":
+            continue
+        params = entry["params"]
+        assert set(params) <= set(PARAM_FLAGS) | DERIVED_PARAMS
+        flags = []
+        for key in sorted(set(params) & set(PARAM_FLAGS)):
+            value = params[key]
+            if key == "A":
+                value = ",".join(str(i) for i in value)
+            flags += [PARAM_FLAGS[key], str(value)]
+        name = REPORT_TO_CLI.get(entry["claim"], entry["claim"])
+        assert main(["verify", twisted_cubic_generic, "--claim", name] + flags) == 0
+        assert json.loads(capsys.readouterr().out)["claims"] == [entry]
+        checked += 1
+    assert checked == len(entries) - 1 > 20
+
+
 def _load_tracer():
     spec = importlib.util.spec_from_file_location(
         "perfbench_tracer", PERFBENCH / "tracer.py")

@@ -111,6 +111,68 @@ def test_parse_weight_and_subset():
         parse_subset("4", 3)
 
 
+@pytest.mark.parametrize("subset, literal", [("1,,2", "''"), ("x", "'x'")])
+def test_cli_verify_names_a_bad_subset(conic_path, capsys, subset, literal):
+    code = main(["verify", conic_path, "--claim", "gr-presentation", "--A", subset])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == (f"error: bad subset {subset!r}: invalid literal "
+                            f"for int() with base 10: {literal}\n")
+
+
+# -- options ----------------------------------------------------------------------
+
+IO = {"-h", "--help", "--cache-dir", "-o", "--output"}
+COUNTS = {"--seed", "--bound", "--maxdeg", "--samples", "--samples-per-cone"}
+
+# each command takes only the options it reads
+OPTIONS = {
+    "gb": IO | {"--order", "-w"},
+    "initial": IO | {"-w"},
+    "trop-member": IO | {"-w"},
+    "prime-check": IO | {"-w"},
+    "generic": IO | {"--seed", "--bound", "--audit-maxA", "--audit-subsets"},
+    "fan": IO | {"--seed", "--codim"},
+    "quasival": IO | {"--maxdeg", "-w", "--adic", "--deg", "--scale",
+                      "--elements"},
+    "verify": IO | COUNTS | {"--claim", "--A", "-w", "-u", "-i", "--index"},
+    "audit-cm": IO | COUNTS,
+    "report": {"-h", "--help"},
+}
+
+
+def _commands():
+    (sub,) = [a for a in tropcm.cli.build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+def test_each_command_takes_the_options_it_reads():
+    options = {name: {flag for action in parser._actions
+                      for flag in action.option_strings}
+               for name, parser in _commands().items()}
+    assert options == OPTIONS
+    # the seven options every command used to take fill 32 slots, not 63
+    common = COUNTS | {"--cache-dir", "--output"}
+    assert sum(len(common & flags) for flags in options.values()) == 32
+
+
+@pytest.mark.parametrize("argv", [
+    ["gb", "--seed", "3"],
+    ["quasival", "--deg", "--samples", "5"],
+    ["prime-check", "--maxdeg", "2"],
+    ["fan", "--bound", "5"],
+    ["quasival", "-w", "1,0,0", "--adic", "1"],
+    ["quasival"],
+], ids=lambda argv: " ".join(argv))
+def test_cli_usage_errors_exit_2_with_empty_stdout(conic_path, capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv[:1] + [conic_path] + argv[1:])
+    captured = capsys.readouterr()
+    assert exit_info.value.code == 2 and captured.out == ""
+    assert "error:" in captured.err
+
+
 # -- subcommands ------------------------------------------------------------------
 
 def test_cli_gb(conic_path, capsys):
@@ -401,6 +463,14 @@ def test_cli_verify_rejects_empty_sampling(conic_path, capsys, argv):
     assert captured.err.startswith("error:") and captured.out == ""
 
 
+@pytest.mark.parametrize("flag", ["--maxdeg", "--samples"])
+def test_cli_verify_rejects_a_negative_count(conic_path, capsys, flag):
+    code = main(["verify", conic_path, "--claim", "all", flag, "-1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {flag} must be non-negative\n"
+
+
 def test_cli_quasival_rejects_negative_maxdeg(conic_path, capsys):
     code = main(["quasival", conic_path, "--deg", "--maxdeg", "-1"])
     captured = capsys.readouterr()
@@ -546,9 +616,8 @@ class _DigestStream:
 def test_report_is_hashed_and_written_in_bounded_memory(conic_path,
                                                         monkeypatch):
     ideal = load_ideal_file(conic_path)
-    cfg = tropcm.cli.RunConfig(argparse.Namespace(
-        seed=42, bound=100, maxdeg=2, samples=5, samples_per_cone=3,
-        cache_dir=None, output=None))
+    args = argparse.Namespace(seed=42, bound=100, maxdeg=2, samples=5,
+                              samples_per_cone=3, cache_dir=None, output=None)
     # shaped like the well-poised evidence: cone samples holding Gram matrices
     samples = [{"A": [k % 7, k % 11], "verdict": "NotPrime",
                 "matrix": [[str(Fraction(k * i - j, 7 + i + j)) for j in range(6)]
@@ -561,8 +630,8 @@ def test_report_is_hashed_and_written_in_bounded_memory(conic_path,
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        body = tropcm.cli._report_payload(cfg, ideal, "synthetic", reports)
-        tropcm.cli._emit(body, argparse.Namespace(output=None))
+        body = tropcm.cli._report_payload(args, ideal, "synthetic", reports)
+        tropcm.cli._emit(body, args)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -169,6 +169,36 @@ def test_degree_oplus_weight_shifts_by_ones(conic):
         assert s.evaluate(f) == total.evaluate(f)
 
 
+PINNED_ELEMENTS = ("1", "x1", "x2", "x2^2", "x1*x2 + x3^2", "x1^2*x3 + x2",
+                   "x1*x3 - x2^2")
+
+
+@pytest.mark.parametrize("make, descriptor, values", [
+    (lambda ideal: scale(2, scale(Fraction(1, 2), Quasivaluation.adic(ideal, {0}))),
+     "2 (.) 1/2 (.) ord_{1}", "0 1 0 1 0 0 INFINITY"),
+    (lambda ideal: scale(0, Quasivaluation.weight(ideal, (1, 0, 2))),
+     "0 (.) v_w(1,0,2)", "0 0 0 0 0 0 INFINITY"),
+    (lambda ideal: scale(Fraction(3, 2), Quasivaluation.degree(ideal)),
+     "3/2 (.) deg", "0 3/2 3/2 3 3 3/2 INFINITY"),
+    (lambda ideal: oplus_in_cone([scale(2, Quasivaluation.weight(ideal, (1, 0, 0))),
+                                  Quasivaluation.weight(ideal, (1, 0, 1))]),
+     "2 (.) v_w(1,0,0) (+) v_w(1,0,1)", "0 3 0 4 2 0 INFINITY"),
+], ids=["adic-rescaled", "weight-times-zero", "degree-times-3/2", "oplus-scaled"])
+def test_scaled_and_summed_descriptors_and_values(conic, make, descriptor,
+                                                  values):
+    v = make(conic)
+    assert v.descriptor() == descriptor
+    assert [str(v.evaluate(parse_polynomial(t, R3)))
+            for t in PINNED_ELEMENTS] == values.split()
+
+
+def test_oplus_refuses_a_scaled_adic_summand(conic):
+    scaled = scale(2, Quasivaluation.adic(conic, {0}))
+    with pytest.raises(ConeShareError,
+                       match=r"^2 \(\.\) ord_\{1\} is not a weight-type"):
+        oplus_in_cone([Quasivaluation.weight(conic, (1, 0, 0)), scaled])
+
+
 def test_oplus_refuses_unshared_cones(conic):
     u = Quasivaluation.weight(conic, (1, 0, 0))
     w = Quasivaluation.weight(conic, (0, 1, 0))

@@ -8,7 +8,6 @@ import pytest
 
 from tropcm import (QQ, ConeCA, GenericityAudit, HilbertSeries, LinearChange,
                     PrimeField, PrimenessCertificate, Ring, VerificationReport)
-from tropcm.cli import RunConfig, build_parser
 from tropcm.generic import AuditCheck
 
 IDENTITY = tuple(tuple(Fraction(int(i == j)) for j in range(2)) for i in range(2))
@@ -72,13 +71,6 @@ def test_constructors_reject_bad_fields(build, message):
         build()
 
 
-@pytest.mark.parametrize("flag", ["--maxdeg", "--samples"])
-def test_run_config_rejects_negative_counts(flag):
-    args = build_parser().parse_args(["verify", "x.ideal", "--claim", "all", flag, "-1"])
-    with pytest.raises(ValueError, match=f"^{flag} must be non-negative$"):
-        RunConfig(args)
-
-
 def test_default_containers_are_not_shared():
     first, second = GenericityAudit(2, 0), GenericityAudit(2, 0)
     first.checks.append(AuditCheck((1,), 1, 1))
@@ -92,7 +84,6 @@ def test_default_containers_are_not_shared():
     Ring(("x",)), HilbertSeries((1,), 1), ConeCA(frozenset(), 1),
     LinearChange(IDENTITY, 0, 2), AuditCheck((), 1, 1), GenericityAudit(1, 0),
     VerificationReport("c", {}, "pass"), PrimenessCertificate("linear", {}),
-    RunConfig(build_parser().parse_args(["verify", "x.ideal", "--claim", "all"])),
 ], ids=lambda r: type(r).__name__)
 def test_records_are_slotted(record):
     assert not hasattr(record, "__dict__")
