@@ -412,7 +412,7 @@ def build_parser():
     p.add_argument("-w", default=None)
     p.add_argument("-u", default=None)
     p.add_argument("-i", "--index", type=int, default=None,
-                   help="1-based index inside A (iterated initials)")
+                   help="1-based index of a variable in A (iterated-initial)")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("audit-cm", parents=everything,

@@ -91,6 +91,8 @@ def save_ideal_file(ideal, path):
 
 def parse_weight(text, n):
     """Comma-separated rationals, e.g. ``1/2,0,3``."""
+    if not text.isascii():      # Fraction() also reads digits such as '١'
+        raise ValueError(f"bad weight vector {text!r}: digits must be ASCII")
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != n:
         raise ValueError(f"expected {n} weight entries, got {len(parts)}")
@@ -102,6 +104,8 @@ def parse_weight(text, n):
 
 def parse_subset(text, n):
     """Comma-separated 1-based indices to a 0-based frozenset; '' is empty."""
+    if not text.isascii():      # int() also reads digits such as '١'
+        raise ValueError(f"bad subset {text!r}: digits must be ASCII")
     text = text.strip()
     if not text:
         return frozenset()

@@ -5,7 +5,8 @@ ideals vs generators with x_A set to zero, Hilbert recursion vs basis
 equality, normal-form evaluation vs adic membership) and compares
 exactly.  Failed hypotheses are reported as such, never silently folded
 into pass or fail; verdicts are ``pass``, ``fail``, ``undetermined``
-(primeness outside certificate range) or ``hypothesis-not-met``.  Only the
+(primeness outside certificate range) or ``hypothesis-not-met``; the
+claims that cut by x_A all take theirs from one gate, ``_unmet``.  Only the
 two fan sweeps, which compare samples rather than two routes, reuse a
 weight basis across the weights of its Groebner cone (``groebner.rebase``,
 exact).
@@ -83,15 +84,17 @@ def _instance(ideal, **extra):
     return inst
 
 
-def _dimension_hypothesis(ideal, A, d):
-    """The audited regular-sequence condition: cutting by A drops dim by |A|.
-
-    k[x]/(I + <x_A>) is k[x]/I_A k[x] without the |A| free variables x_A.
-    """
-    if not A:
-        return True, d
-    actual = krull_dimension(eliminate(ideal, A)) - len(A)
-    return actual == d - len(A), actual
+def _unmet(ideal, A, d=None):
+    """Why a claim may not cut by x_A, or None when |A| <= d - 1 (if ``d`` is
+    given) and x_A is a regular sequence on R = k[x]/I.  For variables that is
+    HS(R/(x_A)R) = (1-t)^|A| HS(R) (proof in the README): I_A k[x], which
+    keeps x_A as free variables, has the Hilbert series of I."""
+    if d is not None and len(A) > d - 1:
+        return "|A| exceeds d - 1"
+    if hilbert_series_quotient(eliminate(ideal, A)) != hilbert_series_quotient(ideal):
+        return "not a regular sequence: " + ", ".join(
+            ideal.ring.names[i] for i in sorted(A))
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -103,16 +106,14 @@ def verify_initial_formula(ideal, A, w) -> VerificationReport:
     A = frozenset(A)
     d = krull_dimension(ideal)
     inst = _instance(ideal, A=_fmt_A(A), w=_fmt_w(w), d=d)
-    cone = ConeCA(A, n)
-    interior = cone_contains(cone, w, interior=True)
-    size_ok = len(A) <= d - 1
-    evidence = {"w_in_relative_interior": interior,
-                "regular_sequence_size_ok": size_ok,
+    if reason := ("w outside the relative interior of C_A"
+                  if not cone_contains(ConeCA(A, n), w, interior=True)
+                  else _unmet(ideal, A, d)):
+        return VerificationReport("initial-formula", inst, HYPOTHESIS,
+                                  {"reason": reason})
+    evidence = {"w_in_relative_interior": True,
+                "regular_sequence_size_ok": True,
                 "complement_bound_ok": (n - len(A)) <= n - d + 1}
-    if not interior or not size_ok:
-        evidence["reason"] = ("w outside the relative interior of C_A"
-                              if not interior else "|A| exceeds d - 1")
-        return VerificationReport("initial-formula", inst, HYPOTHESIS, evidence)
     lhs = initial_ideal(w, ideal)
     lhs_basis = evidence["initial_ideal_basis"] = _basis_strings(lhs)
     rhs_basis = evidence["eliminated_extension_basis"] = _basis_strings(
@@ -135,11 +136,9 @@ def verify_gr_presentation(ideal, A) -> VerificationReport:
     A = frozenset(A)
     d = krull_dimension(ideal)
     inst = _instance(ideal, A=_fmt_A(A), d=d)
-    dim_ok, actual = _dimension_hypothesis(ideal, A, d)
-    evidence = {"cut_dimension": actual, "expected_cut_dimension": d - len(A)}
-    if not dim_ok:
-        evidence["reason"] = "A does not cut the dimension as a regular sequence would"
-        return VerificationReport("gr-presentation", inst, HYPOTHESIS, evidence)
+    if reason := _unmet(ideal, A):
+        return VerificationReport("gr-presentation", inst, HYPOTHESIS,
+                                  {"reason": reason})
     eps = epsilon_vector(A, n)
     lhs_ideal = initial_ideal(eps, ideal)
     lhs_series = hilbert_series_quotient(lhs_ideal)
@@ -148,13 +147,15 @@ def verify_gr_presentation(ideal, A) -> VerificationReport:
     series_ok = lhs_series == rhs_series
     lhs_basis = _basis_strings(lhs_ideal)
     basis_ok = lhs_basis == _basis_strings(rhs_ideal)
-    evidence.update({
+    evidence = {
+        "cut_dimension": rhs_series.dimension() - len(A),
+        "expected_cut_dimension": d - len(A),
         "initial_series": str(lhs_series),
         "sliced_series_with_free_variables": str(rhs_series),
         "series_equal": series_ok,
         "basis_equal": basis_ok,
         "initial_ideal_basis": lhs_basis,
-    })
+    }
     verdict = PASS if (series_ok and basis_ok) else FAIL
     if verdict == FAIL:
         evidence["witness"] = ("Hilbert series differ" if not series_ok
@@ -171,9 +172,9 @@ def verify_iterated_initial(ideal, A, i) -> VerificationReport:
         raise ValueError("index must belong to A")
     d = krull_dimension(ideal)
     inst = _instance(ideal, A=_fmt_A(A), i=i + 1, d=d)
-    if len(A) > d - 1:
+    if reason := _unmet(ideal, A, d):
         return VerificationReport("iterated-initial", inst, HYPOTHESIS,
-                                  {"reason": "|A| exceeds d - 1"})
+                                  {"reason": reason})
     step = initial_ideal(epsilon_vector([i], n), ideal)
     lhs = initial_ideal(epsilon_vector(A - {i}, n), step)
     rhs = initial_ideal(epsilon_vector(A, n), ideal)
@@ -216,17 +217,13 @@ def verify_quasival_decomposition(ideal, A, w, maxdeg=4, samples=50,
     ring = ideal.ring
     n = ring.nvars
     A = frozenset(A)
-    d = krull_dimension(ideal)
     w = tuple(Fraction(x) for x in w)
     inst = _instance(ideal, A=_fmt_A(A), w=_fmt_w(w), maxdeg=maxdeg,
                      samples=samples, seed=seed)
-    cone = ConeCA(A, n)
-    dim_ok, actual = _dimension_hypothesis(ideal, A, d)
-    if not cone_contains(cone, w, interior=False) or not dim_ok:
-        reason = ("w outside C_A" if not cone_contains(cone, w)
-                  else "A does not cut dimension like a regular sequence")
+    if reason := ("w outside C_A" if not cone_contains(ConeCA(A, n), w)
+                  else _unmet(ideal, A)):
         return VerificationReport("quasival-decomposition", inst, HYPOTHESIS,
-                                  {"reason": reason, "cut_dimension": actual})
+                                  {"reason": reason})
     vw = Quasivaluation.weight(ideal, w)
     iw, scale = integer_weight(w)
     lo = min(iw)
@@ -318,21 +315,19 @@ def verify_weight_sum(ideal, u, w, maxdeg=4) -> VerificationReport:
 
 
 def verify_epsilon_facts(ideal, A) -> VerificationReport:
-    """eps_A lies in the tropical variety and v_{eps_A}(x_i) = (eps_A)_i."""
+    """eps_A lies in the tropical variety and v_{eps_A}(x_i) = (eps_A)_i.
+
+    With x_A, x_j regular for every j outside A, no minimal prime of
+    I + <x_A> holds a variable, so in_eps(I) = I_A k[x] holds no monomial."""
     ring = ideal.ring
     n = ring.nvars
     A = frozenset(A)
     inst = _instance(ideal, A=_fmt_A(A))
-    d = krull_dimension(ideal)
-    if len(A) > d - 1:
+    if reason := _unmet(ideal, A, krull_dimension(ideal)) or next(
+            filter(None, (_unmet(ideal, A | {j})
+                          for j in range(n) if j not in A)), None):
         return VerificationReport("epsilon-facts", inst, HYPOTHESIS,
-                                  {"reason": "|A| exceeds d - 1"})
-    dim_ok, actual = _dimension_hypothesis(ideal, A, d)
-    if not dim_ok:
-        return VerificationReport(
-            "epsilon-facts", inst, HYPOTHESIS,
-            {"reason": "A does not cut dimension like a regular sequence",
-             "cut_dimension": actual, "expected_cut_dimension": d - len(A)})
+                                  {"reason": reason})
     eps = epsilon_vector(A, n)
     member = trop_membership(eps, ideal)
     veps = Quasivaluation.weight(ideal, eps)

@@ -120,6 +120,22 @@ def test_cli_verify_names_a_bad_subset(conic_path, capsys, subset, literal):
                             f"for int() with base 10: {literal}\n")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["initial", "-w", "١,0,0"], "bad weight vector '١,0,0'"),
+    (["trop-member", "-w", "1,٠,0"], "bad weight vector '1,٠,0'"),
+    (["verify", "--claim", "gr-presentation", "--A", "١"], "bad subset '١'"),
+    (["verify", "--claim", "weight-sum", "-u", "1,0,0", "-w", "２,0,0"],
+     "bad weight vector '２,0,0'"),
+    (["quasival", "--adic", "1,３"], "bad subset '1,３'"),
+])
+def test_cli_flags_refuse_non_ascii_digits(conic_path, capsys, argv, message):
+    # int() and Fraction() read these digits; flags take ASCII, as files do
+    code = main(argv[:1] + [conic_path] + argv[1:])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {message}: digits must be ASCII\n"
+
+
 # -- options ----------------------------------------------------------------------
 
 IO = {"-h", "--help", "--cache-dir", "-o", "--output"}
@@ -354,12 +370,14 @@ def test_cli_audit_cm_warm_cache_repeats_the_report(e_rnc4_generic, tmp_path,
 
 
 def test_cli_verify_fail_exit_code(tmp_path, capsys):
-    path = tmp_path / "mono.ideal"
-    path.write_text("vars: x1 x2 x3\nx1*x2\n")
-    code, data = run_json(capsys, ["verify", "--claim", "cor-initial",
-                                   "--A", "1", "-w", "1,0,0", str(path)])
+    # a counterexample: x1 lies in rad(<x1^2>) but not in <x1^2>
+    path = tmp_path / "square.ideal"
+    path.write_text("vars: x1 x2 x3\nx1^2\n")
+    code, data = run_json(capsys, ["verify", "--claim", "radical-spot",
+                                   str(path)])
     assert code == 1
-    assert data["claims"][0]["verdict"] == "fail"
+    (claim,) = data["claims"]
+    assert claim["verdict"] == "fail" and claim["evidence"]["witness"] == "x1"
 
 
 def test_cli_verify_deterministic_reports(conic_path, capsys):

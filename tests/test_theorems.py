@@ -36,16 +36,16 @@ def test_initial_formula_hypothesis_violations(e_conic):
     assert rep.verdict == HYPOTHESIS
     rep = verify_initial_formula(e_conic, frozenset({0, 1}), (2, 1, 0))
     assert rep.verdict == HYPOTHESIS
-    assert rep.evidence["regular_sequence_size_ok"] is False
+    assert rep.evidence["reason"] == "|A| exceeds d - 1"
 
 
-def test_initial_formula_fails_off_generic_position():
+def test_initial_formula_unmet_off_generic_position():
     # x1 is a zero divisor mod <x1*x2>, so the cut is not a regular sequence
-    # and the two routes genuinely disagree
+    # and the formula's hypothesis fails, although |A| = 1 <= d - 1
     I = ideal_from(R3, "x1*x2")
     rep = verify_initial_formula(I, frozenset({0}), (1, 0, 0))
-    assert rep.verdict == FAIL
-    assert "witness" in rep.evidence
+    assert rep.verdict == HYPOTHESIS
+    assert rep.evidence == {"reason": "not a regular sequence: x1"}
 
 
 def test_initial_formula_all_maximal_cones_plucker(e_pluck_generic):
@@ -197,17 +197,17 @@ def test_epsilon_facts_on_generic_corpus(generic_corpus):
         assert rep.verdict == PASS, (name, rep.evidence)
 
 
-def test_epsilon_facts_fail_with_witness():
-    # the untransformed conic passes the dimension gate, yet eps_{1} misses
-    # the tropical variety: in_eps is generated by a monomial
+def test_epsilon_facts_unmet_on_the_raw_conic():
+    # x1 is regular on the untransformed conic, but x1, x2 is not: in_eps is
+    # generated by the monomial x2^2, so eps_{1} misses the tropical variety
     I = ideal_from(R3, "x1*x3 - x2^2")
     rep = verify_epsilon_facts(I, frozenset({0}))
-    assert rep.verdict == FAIL
-    assert "witness" in rep.evidence
+    assert rep.verdict == HYPOTHESIS
+    assert rep.evidence == {"reason": "not a regular sequence: x1, x2"}
 
 
 def test_epsilon_facts_hypothesis_gate():
-    # cutting <x1*x2> by x1 does not drop the dimension
+    # x1 is a zero divisor mod <x1*x2>, so x1 is not a regular sequence
     I = ideal_from(R3, "x1*x2")
     rep = verify_epsilon_facts(I, frozenset({0}))
     assert rep.verdict == HYPOTHESIS
