@@ -24,7 +24,7 @@ from .ideal_io import (IdealFileError, gb_to_dict, load_ideal_file,
 from .orders import GREVLEX, LEX, MonomialOrder
 from .polynomials import ParseError, parse_polynomial
 from .quasival import Quasivaluation, scale, standard_basis_slice
-from .theorems import (FAIL, VerificationReport, cm_fan_audit,
+from .theorems import (FAIL, VerificationReport, _fmt_w, cm_fan_audit,
                        primeness_check, radicality_spot_check,
                        verify_epsilon_facts, verify_gr_presentation,
                        verify_initial_formula, verify_iterated_initial,
@@ -106,7 +106,7 @@ def cmd_initial(args):
     w = parse_weight(args.w, ideal.ring.nvars)
     inw = initial_ideal(w, ideal)
     gb = buchberger_reduced(inw, GREVLEX)
-    _emit({"w": args.w, **gb_to_dict(gb)}, args)
+    _emit({"w": _fmt_w(w), **gb_to_dict(gb)}, args)
     return 0
 
 
@@ -116,7 +116,7 @@ def cmd_trop_member(args):
     inw = initial_ideal(w, ideal)
     witness = contains_monomial(inw)
     member = witness is None
-    _emit({"w": args.w, "member": member,
+    _emit({"w": _fmt_w(w), "member": member,
            "witness": str(ideal.ring.monomial(witness)) if witness else None},
           args)
     return 0

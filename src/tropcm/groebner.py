@@ -382,10 +382,11 @@ class Ideal:
     """Homogeneous ideal given by generators; zero generators are dropped.
 
     ``_basis`` is a reduced basis known when the ideal was made, or None;
-    ``initial_ideal`` sets it.
+    ``initial_ideal`` sets it.  ``_truncations`` holds the ideals
+    <x_A>^r + I by ``(A, r)`` once ``quasival.adic_order`` has asked.
     """
 
-    __slots__ = ("ring", "generators", "_gen_key", "_basis")
+    __slots__ = ("ring", "generators", "_gen_key", "_basis", "_truncations")
 
     def __init__(self, ring, generators):
         gens = []
@@ -399,7 +400,7 @@ class Ideal:
             gens.append(g)
         self.ring = ring
         self.generators = tuple(gens)
-        self._gen_key = self._basis = None
+        self._gen_key = self._basis = self._truncations = None
 
     def is_zero(self):
         return not self.generators

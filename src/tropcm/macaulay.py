@@ -11,6 +11,9 @@ ideal, which is the independent oracle for in_w computations.
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import gcd, lcm
+
 from .orders import GREVLEX, MonomialOrder
 from .polynomials import Polynomial, mono_mul, monomials_of_degree
 
@@ -19,32 +22,43 @@ def row_echelon(rows):
     """(nonzero rows of the reduced row echelon form, pivot columns).
 
     The input rows are copied, not changed; the rank is the number of pivots.
+    Over Q the elimination runs on primitive integer rows, cross-multiplied,
+    and each row is divided by its pivot once at the end.
     """
-    rows = [list(r) for r in rows]
+    rational = all(type(x) is Fraction for row in rows for x in row)
+    rows = [_integral(r) if rational else list(r) for r in rows]
     pivots = []
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                pivot = i
-                break
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        top = rows[r]
+        pv = top[c]
+        if not rational:
+            top = rows[r] = [x / pv for x in top]
+        for i, row in enumerate(rows):
+            if i != r and row[c]:
+                f = row[c]
+                rows[i] = (_primitive([pv * a - f * b for a, b in zip(row, top)])
+                           if rational else [a - f * b for a, b in zip(row, top)])
         pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return [row for row in rows[:r] if any(row)], pivots
+    if rational:
+        return [[Fraction(a, row[c]) for a in row]
+                for row, c in zip(rows, pivots)], pivots
+    return rows[:len(pivots)], pivots
+
+
+def _primitive(row):
+    k = gcd(*row)
+    return [a // k for a in row] if k > 1 else row
+
+
+def _integral(row):
+    """The primitive integer multiple of a row of Fractions."""
+    den = lcm(*(x.denominator for x in row))
+    return _primitive([x.numerator * (den // x.denominator) for x in row])
 
 
 def _column_basis(n, degree, order):

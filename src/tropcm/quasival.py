@@ -83,25 +83,27 @@ def _power_generators(ring, A, r):
 
 
 def adic_order(A, f, ideal):
-    """Largest r with f in <x_i : i in A>^r + I; INFINITY on the kernel.
+    """Largest r with f in K_r = <x_i : i in A>^r + I; INFINITY on the kernel.
 
-    Bounded linear search downward from deg(f): the ideal is generated in
-    degree one, so the order of a degree-m element never exceeds m.
+    Linear search upward from the least A-degree of a term of f, where f
+    lies in K_r already.  In degree m = deg(f), K_(m+1) is I, so f in K_m is
+    in the kernel exactly when it is in I.  The ideal keeps its K_r.
     """
     if f.is_zero():
         return INFINITY
     if not f.is_homogeneous():
         raise ValueError("adic order is defined degreewise; split f first")
-    if ideal_membership(f, ideal):
-        return INFINITY
     ring = f.ring
-    A = sorted(set(A))
+    A = tuple(sorted(set(A)))
     m = f.degree()
-    for r in range(m, 0, -1):
-        K = Ideal(ring, _power_generators(ring, A, r) + list(ideal.generators))
-        if ideal_membership(f, K):
-            return r
-    return 0
+    kept = ideal._truncations = ideal._truncations or {}
+    for r in range(min(sum(t[i] for i in A) for t in f.terms) + 1, m + 1):
+        if (A, r) not in kept:
+            kept[A, r] = Ideal(ring, _power_generators(ring, A, r)
+                               + list(ideal.generators))
+        if not ideal_membership(f, kept[A, r]):
+            return r - 1
+    return INFINITY if ideal_membership(f, ideal) else m
 
 
 def standard_basis_slice(ideal, order, degree):

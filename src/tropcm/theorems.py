@@ -579,7 +579,8 @@ def well_poised_check(ideal, samples_per_cone=3, seed=0) -> VerificationReport:
 
 
 def cm_fan_audit(ideal, samples_per_cone=3, seed=0) -> VerificationReport:
-    """Constancy of the initial ideal on the interior of each maximal cone."""
+    """Constancy of the initial ideal on the interior of each maximal cone;
+    on a cone where it fails, ``_unmet`` may name an unmet hypothesis."""
     if samples_per_cone < 1:
         raise ValueError("samples_per_cone must be at least 1")
     n = ideal.ring.nvars
@@ -597,6 +598,10 @@ def cm_fan_audit(ideal, samples_per_cone=3, seed=0) -> VerificationReport:
             if base is None:
                 base, base_w = basis, w
             elif basis != base:
+                if reason := _unmet(ideal, cone.A, d):
+                    return VerificationReport(
+                        "cm-fan-coincidence", inst, HYPOTHESIS,
+                        {"reason": reason, "cone": list(cone.label())})
                 return VerificationReport(
                     "cm-fan-coincidence", inst, FAIL,
                     {"witness_cone": list(cone.label()),

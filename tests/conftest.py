@@ -5,10 +5,10 @@ from fractions import Fraction
 import pytest
 
 import tropcm.cache
-from tropcm import (GREVLEX, Ideal, MonomialOrder, apply_change,
-                    buchberger_reduced, default_ring, parse_polynomial,
-                    random_gl)
-from tropcm.polynomials import mono_div, mono_divides
+from tropcm import (GREVLEX, INFINITY, Ideal, MonomialOrder, apply_change,
+                    buchberger_reduced, default_ring, ideal_membership,
+                    parse_polynomial, random_gl)
+from tropcm.polynomials import mono_div, mono_divides, monomials_of_degree
 
 SEED = 42
 BOUND = 100
@@ -90,6 +90,45 @@ def fraction_normal_form(f, basis, order):
             term = ring.monomial(m, c)
             rem, p = rem + term, p - term
     return rem
+
+
+def downward_adic_order(A, f, ideal):
+    """Reference order of f along <x_A> modulo I: the search that
+    ``quasival.adic_order`` replaced, which tests I, then <x_A>^r + I for
+    r = deg(f), deg(f) - 1, ..., 1, and returns the first r that holds f."""
+    if f.is_zero() or ideal_membership(f, ideal):
+        return INFINITY
+    ring = f.ring
+    A = sorted(set(A))
+    for r in range(f.degree(), 0, -1):
+        powers = [ring.monomial(m) for m in monomials_of_degree(ring.nvars, r)
+                  if not any(e for k, e in enumerate(m) if k not in A)]
+        if A and ideal_membership(f, Ideal(ring, powers + list(ideal.generators))):
+            return r
+    return 0
+
+
+def field_row_echelon(rows):
+    """Reference reduced row echelon form: the field loop, one division by
+    the pivot per row and one subtraction per eliminated entry, that
+    ``macaulay.row_echelon`` keeps for F_p; (nonzero rows, pivot columns)."""
+    rows = [list(r) for r in rows]
+    pivots = []
+    r = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        pv = rows[r][c]
+        rows[r] = [x / pv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return rows[:r], pivots
 
 
 @pytest.fixture()

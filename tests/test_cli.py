@@ -234,6 +234,16 @@ def test_cli_trop_member(conic_path, capsys):
     assert data["member"] is True
 
 
+@pytest.mark.parametrize("command", ["initial", "trop-member"])
+def test_cli_weight_echo_is_the_parsed_weight(conic_path, capsys, command):
+    outs = []
+    for w in ("2/4,0,0", "1/2,0,0"):
+        assert main([command, conic_path, "-w", w]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["w"] == "1/2,0,0"
+
+
 def test_cli_generic_writes_ideal_and_audit(conic_path, tmp_path, capsys):
     out = tmp_path / "generic.ideal"
     code, data = run_json(capsys, ["generic", conic_path, "--seed", "42",
@@ -417,6 +427,18 @@ def test_cli_audit_cm_is_verify_cm_fan(path, request, capsys, fresh_cache):
         fresh_cache()
         runs.append((main(argv), capsys.readouterr()))
     assert runs[0] == runs[1]
+
+
+def test_cli_cm_fan_off_generic_position_is_an_unmet_hypothesis(pluck_path,
+                                                                  capsys):
+    # the raw Pluecker quadric: samples of cone [1,2,3,4] disagree, and
+    # x1, ..., x4 is no regular sequence there, so that is not a counterexample
+    code, data = run_json(capsys, ["verify", pluck_path, "--claim", "cm-fan"])
+    assert code == 0
+    (claim,) = data["claims"]
+    assert claim["verdict"] == "hypothesis-not-met"
+    assert claim["evidence"] == {"reason": "not a regular sequence: x1, x2, x3, x4",
+                                 "cone": [1, 2, 3, 4]}
 
 
 def test_cli_prime_check(conic_path, capsys):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +15,7 @@ from tropcm import (GREVLEX, INFINITY, ConeShareError, MonomialOrder,
 from tropcm.polynomials import monomials_of_degree
 from tropcm.theorems import _random_homogeneous
 
-from conftest import fraction_weight_value, ideal_from
+from conftest import downward_adic_order, fraction_weight_value, ideal_from
 
 R3 = default_ring(3)
 R4 = default_ring(4)
@@ -113,6 +114,35 @@ def test_adic_matches_epsilon_weight_on_standard_monomials(e_quad4_generic):
         for mono in standard_basis_slice(e_quad4_generic, order, deg):
             b = ring.monomial(mono)
             assert veps.evaluate(b) == adic_order(A, b, e_quad4_generic)
+
+
+@pytest.fixture(scope="module")
+def adic_corpus(conic, e_rnc4_generic, e_pluck_generic):
+    return {"conic": conic,
+            "twisted-cubic": ideal_from(R4, "x1*x3 - x2^2", "x2*x4 - x3^2",
+                                        "x1*x4 - x2*x3"),
+            "x1*x2, x3^2": ideal_from(R3, "x1*x2", "x3^2"),
+            "rnc4-generic": e_rnc4_generic,
+            "g24-generic": e_pluck_generic}
+
+
+@pytest.mark.parametrize("name", ["conic", "twisted-cubic", "x1*x2, x3^2",
+                                  "rnc4-generic", "g24-generic"])
+def test_adic_order_matches_the_downward_search(adic_corpus, name):
+    ideal = adic_corpus[name]
+    ring = ideal.ring
+    n = ring.nvars
+    rng = random.Random(repr(("adic", name)))
+    g = ideal.generators[0]
+    elements = [ring.zero(), ring.one(), ring.field.coerce(-3) * ring.one(),
+                g, ring.variable(n - 1) * g, g + ring.variable(0) ** 2]
+    elements += [ring.variable(i) for i in range(n)]
+    elements += [ring.monomial(m) for m in rng.sample(monomials_of_degree(n, 2), 4)]
+    elements += [_random_homogeneous(ring, rng, 3) for _ in range(4)]
+    subsets = [A for k in range(4) for A in combinations(range(n), k)]
+    for A in rng.sample(subsets, min(len(subsets), 12)) + [(), (0, 1, 2)]:
+        for f in elements:
+            assert adic_order(A, f, ideal) == downward_adic_order(A, f, ideal), (A, str(f))
 
 
 # -- scaling and sums -------------------------------------------------------------

@@ -68,3 +68,32 @@ def test_verify_rnc4_report_keeps_its_digest(tmp_path, monkeypatch, capsys):
     report = json.loads(capsys.readouterr().out)
     assert checks.verdict_counts(report) == RNC4_VERDICTS
     assert checks.normalized_digest(report) == RNC4_DIGEST
+
+
+# the seed-42 generic G(2,4) over F_32003: every claim on the field path,
+# where row echelon keeps its field loop
+G24_FP_DIGEST = "63e5966fc20e657d6ab0401144ffaecf4b8155e077ba0b86bfa525caad8f3054"
+G24_FP_VERDICTS = {
+    "cm-fan-coincidence:pass": 1, "epsilon-facts:pass": 20,
+    "genericity-audit:pass": 1, "gr-presentation:pass": 20,
+    "initial-formula:pass": 20, "iterated-initial:pass": 3,
+    "quasival-decomposition:pass": 3, "radicality-spot:pass": 1,
+    "weight-sum:pass": 3, "well-poised:pass": 1,
+}
+
+
+def test_verify_g24_over_a_prime_field_keeps_its_digest(tmp_path, monkeypatch,
+                                                        capsys):
+    instances = _perfbench_module("instances")
+    checks = _perfbench_module("checks")
+    monkeypatch.chdir(tmp_path)
+    raw = instances.raw_text(instances.pluecker_g24)
+    (tmp_path / "g24fp.raw.ideal").write_text(
+        raw.replace("field: Q\n", "field: Fp:32003\n"))
+    assert main(instances.generic_args("g24fp.raw.ideal", "g24fp.ideal", 42)) == 0
+    instances.check_generic_summary(capsys.readouterr().out, 42)
+    assert main(["verify", "g24fp.ideal", "--claim", "all", "--maxdeg", "2"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["field"] == "Fp:32003"
+    assert checks.verdict_counts(report) == G24_FP_VERDICTS
+    assert checks.normalized_digest(report) == G24_FP_DIGEST

@@ -1,6 +1,7 @@
 import pytest
 
 import tropcm.groebner
+import tropcm.theorems
 from tropcm import (ConeCA, Ideal, apply_change, cm_fan_audit, default_ring,
                     epsilon_vector, hilbert_series_quotient, initial_ideal,
                     parse_polynomial, primeness_check, radicality_spot_check,
@@ -393,11 +394,19 @@ def test_cm_fan_audit_single_sample_flagged(e_conic_generic):
     assert "insufficient sampling" in rep.evidence["note"]
 
 
-def test_cm_fan_audit_detects_non_constant_cone():
-    # not in generic position: in_w(x1*x2 + x3*x4) flips within one cone
+def test_cm_fan_audit_detects_non_constant_cone(monkeypatch):
+    # not in generic position: in_w(x1*x2 + x3*x4) flips within one cone,
+    # whose x_A is no regular sequence, so the claim does not apply there
     I = ideal_from(R4, "x1*x2 + x3*x4")
     rep = cm_fan_audit(I, samples_per_cone=3, seed=0)
+    assert rep.verdict == HYPOTHESIS
+    assert rep.evidence == {"reason": "not a regular sequence: x1, x3",
+                            "cone": [1, 3]}
+    # with the hypothesis met, the same flip is a counterexample
+    monkeypatch.setattr(tropcm.theorems, "_unmet", lambda ideal, A, d=None: None)
+    rep = cm_fan_audit(I, samples_per_cone=3, seed=0)
     assert rep.verdict == FAIL
+    assert rep.evidence["witness_cone"] == [1, 3]
     assert rep.evidence["basis1"] != rep.evidence["basis2"]
 
 
@@ -410,4 +419,6 @@ def test_cm_fan_audit_flags_depth_deficient_instance():
     skew = ideal_from(R6, *gens)
     S = apply_change(random_gl(6, seed=5, bound=7), skew)
     rep = cm_fan_audit(S, samples_per_cone=3, seed=11)
-    assert rep.verdict == FAIL
+    assert rep.verdict == HYPOTHESIS
+    assert rep.evidence == {"reason": "not a regular sequence: x1, x2",
+                            "cone": [1, 2]}
