@@ -1,12 +1,12 @@
 """One basis cache per process: an in-memory map with an optional disk mirror.
 
-Keys combine the ring descriptor, a hash of the generating data, and the
-order descriptor.  Verification suites recompute the same bases heavily,
-so hits matter.  Memory holds parsed basis objects, so a hit costs a dict
-lookup; the disk mirror (text JSON, one file per basis) makes them survive
-across runs.  A disk entry is parsed once, on its first lookup; an
+A key is the pair (generator key of the ideal, order descriptor), so a
+hit costs one dict lookup.  Verification suites recompute the same bases
+heavily, so hits matter.  The disk mirror (text JSON, one file per basis,
+named by ``digest(*key)``, computed only with a directory set) makes them
+survive across runs.  A disk entry is parsed once, on its first lookup; an
 unreadable one, or one written for another ring or order, counts as a
-miss.  All access goes through one lock, and each write renames a
+miss.  Disk access goes through one lock, and each write renames a
 temporary file of its own, so processes can share a directory.
 """
 
@@ -46,22 +46,23 @@ class GBCache:
         self._lock = threading.Lock()
 
     def _path(self, key):
-        return os.path.join(self.directory, key + ".json")
+        return os.path.join(self.directory, digest(*key) + ".json")
 
     def get(self, key, load, meta):
         """The basis cached under ``key``, or None.
 
-        A disk entry becomes a basis through ``load(strings)`` and is then
-        kept in memory.  An entry that cannot be read, lacks a list of
-        strings under ``basis``, lacks or differs from any field of
-        ``meta`` (the fields ``put`` writes beside the basis), or that
-        ``load`` rejects with a ``ValueError`` is a miss; the caller's next
-        ``put`` overwrites it.
+        With a directory set, a disk entry becomes a basis through
+        ``load(strings)`` and is then kept in memory; without one, callers
+        pass None for ``load`` and ``meta``.  An entry that cannot be read,
+        lacks a list of strings under ``basis``, lacks or differs from any
+        field of ``meta`` (the fields ``put`` writes beside the basis), or
+        that ``load`` rejects with a ``ValueError`` is a miss; the caller's
+        next ``put`` overwrites it.
         """
+        hit = self._mem.get(key)
+        if hit is not None or not self.directory:
+            return hit
         with self._lock:
-            hit = self._mem.get(key)
-            if hit is not None or not self.directory:
-                return hit
             path = self._path(key)
             if not os.path.exists(path):
                 return None
@@ -80,16 +81,17 @@ class GBCache:
             return basis
 
     def put(self, key, basis, meta):
-        with self._lock:
-            self._mem[key] = basis
-            if self.directory:
+        self._mem[key] = basis
+        if self.directory:
+            with self._lock:
                 os.makedirs(self.directory, exist_ok=True)
                 payload = {"basis": basis.strings(), **meta}
                 # unique to this process and cache; the lock serialises threads
-                tmp = f"{self._path(key)}.{os.getpid()}.{id(self)}.tmp"
+                path = self._path(key)
+                tmp = f"{path}.{os.getpid()}.{id(self)}.tmp"
                 with open(tmp, "w", encoding="utf-8") as fh:
                     json.dump(payload, fh, indent=1, sort_keys=True)
-                os.replace(tmp, self._path(key))
+                os.replace(tmp, path)
 
 
 _default = GBCache(directory=os.environ.get(_ENV_VAR) or None)

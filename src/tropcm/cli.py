@@ -340,101 +340,102 @@ def _report_lines(body):
 # ---------------------------------------------------------------------------
 # parser
 
-def _options(*flags):
-    """A parent parser of integer options, from (flag, default) pairs."""
-    parent = argparse.ArgumentParser(add_help=False)
-    for flag, default in flags:
-        parent.add_argument(flag, type=int, default=default)
-    return parent
+# integer option groups: flag and default
+_COUNTS = {"seed": (("--seed", 42),), "bound": (("--bound", 100),),
+           "maxdeg": (("--maxdeg", 4),),
+           "samples": (("--samples", 50), ("--samples-per-cone", 3))}
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
+class _OneCommandParser(argparse.ArgumentParser):
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
+def build_parser(command=None):
+    """The parser of every command; with ``command``, only its subparser is
+    built, and a usage error raises ``ArgumentError`` instead of exiting."""
+    parser = (_OneCommandParser if command else argparse.ArgumentParser)(
         prog="tropcm",
         description="Exact workbench for generic tropical initial ideals")
-    # each command takes the option groups it reads and refuses the others;
-    # verify and audit-cm take them all, as their report config records them
-    io = argparse.ArgumentParser(add_help=False)
-    io.add_argument("ideal")
-    io.add_argument("--cache-dir", dest="cache_dir", default=None,
-                    help="directory for the persisted basis cache")
-    io.add_argument("-o", "--output", default=None,
-                    help="write JSON here instead of stdout")
-    seed, bound = _options(("--seed", 42)), _options(("--bound", 100))
-    maxdeg = _options(("--maxdeg", 4))
-    samples = _options(("--samples", 50), ("--samples-per-cone", 3))
-    everything = [io, seed, bound, maxdeg, samples]
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gb", parents=[io], help="reduced Groebner basis")
-    p.add_argument("--order", choices=["grevlex", "lex"], default="grevlex")
-    p.add_argument("-w", default=None, help="weight vector refining the order")
-    p.set_defaults(func=cmd_gb)
+    def add(name, func, text, *groups, **defaults):
+        """The subparser of ``name`` with the ideal, its output options and
+        the integer option ``groups``; None when another command is built."""
+        if command not in (None, name):
+            return None
+        p = sub.add_parser(name, help=text)
+        p.add_argument("ideal")
+        p.add_argument("--cache-dir", dest="cache_dir", default=None,
+                       help="directory for the persisted basis cache")
+        p.add_argument("-o", "--output", default=None,
+                       help="write JSON here instead of stdout")
+        for group in groups:
+            for flag, default in _COUNTS[group]:
+                p.add_argument(flag, type=int, default=default)
+        p.set_defaults(func=func, **defaults)
+        return p
 
-    p = sub.add_parser("initial", parents=[io], help="initial ideal in_w(I)")
-    p.add_argument("-w", required=True)
-    p.set_defaults(func=cmd_initial)
-
-    p = sub.add_parser("trop-member", parents=[io],
-                       help="does w lie in Trop(I)?")
-    p.add_argument("-w", required=True)
-    p.set_defaults(func=cmd_trop_member)
-
-    p = sub.add_parser("generic", parents=[io, seed, bound],
-                       help="seeded change of coordinates plus audit; "
-                            "-o names the transformed ideal file")
-    p.add_argument("--audit-maxA", dest="audit_maxA", type=int, default=None)
-    p.add_argument("--audit-subsets", dest="audit_subsets", type=int,
-                   default=20)
-    p.set_defaults(func=cmd_generic)
-
-    p = sub.add_parser("fan", parents=[io, seed],
-                       help="per-cone initial data on one fan stratum")
-    p.add_argument("--codim", type=int, default=0)
-    p.set_defaults(func=cmd_fan)
-
-    p = sub.add_parser("quasival", parents=[io, maxdeg],
-                       help="value table of a quasivaluation")
-    kind = p.add_mutually_exclusive_group(required=True)
-    kind.add_argument("-w", default=None)
-    kind.add_argument("--adic", default=None, help="subset for the adic order")
-    kind.add_argument("--deg", action="store_true",
-                      help="degree quasivaluation")
-    p.add_argument("--scale", default=None, help="non-negative rational factor")
-    p.add_argument("--elements", default=None,
-                   help="semicolon-separated polynomials to evaluate")
-    p.set_defaults(func=cmd_quasival)
-
-    p = sub.add_parser("verify", parents=everything,
-                       help="run one claim (or all) and emit a report")
-    p.add_argument("--claim", required=True)
-    p.add_argument("--A", default=None, help="comma-separated 1-based subset")
-    p.add_argument("-w", default=None)
-    p.add_argument("-u", default=None)
-    p.add_argument("-i", "--index", type=int, default=None,
-                   help="1-based index of a variable in A (iterated-initial)")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("audit-cm", parents=everything,
-                       help="initial-ideal constancy per maximal cone")
+    # each command takes the option groups it reads and refuses the others;
+    # verify and audit-cm take them all, as their report config records them
+    if p := add("gb", cmd_gb, "reduced Groebner basis"):
+        p.add_argument("--order", choices=["grevlex", "lex"], default="grevlex")
+        p.add_argument("-w", default=None, help="weight vector refining the order")
+    if p := add("initial", cmd_initial, "initial ideal in_w(I)"):
+        p.add_argument("-w", required=True)
+    if p := add("trop-member", cmd_trop_member, "does w lie in Trop(I)?"):
+        p.add_argument("-w", required=True)
+    if p := add("generic", cmd_generic, "seeded change of coordinates plus "
+                "audit; -o names the transformed ideal file", "seed", "bound"):
+        p.add_argument("--audit-maxA", dest="audit_maxA", type=int, default=None)
+        p.add_argument("--audit-subsets", dest="audit_subsets", type=int,
+                       default=20)
+    if p := add("fan", cmd_fan, "per-cone initial data on one fan stratum",
+                "seed"):
+        p.add_argument("--codim", type=int, default=0)
+    if p := add("quasival", cmd_quasival, "value table of a quasivaluation",
+                "maxdeg"):
+        kind = p.add_mutually_exclusive_group(required=True)
+        kind.add_argument("-w", default=None)
+        kind.add_argument("--adic", default=None, help="subset for the adic order")
+        kind.add_argument("--deg", action="store_true",
+                          help="degree quasivaluation")
+        p.add_argument("--scale", default=None,
+                       help="non-negative rational factor")
+        p.add_argument("--elements", default=None,
+                       help="semicolon-separated polynomials to evaluate")
+    if p := add("verify", cmd_verify, "run one claim (or all) and emit a report",
+                *_COUNTS):
+        p.add_argument("--claim", required=True)
+        p.add_argument("--A", default=None, help="comma-separated 1-based subset")
+        p.add_argument("-w", default=None)
+        p.add_argument("-u", default=None)
+        p.add_argument("-i", "--index", type=int, default=None,
+                       help="1-based index of a variable in A (iterated-initial)")
     # the same run as ``verify --claim cm-fan``
-    p.set_defaults(func=cmd_verify, claim="cm-fan", A=None, w=None, u=None,
-                   index=None)
-
-    p = sub.add_parser("prime-check", parents=[io],
-                       help="primeness certificate of I (or in_w(I))")
-    p.add_argument("-w", default=None)
-    p.set_defaults(func=cmd_prime_check)
-
-    p = sub.add_parser("report", help="render a JSON report for reading")
-    p.add_argument("report")
-    p.set_defaults(func=cmd_report)
+    add("audit-cm", cmd_verify, "initial-ideal constancy per maximal cone",
+        *_COUNTS, claim="cm-fan", A=None, w=None, u=None, index=None)
+    if p := add("prime-check", cmd_prime_check,
+                "primeness certificate of I (or in_w(I))"):
+        p.add_argument("-w", default=None)
+    if command in (None, "report"):
+        p = sub.add_parser("report", help="render a JSON report for reading")
+        p.add_argument("report")
+        p.set_defaults(func=cmd_report)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # only the named command's subparser is built; help, a missing or unknown
+    # command and any usage error go to the full parser, whose usage lists all
+    args = None
+    if argv and not argv[0].startswith("-") and not {"-h", "--help"} & set(argv):
+        try:
+            args = build_parser(argv[0]).parse_args(argv)
+        except argparse.ArgumentError:
+            pass
+    args = args or build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (IdealFileError, ParseError, ValueError, OSError) as exc:

@@ -113,12 +113,13 @@ class Rationals:
 
     name = "Q"
     char = 0
+    _zero, _one = Fraction(0), Fraction(1)
 
     def zero(self) -> Fraction:
-        return Fraction(0)
+        return self._zero
 
     def one(self) -> Fraction:
-        return Fraction(1)
+        return self._one
 
     def coerce(self, x) -> Fraction:
         if isinstance(x, Fraction):

@@ -15,7 +15,7 @@ from itertools import combinations
 
 from .fields import QQ, PrimeField
 from .groebner import Ideal, eliminate, krull_dimension
-from .macaulay import row_echelon
+from .macaulay import matrix_rank
 
 
 class LinearChange:
@@ -56,7 +56,7 @@ def random_gl(n, seed, bound=100, field=QQ):
         else:
             matrix = tuple(tuple(Fraction(rng.randint(-bound, bound))
                                  for _ in range(n)) for _ in range(n))
-        if len(row_echelon(matrix)[1]) == n:   # full rank
+        if matrix_rank(matrix) == n:
             return LinearChange(matrix, seed, bound, field)
     raise RuntimeError("could not sample an invertible matrix (degenerate field?)")
 

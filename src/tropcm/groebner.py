@@ -382,11 +382,12 @@ class Ideal:
     """Homogeneous ideal given by generators; zero generators are dropped.
 
     ``_basis`` is a reduced basis known when the ideal was made, or None;
-    ``initial_ideal`` sets it.  ``_truncations`` holds the ideals
-    <x_A>^r + I by ``(A, r)`` once ``quasival.adic_order`` has asked.
+    ``initial_ideal`` sets it.  ``memo`` keeps, each made once, I_A k[x] by
+    ``("elim", A)``, the ideals <x_A>^r + I by ``("trunc", A, r)`` and the
+    adic orders of monomials by ``("ord", A, exponents)``.
     """
 
-    __slots__ = ("ring", "generators", "_gen_key", "_basis", "_truncations")
+    __slots__ = ("ring", "generators", "_gen_key", "_basis", "_memo")
 
     def __init__(self, ring, generators):
         gens = []
@@ -400,10 +401,17 @@ class Ideal:
             gens.append(g)
         self.ring = ring
         self.generators = tuple(gens)
-        self._gen_key = self._basis = self._truncations = None
+        self._gen_key = self._basis = self._memo = None
 
     def is_zero(self):
         return not self.generators
+
+    def memo(self, key, make):
+        """``make()``, called once per ``key`` and kept with the ideal."""
+        memo = self._memo = self._memo or {}
+        if key not in memo:
+            memo[key] = make()
+        return memo[key]
 
     def generator_key(self):
         if self._gen_key is None:
@@ -496,15 +504,17 @@ def buchberger_reduced(ideal, order, reuse=None):
     """
     cache = default_cache()
     ring = ideal.ring
+    key = (ideal.generator_key(), order.descriptor())
+    load = meta = None
+    if cache.directory:
+        meta = {"ring": ring.descriptor(), "order": key[1]}
 
-    def load(strings):
-        basis = [parse_polynomial(s, ring) for s in strings]
-        if not all(g.is_homogeneous() for g in basis):
-            raise NonHomogeneousError("non-homogeneous cached basis element")
-        return GroebnerBasis(ring, order, basis)
+        def load(strings):
+            basis = [parse_polynomial(s, ring) for s in strings]
+            if not all(g.is_homogeneous() for g in basis):
+                raise NonHomogeneousError("non-homogeneous cached basis element")
+            return GroebnerBasis(ring, order, basis)
 
-    key = digest(ideal.generator_key(), order.descriptor())
-    meta = {"ring": ring.descriptor(), "order": order.descriptor()}
     hit = cache.get(key, load, meta)
     if hit is not None:
         return hit
@@ -550,7 +560,7 @@ def initial_ideal(w, ideal, reuse=None):
     """
     order = MonomialOrder.weighted(w)
     gb = buchberger_reduced(ideal, order, reuse)
-    forms = [g.initial_form(w) for g in gb.basis]
+    forms = [g.initial_form(order.iweight) for g in gb.basis]
     inw = Ideal(ideal.ring, forms)
     inw._basis = GroebnerBasis(ideal.ring, order, forms)
     return inw
@@ -563,17 +573,18 @@ def eliminate(ideal, A):
     is the image of I under k[x] -> k[x]/<x_A> = k[x_rest], so the images
     of the generators generate it; no basis is computed.  The result stays
     in the ring of I, as the extension of I_A, and k[x]/(I + <x_A>) is
-    k[x]/I_A k[x] with the |A| variables x_A left out.
+    k[x]/I_A k[x] with the |A| variables x_A left out; the ideal keeps it.
     """
     ring = ideal.ring
-    A = set(A)
+    A = frozenset(A)
     if any(i < 0 or i >= ring.nvars for i in A):
         raise ValueError("variable index out of range")
     if not A:
         return ideal
-    return Ideal(ring, [Polynomial(ring, {m: c for m, c in g.terms.items()
-                                          if not any(m[i] for i in A)})
-                        for g in ideal.generators])
+    return ideal.memo(("elim", A), lambda: Ideal(ring, [
+        Polynomial(ring, {m: c for m, c in g.terms.items()
+                          if not any(m[i] for i in A)})
+        for g in ideal.generators]))
 
 
 # ---------------------------------------------------------------------------

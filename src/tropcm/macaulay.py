@@ -25,6 +25,19 @@ def row_echelon(rows):
     Over Q the elimination runs on primitive integer rows, cross-multiplied,
     and each row is divided by its pivot once at the end.
     """
+    rows, pivots, rational = _echelon(rows)
+    if rational:
+        rows = [[Fraction(a, row[c]) for a in row] for row, c in zip(rows, pivots)]
+    return rows[:len(pivots)], pivots
+
+
+def matrix_rank(rows):
+    """The number of pivots of ``row_echelon``, without the reduced rows."""
+    return len(_echelon(rows)[1])
+
+
+def _echelon(rows):
+    """``(rows, pivots, rational)`` of ``row_echelon``, Q rows undivided."""
     rational = all(type(x) is Fraction for row in rows for x in row)
     rows = [_integral(r) if rational else list(r) for r in rows]
     pivots = []
@@ -44,10 +57,7 @@ def row_echelon(rows):
                 rows[i] = (_primitive([pv * a - f * b for a, b in zip(row, top)])
                            if rational else [a - f * b for a, b in zip(row, top)])
         pivots.append(c)
-    if rational:
-        return [[Fraction(a, row[c]) for a in row]
-                for row, c in zip(rows, pivots)], pivots
-    return rows[:len(pivots)], pivots
+    return rows, pivots, rational
 
 
 def _primitive(row):

@@ -53,7 +53,11 @@ class MonomialOrder:
 
     @classmethod
     def weighted(cls, w):
-        return cls("weight", w)
+        """The weight order of ``w``: one shared object per weight."""
+        w = tuple(w)
+        if w not in _WEIGHTED:
+            _WEIGHTED[w] = cls("weight", w)
+        return _WEIGHTED[w]
 
     def key(self, exps):
         if self.kind == "grevlex":
@@ -93,5 +97,6 @@ class MonomialOrder:
         return f"MonomialOrder({self._desc})"
 
 
+_WEIGHTED = {}
 GREVLEX = MonomialOrder("grevlex")
 LEX = MonomialOrder("lex")

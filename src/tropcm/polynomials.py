@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import lru_cache
 from operator import mul
 
 from .fields import QQ
@@ -54,7 +55,13 @@ def mono_degree(a):
 
 
 def monomials_of_degree(n, d):
-    """All exponent tuples of total degree d in n variables, grevlex-descending."""
+    """All exponent tuples of total degree d in n variables, grevlex-descending;
+    a new list on every call, sorted once per (n, d)."""
+    return list(_monomials(n, d))
+
+
+@lru_cache(maxsize=128)
+def _monomials(n, d):
     out = []
 
     def rec(prefix, remaining, slots):
@@ -65,10 +72,10 @@ def monomials_of_degree(n, d):
             rec(prefix + (e,), remaining - e, slots - 1)
 
     if n == 0:
-        return [()] if d == 0 else []
+        return ((),) if d == 0 else ()
     rec((), d, n)
     out.sort(key=GREVLEX.key, reverse=True)
-    return out
+    return tuple(out)
 
 
 def weight_value(w, exps):
@@ -263,13 +270,13 @@ class Polynomial:
     # -- weights and leading data ----------------------------------------------
 
     def initial_form(self, w):
-        """Sum of the terms attaining the minimal weight value."""
+        """Sum of the terms of minimal weight; an integer ``w`` is used as is."""
         if not self.terms:
             raise ValueError("initial form of the zero polynomial is undefined")
         if len(w) != self.ring.nvars:
             raise ValueError(
                 f"weight length {len(w)} != number of variables {self.ring.nvars}")
-        iw, _ = integer_weight(w)
+        iw = w if all(type(x) is int for x in w) else integer_weight(w)[0]
         vals = {m: sum(map(mul, iw, m)) for m in self.terms}
         lo = min(vals.values())
         return Polynomial(self.ring, {m: c for m, c in self.terms.items() if vals[m] == lo})

@@ -96,12 +96,10 @@ def adic_order(A, f, ideal):
     ring = f.ring
     A = tuple(sorted(set(A)))
     m = f.degree()
-    kept = ideal._truncations = ideal._truncations or {}
     for r in range(min(sum(t[i] for i in A) for t in f.terms) + 1, m + 1):
-        if (A, r) not in kept:
-            kept[A, r] = Ideal(ring, _power_generators(ring, A, r)
-                               + list(ideal.generators))
-        if not ideal_membership(f, kept[A, r]):
+        truncation = ideal.memo(("trunc", A, r), lambda: Ideal(
+            ring, _power_generators(ring, A, r) + list(ideal.generators)))
+        if not ideal_membership(f, truncation):
             return r - 1
     return INFINITY if ideal_membership(f, ideal) else m
 

@@ -23,7 +23,7 @@ from .groebner import (buchberger_reduced, eliminate,
                        hilbert_series_quotient, ideal_membership,
                        initial_ideal, krull_dimension, normal_form,
                        radical_membership)
-from .macaulay import row_echelon
+from .macaulay import matrix_rank
 from .orders import GREVLEX, MonomialOrder, integer_weight
 from .polynomials import (Polynomial, mono_div, mono_divides,
                           monomials_of_degree)
@@ -228,18 +228,13 @@ def verify_quasival_decomposition(ideal, A, w, maxdeg=4, samples=50,
     iw, scale = integer_weight(w)
     lo = min(iw)
     steps = [(i, iw[i] - lo) for i in sorted(A) if iw[i] != lo]
-    ord_cache = {}
-
-    def ord_i(i, mono):
-        key = (i, mono)
-        if key not in ord_cache:
-            ord_cache[key] = adic_order([i], ring.monomial(mono), ideal)
-        return ord_cache[key]
 
     def rhs_on_monomial(mono):
         total = lo * sum(mono)
         for i, step in steps:
-            o = ord_i(i, mono)
+            # the ideal keeps ord_i of each monomial for later claims
+            o = ideal.memo(("ord", (i,), mono), lambda: adic_order(
+                [i], ring.monomial(mono), ideal))
             if o is INFINITY:
                 return INFINITY
             total += step * o
@@ -474,7 +469,7 @@ def primeness_check(ideal):
                 return "Undetermined", PrimenessCertificate(
                     "principal-quadric-rank",
                     {"note": "rank certificate unavailable in characteristic 2"})
-            rank = len(row_echelon(M)[1])
+            rank = matrix_rank(M)
             cert = PrimenessCertificate(
                 "principal-quadric-rank",
                 {"rank": rank, "matrix": [[str(x) for x in row] for row in M]})

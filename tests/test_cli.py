@@ -157,8 +157,8 @@ OPTIONS = {
 }
 
 
-def _commands():
-    (sub,) = [a for a in tropcm.cli.build_parser()._actions
+def _commands(parser=None):
+    (sub,) = [a for a in (parser or tropcm.cli.build_parser())._actions
               if isinstance(a, argparse._SubParsersAction)]
     return sub.choices
 
@@ -171,6 +171,46 @@ def test_each_command_takes_the_options_it_reads():
     # the seven options every command used to take fill 32 slots, not 63
     common = COUNTS | {"--cache-dir", "--output"}
     assert sum(len(common & flags) for flags in options.values()) == 32
+
+
+def test_one_command_parser_is_that_commands_full_subparser():
+    for name, parser in _commands().items():
+        alone = _commands(tropcm.cli.build_parser(name))
+        assert list(alone) == [name]
+        assert alone[name].format_help() == parser.format_help()
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["nosuch"], ["verify"], ["verify", "-h"], ["audit-cm", "-h"],
+    ["gb"], ["gb", "--seed", "3", "x"], ["fan", "x", "--bound", "5"],
+    ["quasival", "x"], ["quasival", "x", "-w", "1,0,0", "--adic", "1"],
+    ["report"], ["--hel"], ["gb", "x", "--order", "deglex"],
+], ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_cli_help_and_usage_errors_match_the_full_parser(capsys, argv):
+    def outcome(parse):
+        with pytest.raises(SystemExit) as exit_info:
+            parse(argv)
+        return (exit_info.value.code, *capsys.readouterr())
+
+    assert outcome(main) == outcome(tropcm.cli.build_parser().parse_args)
+
+
+def test_cli_builds_the_full_parser_only_on_a_usage_error(conic_path, capsys,
+                                                         monkeypatch):
+    built = []
+    build = tropcm.cli.build_parser
+
+    def counted(command=None):
+        built.append(command)
+        return build(command)
+
+    monkeypatch.setattr(tropcm.cli, "build_parser", counted)
+    assert main(["gb", conic_path]) == 0
+    assert built == ["gb"]
+    with pytest.raises(SystemExit):
+        main(["gb", conic_path, "--seed", "3"])
+    assert built == ["gb", "gb", None]
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("argv", [

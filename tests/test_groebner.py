@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from tropcm import (GREVLEX, LEX, QQ, HilbertSeries, Ideal, MonomialOrder,
-                    NonHomogeneousError, PrimeField, buchberger_reduced,
+                    NonHomogeneousError, PrimeField, Ring, buchberger_reduced,
                     contains_monomial, default_ring, eliminate,
                     hilbert_series_quotient, ideal_membership, initial_ideal,
                     krull_dimension, normal_form, parse_polynomial,
@@ -474,24 +474,62 @@ def test_cache_writers_sharing_a_directory_do_not_collide(tmp_path, monkeypatch)
     first, second = GBCache(str(tmp_path)), GBCache(str(tmp_path))
     replace = os.replace
     raced = []
+    key = ("generators", "order")
+    name = digest(*key) + ".json"
 
     def racing(src, dst):
         if not raced:
             raced.append(src)
-            second.put("key", _Strings("x2"), {})
+            second.put(key, _Strings("x2"), {})
         replace(src, dst)
 
     monkeypatch.setattr(os, "replace", racing)
-    first.put("key", _Strings("x1"), {})
+    first.put(key, _Strings("x1"), {})
     assert raced
-    assert os.listdir(tmp_path) == ["key.json"]
-    assert json.loads((tmp_path / "key.json").read_text())["basis"] == ["x1"]
+    assert os.listdir(tmp_path) == [name]
+    assert json.loads((tmp_path / name).read_text())["basis"] == ["x1"]
 
 
 def test_digest_is_sha256():
     parts = ("QQ[x1,x2]", "x1^2 - x2", "weight(1/2,0);grevlex")
     data = b"".join(p.encode("utf-8") + b"\x00" for p in parts)
     assert digest(*parts) == hashlib.sha256(data).hexdigest()
+
+
+def test_cache_keys_keep_rings_and_fields_apart(fresh_cache):
+    cache = fresh_cache()
+    rings = [R3, Ring(R3.names, PrimeField(7)), default_ring(4)]
+    bases = [buchberger_reduced(ideal_from(ring, "x1*x3 - x2^2"), GREVLEX)
+             for ring in rings]
+    # the same text in another ring or field is an entry of its own
+    assert len(cache._mem) == 3
+    assert [b.ring for b in bases] == rings
+    assert bases[1].strings() == ["x2^2 + 6*x1*x3"]
+
+
+def test_cache_file_names_of_the_conic_are_pinned(tmp_path, fresh_cache):
+    # the stems digest(generator key, order descriptor) written before the
+    # in-memory keys became pairs
+    fresh_cache(tmp_path)
+    conic = ideal_from(R3, "x1*x3 - x2^2")
+    for order in (GREVLEX, MonomialOrder.weighted((1, 0, 0))):
+        buchberger_reduced(conic, order)
+    assert sorted(p.name for p in tmp_path.glob("*.json")) == [
+        "d7e526cbb510fc95743c311bb65ce6ba2022f0ebc234873504fa6970cf2276c5.json",
+        "e50af70495fc9a76720d89c0fabcffc597a6b92e43fdf056c2a7afca153ec6bc.json"]
+    assert json.loads(next(tmp_path.glob("d7e*.json")).read_text())["order"] \
+        == "weight(1,0,0);grevlex"
+
+
+def test_eliminate_is_kept_per_subset():
+    I = ideal_from(R3, "x1*x3 - x2^2", "x1^2 + x2*x3")
+    E = eliminate(I, {0, 2})
+    assert eliminate(I, [2, 0]) is E
+    assert eliminate(I, (2, 0, 2)) is E
+    assert eliminate(I, [0]) is not E
+    with pytest.raises(ValueError):
+        eliminate(I, [3])
+    assert eliminate(I, []) is I
 
 
 # -- prime-field coefficients ---------------------------------------------------

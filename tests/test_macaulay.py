@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import tropcm.macaulay
 from tropcm.fields import GFElement, PrimeField
-from tropcm.macaulay import row_echelon
+from tropcm.macaulay import matrix_rank, row_echelon
 
 from conftest import field_row_echelon
 
@@ -51,6 +51,7 @@ def _as_pairs(result):
 def test_rational_echelon_matches_the_field_loop(rows):
     got = _as_pairs(row_echelon(rows))
     assert got == _as_pairs(field_row_echelon(rows))
+    assert matrix_rank(rows) == len(got[1])
     assert all(type(x) is Fraction for row in got[0] for x in row)
     assert all(row[c] == 1 for row, c in zip(*got))
 
@@ -80,3 +81,15 @@ def test_prime_field_echelon_runs_the_field_loop(monkeypatch):
     assert pivots == expected_pivots == [0, 1, 2]
     assert echelon == expected
     assert all(isinstance(x, GFElement) for row in echelon for x in row)
+
+
+def test_rank_over_q_and_over_a_prime_field():
+    rows = [[Fraction(2), Fraction(4), Fraction(1, 3)],
+            [Fraction(1), Fraction(2), Fraction(0)],
+            [Fraction(3), Fraction(6), Fraction(1, 3)]]
+    assert matrix_rank(rows) == 2
+    assert matrix_rank([]) == 0
+    F = PrimeField(7)
+    # (3, 6) and (5, 3) are 3 and 5 times (1, 2) over F_7
+    assert matrix_rank([[F.coerce(x) for x in row]
+                        for row in [[1, 2], [3, 6], [5, 3]]]) == 1

@@ -90,3 +90,12 @@ def test_weight_scaling_keeps_descriptor():
     order = MonomialOrder.weighted((Fraction(1, 2), Fraction(2, 3), 0))
     assert order.weight == (Fraction(1, 2), Fraction(2, 3), Fraction(0))
     assert order.descriptor() == "weight(1/2,2/3,0);grevlex"
+
+
+def test_weighted_orders_are_shared_per_weight():
+    order = MonomialOrder.weighted((1, 0, 2))
+    assert MonomialOrder.weighted((Fraction(1), 0, Fraction(2))) is order
+    assert MonomialOrder.weighted([1, 0, 2]) is order
+    assert order.descriptor() == "weight(1,0,2);grevlex"
+    assert order.weight == (1, 0, 2) and order.iweight == (1, 0, 2)
+    assert MonomialOrder.weighted((1, 0, 3)) is not order

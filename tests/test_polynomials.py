@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from tropcm import (ParseError, Polynomial, Ring, default_ring,
                     parse_polynomial, weight_value)
 from tropcm.fields import PrimeField
-from tropcm.polynomials import _RUN
+from tropcm.polynomials import _RUN, monomials_of_degree
 
 from conftest import fraction_weight_value, reference_to_string
 
@@ -337,3 +337,13 @@ def test_extend_places_each_variable():
     ext = R3.extended("t")
     f = parse_polynomial("x1*x3 - x2^2", R3)
     assert f.extend(ext, [0, 1, 2]) == parse_polynomial("x1*x3 - x2^2", ext)
+
+
+def test_monomials_of_degree_is_a_new_list_each_call():
+    first = monomials_of_degree(3, 2)
+    expected = list(first)
+    first.reverse()
+    first.append((9, 9, 9))
+    assert monomials_of_degree(3, 2) == expected
+    assert monomials_of_degree(3, 2) is not monomials_of_degree(3, 2)
+    assert monomials_of_degree(0, 0) == [()] and monomials_of_degree(0, 1) == []

@@ -145,6 +145,29 @@ def test_adic_order_matches_the_downward_search(adic_corpus, name):
             assert adic_order(A, f, ideal) == downward_adic_order(A, f, ideal), (A, str(f))
 
 
+@pytest.mark.parametrize("name", ["conic", "twisted-cubic", "x1*x2, x3^2",
+                                  "rnc4-generic", "g24-generic"])
+def test_adic_orders_kept_by_the_ideal_match_the_downward_search(adic_corpus,
+                                                                 name):
+    ideal = adic_corpus[name]
+    ring = ideal.ring
+    n = ring.nvars
+    rng = random.Random(repr(("adic-memo", name)))
+    monomials = [m for d in (1, 2, 3) for m in monomials_of_degree(n, d)]
+    subsets = [A for k in range(1, 4) for A in combinations(range(n), k)]
+    cases = [(A, m) for A in rng.sample(subsets, min(len(subsets), 6))
+             for m in rng.sample(monomials, 6)]
+
+    def refuse():
+        raise AssertionError("a kept adic order was computed again")
+
+    values = [ideal.memo(("ord", A, m), lambda: adic_order(
+        A, ring.monomial(m), ideal)) for A, m in cases]
+    assert [ideal.memo(("ord", A, m), refuse) for A, m in cases] == values
+    assert values == [downward_adic_order(A, ring.monomial(m), ideal)
+                      for A, m in cases]
+
+
 # -- scaling and sums -------------------------------------------------------------
 
 def test_scale_zero_and_identity(conic):

@@ -11,7 +11,7 @@ from tropcm import (ConeCA, Ideal, apply_change, cm_fan_audit, default_ring,
                     verify_weight_sum, well_poised_check)
 from tropcm.theorems import FAIL, HYPOTHESIS, PASS, UNDETERMINED
 
-from conftest import ideal_from
+from conftest import downward_adic_order, ideal_from
 
 R3 = default_ring(3)
 R4 = default_ring(4)
@@ -118,6 +118,23 @@ def test_decomposition_conic_interior_weight():
     f = parse_polynomial("x2^2", R3)
     assert vw.evaluate(f) == 3
     assert 1 * 2 + (2 - 1) * adic_order([0], f, I) == 3
+
+
+def test_decomposition_keeps_its_adic_orders_for_later_claims(monkeypatch):
+    I = ideal_from(R3, "x1*x3 - x2^2")
+    args = (I, frozenset({0}), (2, 1, 1))
+    first = verify_quasival_decomposition(*args, maxdeg=3, samples=10, seed=3)
+    kept = {key: value for key, value in I._memo.items() if key[0] == "ord"}
+    assert kept
+    for (_, A, m), value in kept.items():
+        assert value == downward_adic_order(A, R3.monomial(m), I)
+
+    def refuse(*args):
+        raise AssertionError("adic_order ran for a kept monomial")
+
+    monkeypatch.setattr(tropcm.theorems, "adic_order", refuse)
+    again = verify_quasival_decomposition(*args, maxdeg=3, samples=10, seed=3)
+    assert first.verdict == PASS and again.to_dict() == first.to_dict()
 
 
 def test_decomposition_at_epsilon_reduces_to_adic(e_quad4_generic):
