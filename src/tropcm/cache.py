@@ -26,8 +26,6 @@ except ImportError:
     except ImportError:
         from hashlib import sha256
 
-_ENV_VAR = "TROPCM_CACHE"
-
 
 def digest(*parts) -> str:
     h = sha256()
@@ -94,7 +92,7 @@ class GBCache:
                 os.replace(tmp, path)
 
 
-_default = GBCache(directory=os.environ.get(_ENV_VAR) or None)
+_default = GBCache()
 
 
 def default_cache() -> GBCache:

@@ -10,15 +10,14 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
-from itertools import combinations
 
 from .cache import set_cache_directory, sha256
-from .fan import ConeCA, enumerate_generic_fan, sample_interior
+from .fan import (ConeCA, enumerate_generic_fan, sample_cones, sample_interior,
+                  sweep)
 from .generic import apply_change, genericity_audit, random_gl
-from .groebner import (buchberger_reduced, contains_monomial, initial_ideal,
-                       krull_dimension)
+from .groebner import (buchberger_reduced, contains_monomial, holds_monomial,
+                       initial_ideal, krull_dimension)
 from .ideal_io import (IdealFileError, gb_to_dict, load_ideal_file,
                        parse_subset, parse_weight, save_ideal_file, write_json)
 from .orders import GREVLEX, LEX, MonomialOrder
@@ -154,16 +153,13 @@ def cmd_fan(args):
     n = ideal.ring.nvars
     d = krull_dimension(ideal)
     cones = []
-    for cone in enumerate_generic_fan(n, d, args.codim):
-        w = sample_interior(cone, args.seed)
-        inw = initial_ideal(w, ideal)
-        witness = contains_monomial(inw)
+    for _, cone, w, inw in sweep(ideal, d, (args.codim,), 1, args.seed):
         verdict, cert = primeness_check(inw)
         cones.append({
             "A": list(cone.label()),
             "sample_w": ",".join(str(x) for x in w),
             "in_w_gb": buchberger_reduced(inw, GREVLEX).strings(),
-            "monomial_free": witness is None,
+            "monomial_free": not holds_monomial(inw),
             "prime_verdict": verdict,
         })
     _emit({"n": n, "d": d, "codim": args.codim, "cones": cones}, args)
@@ -207,14 +203,6 @@ def cmd_prime_check(args):
     return 0
 
 
-def _sampled_subsets(n, size, limit, seed, tag):
-    subsets = list(combinations(range(n), size))
-    if limit is not None and len(subsets) > limit:
-        rng = random.Random(repr((tag, seed, n, size)))
-        subsets = sorted(rng.sample(subsets, limit))
-    return [frozenset(a) for a in subsets]
-
-
 def _full_suite(ideal, args):
     """Every claim on one instance, with seeded sampling kept desk-sized:
     each runs through ``CLAIMS`` with the flags of its job."""
@@ -226,17 +214,18 @@ def _full_suite(ideal, args):
         "genericity-audit",
         {"generators": [str(g) for g in ideal.generators], "d": d},
         "pass" if audit.passed else "fail", audit.to_dict())]
-    maximal = _sampled_subsets(n, d - 1, 10, seed, "maxA")
-    codim1 = _sampled_subsets(n, d - 2, 10, seed, "codim1") if d >= 2 else []
-    jobs = [(claim, {"A": A}) for A in maximal + codim1
+    maximal = sample_cones(enumerate_generic_fan(n, d, 0), 10,
+                           ("maxA", seed, n, d - 1))
+    codim1 = sample_cones(enumerate_generic_fan(n, d, 1), 10,
+                          ("codim1", seed, n, d - 2)) if d >= 2 else []
+    jobs = [(claim, {"A": cone.A}) for cone in maximal + codim1
             for claim in ("initial-formula", "gr-presentation", "epsilon-facts")]
-    jobs += [("quasival-decomposition", {"A": A}) for A in maximal[:3]]
-    jobs += [("iterated-initial", {"A": A, "index": min(A) + 1})
-             for A in maximal[:3] if A]
-    for k, A in enumerate(maximal[:3]):
-        cone = ConeCA(A, n)
-        jobs.append(("weight-sum", {"u": sample_interior(cone, seed + 2 * k),
-                                    "w": sample_interior(cone, seed + 2 * k + 1)}))
+    jobs += [("quasival-decomposition", {"A": cone.A}) for cone in maximal[:3]]
+    jobs += [("iterated-initial", {"A": cone.A, "index": min(cone.A) + 1})
+             for cone in maximal[:3] if cone.A]
+    jobs += [("weight-sum", {"u": sample_interior(cone, seed + 2 * k),
+                             "w": sample_interior(cone, seed + 2 * k + 1)})
+             for k, cone in enumerate(maximal[:3])]
     jobs += [(claim, {}) for claim in ("radical-spot", "well-poised", "cm-fan")]
     unset = dict.fromkeys(_FLAG_NAMES)
     for claim, flags in jobs:

@@ -12,7 +12,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
-from .groebner import contains_monomial, initial_ideal
+from .groebner import holds_monomial, initial_ideal
 
 
 class ConeCA:
@@ -91,9 +91,31 @@ def enumerate_generic_fan(n, d, codim=0):
             for A in combinations(range(n), size_A)]
 
 
+def sample_cones(cones, limit, key):
+    """``cones``, or a seeded sample of ``limit`` of them in label order when
+    there are more; ``key`` seeds the draw, so equal keys draw equal cones."""
+    if limit is None or len(cones) <= limit:
+        return cones
+    return sorted(random.Random(repr(key)).sample(cones, limit),
+                  key=ConeCA.label)
+
+
+def sweep(ideal, d, codims, samples_per_cone, seed):
+    """(codim, cone, w, in_w(I)) for ``samples_per_cone`` interior samples
+    w of each cone of each stratum in ``codims``, w drawn with seeds
+    ``seed``, ``seed + 1``, ...  The weight bases of I that the sweep
+    computes are tried on each later weight (see ``groebner.rebase``)."""
+    if samples_per_cone < 1:
+        # no sample is no evidence: neither a pass nor a fail
+        raise ValueError("samples_per_cone must be at least 1")
+    bases = []
+    for codim in codims:
+        for cone in enumerate_generic_fan(ideal.ring.nvars, d, codim):
+            for k in range(samples_per_cone):
+                w = sample_interior(cone, seed + k)
+                yield codim, cone, w, initial_ideal(w, ideal, bases)
+
+
 def trop_membership(w, ideal) -> bool:
     """w lies in Trop(I): the initial ideal contains no monomial."""
-    if ideal.is_zero():
-        return True
-    inw = initial_ideal(w, ideal)
-    return contains_monomial(inw) is None
+    return ideal.is_zero() or not holds_monomial(initial_ideal(w, ideal))

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations
 
+from .fan import enumerate_generic_fan, sample_cones
 from .fields import QQ, PrimeField
 from .groebner import Ideal, eliminate, krull_dimension
 from .macaulay import matrix_rank
@@ -127,14 +127,13 @@ def genericity_audit(ideal, maxA=None, max_subsets=None, seed=0) -> GenericityAu
         maxA = d - 1
     if maxA > d - 1:
         raise ValueError("maxA cannot exceed d - 1")
-    subsets = [A for size in range(1, maxA + 1)
-               for A in combinations(range(n), size)]
-    if max_subsets is not None and len(subsets) > max_subsets:
-        rng = random.Random(repr(("audit", seed, n, d, maxA)))
-        subsets = sorted(rng.sample(subsets, max_subsets))
+    # |A| = 1, ..., maxA: the strata of codimension d - 2 down to d - 1 - maxA
+    cones = [cone for size in range(1, maxA + 1)
+             for cone in enumerate_generic_fan(n, d, d - 1 - size)]
     audit = GenericityAudit(d=d, seed=seed)
-    for A in subsets:
+    for cone in sample_cones(cones, max_subsets, ("audit", seed, n, d, maxA)):
         # k[x]/(I + <x_A>) is k[x]/I_A k[x] without the |A| free variables x_A
-        actual = krull_dimension(eliminate(ideal, A)) - len(A)
-        audit.checks.append(AuditCheck(tuple(i + 1 for i in A), d - len(A), actual))
+        size = len(cone.A)
+        actual = krull_dimension(eliminate(ideal, cone.A)) - size
+        audit.checks.append(AuditCheck(cone.label(), d - size, actual))
     return audit

@@ -619,19 +619,23 @@ def radical_membership(f, ideal):
                for g in basis)
 
 
+def holds_monomial(ideal):
+    """Some monomial lies in I: the product of all variables is in rad(I)."""
+    ring = ideal.ring
+    return not ideal.is_zero() and radical_membership(
+        ring.monomial((1,) * ring.nvars), ideal)
+
+
 def contains_monomial(ideal):
     """A witness monomial in I, or None.
 
-    Saturation against the product of all variables decides existence;
-    a witness is then recovered by degree-increasing search (guaranteed to
-    end: some power of the variable product lies in the ideal).
+    ``holds_monomial`` decides existence; a witness is then recovered by
+    degree-increasing search (guaranteed to end: some power of the variable
+    product lies in the ideal).
     """
-    if ideal.is_zero():
+    if not holds_monomial(ideal):
         return None
     ring = ideal.ring
-    u = ring.monomial((1,) * ring.nvars)
-    if not radical_membership(u, ideal):
-        return None
     gb = buchberger_reduced(ideal, GREVLEX)
     d = 1
     while True:

@@ -7,9 +7,9 @@ exactly.  Failed hypotheses are reported as such, never silently folded
 into pass or fail; verdicts are ``pass``, ``fail``, ``undetermined``
 (primeness outside certificate range) or ``hypothesis-not-met``; the
 claims that cut by x_A all take theirs from one gate, ``_unmet``.  Only the
-two fan sweeps, which compare samples rather than two routes, reuse a
-weight basis across the weights of its Groebner cone (``groebner.rebase``,
-exact).
+fan sweeps (``fan.sweep``), which compare samples rather than two routes,
+reuse a weight basis across the weights of its Groebner cone
+(``groebner.rebase``, exact).
 """
 
 from __future__ import annotations
@@ -17,8 +17,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .fan import (ConeCA, cone_contains, enumerate_generic_fan, epsilon_vector,
-                  sample_interior, trop_membership)
+from .fan import ConeCA, cone_contains, epsilon_vector, sweep, trop_membership
 from .groebner import (buchberger_reduced, eliminate,
                        hilbert_series_quotient, ideal_membership,
                        initial_ideal, krull_dimension, normal_form,
@@ -259,7 +258,8 @@ def verify_quasival_decomposition(ideal, A, w, maxdeg=4, samples=50,
                      "checked": checked, "value_table": table})
     gb = buchberger_reduced(ideal, worder)
     rng = random.Random(repr(("decomp", seed, _fmt_w(w), sorted(A))))
-    for _ in range(samples):
+    # no homogeneous element has a positive degree below 1
+    for _ in range(samples if maxdeg >= 1 else 0):
         f = _random_homogeneous(ring, rng, maxdeg)
         lhs = vw.evaluate(f)
         nf = normal_form(f, gb)
@@ -498,15 +498,15 @@ def radicality_spot_check(ideal, samples=50, seed=0) -> VerificationReport:
             {"note": "prime by certificate, hence radical",
              "certificate": cert.to_dict()})
     rng = random.Random(repr(("radical", seed)))
-    candidates = [(ring.variable(i), True) for i in range(ring.nvars)]
-    candidates += [(_random_homogeneous(ring, rng, 2), k % 5 == 0)
-                   for k in range(samples)]
+    candidates = [ring.variable(i) for i in range(ring.nvars)]
+    candidates += [_random_homogeneous(ring, rng, 2) for _ in range(samples)]
     tried = 0
-    for f, probe_radical in candidates:
+    for f in candidates:
         if f.is_zero() or ideal_membership(f, ideal):
             continue
         tried += 1
-        # f^m in I puts f in rad(I), so only a radical member has powers to try
+        # f in rad(I) \ I proves I is not radical; a power in I, if a small
+        # one is, names the exponent
         if not radical_membership(f, ideal):
             continue
         power = f
@@ -517,11 +517,10 @@ def radicality_spot_check(ideal, samples=50, seed=0) -> VerificationReport:
                     "radicality-spot", inst, FAIL,
                     {"witness": str(f), "power": m,
                      "note": "f^m in I with f not in I"})
-        if probe_radical:
-            return VerificationReport(
-                "radicality-spot", inst, FAIL,
-                {"witness": str(f),
-                 "note": "radical member that is not a member"})
+        return VerificationReport(
+            "radicality-spot", inst, FAIL,
+            {"witness": str(f),
+             "note": "radical member that is not a member"})
     return VerificationReport("radicality-spot", inst, PASS,
                               {"note": "no non-radical witness found",
                                "sampled": tried})
@@ -534,30 +533,22 @@ def well_poised_check(ideal, samples_per_cone=3, seed=0) -> VerificationReport:
     prime on every stratum, non-linear ones fail primeness somewhere on
     the top-dimensional stratum.
     """
-    if samples_per_cone < 1:
-        raise ValueError("samples_per_cone must be at least 1")
-    n = ideal.ring.nvars
     d = krull_dimension(ideal)
     inst = _instance(ideal, d=d, samples_per_cone=samples_per_cone, seed=seed)
     linear = all(g.degree() == 1 for g in buchberger_reduced(ideal, GREVLEX))
-    bases = []      # this sweep's weight bases of ideal, see rebase
     primeness = {}  # reduced grevlex basis -> (verdict, certificate)
     cones = []
     verdicts = []
-    for codim in range(0, d):
-        for cone in enumerate_generic_fan(n, d, codim):
-            for k in range(samples_per_cone):
-                w = sample_interior(cone, seed + k)
-                inw = initial_ideal(w, ideal, bases)
-                # the certificate depends only on the reduced basis
-                key = tuple(_basis_strings(inw))
-                if key not in primeness:
-                    primeness[key] = primeness_check(inw)
-                verdict, cert = primeness[key]
-                verdicts.append(verdict)
-                cones.append({"codim": codim, "A": list(cone.label()),
-                              "w": _fmt_w(w), "prime_verdict": verdict,
-                              "certificate": cert.to_dict() if cert else None})
+    for codim, cone, w, inw in sweep(ideal, d, range(d), samples_per_cone, seed):
+        # the certificate depends only on the reduced basis
+        key = tuple(_basis_strings(inw))
+        if key not in primeness:
+            primeness[key] = primeness_check(inw)
+        verdict, cert = primeness[key]
+        verdicts.append(verdict)
+        cones.append({"codim": codim, "A": list(cone.label()),
+                      "w": _fmt_w(w), "prime_verdict": verdict,
+                      "certificate": cert.to_dict() if cert else None})
     evidence = {"linear_ideal": linear, "cones": cones}
     if any(v == "Undetermined" for v in verdicts):
         evidence["note"] = "primeness undetermined on some cone"
@@ -576,34 +567,25 @@ def well_poised_check(ideal, samples_per_cone=3, seed=0) -> VerificationReport:
 def cm_fan_audit(ideal, samples_per_cone=3, seed=0) -> VerificationReport:
     """Constancy of the initial ideal on the interior of each maximal cone;
     on a cone where it fails, ``_unmet`` may name an unmet hypothesis."""
-    if samples_per_cone < 1:
-        raise ValueError("samples_per_cone must be at least 1")
-    n = ideal.ring.nvars
     d = krull_dimension(ideal)
     inst = _instance(ideal, d=d, samples_per_cone=samples_per_cone, seed=seed)
-    notes = []
-    bases = []      # this sweep's weight bases of ideal, see rebase
-    for cone in enumerate_generic_fan(n, d, 0):
-        base = None
-        base_w = None
-        for k in range(samples_per_cone):
-            w = sample_interior(cone, seed + k)
-            # reduced grevlex bases: equal iff the ideals are
-            basis = _basis_strings(initial_ideal(w, ideal, bases))
-            if base is None:
-                base, base_w = basis, w
-            elif basis != base:
-                if reason := _unmet(ideal, cone.A, d):
-                    return VerificationReport(
-                        "cm-fan-coincidence", inst, HYPOTHESIS,
-                        {"reason": reason, "cone": list(cone.label())})
+    first = {}      # cone -> (its first sample, the reduced grevlex basis there)
+    for _, cone, w, inw in sweep(ideal, d, (0,), samples_per_cone, seed):
+        # reduced grevlex bases: equal iff the ideals are
+        basis = _basis_strings(inw)
+        base_w, base = first.setdefault(cone, (w, basis))
+        if basis != base:
+            if reason := _unmet(ideal, cone.A, d):
                 return VerificationReport(
-                    "cm-fan-coincidence", inst, FAIL,
-                    {"witness_cone": list(cone.label()),
-                     "w1": _fmt_w(base_w), "w2": _fmt_w(w),
-                     "basis1": base, "basis2": basis})
-        notes.append({"A": list(cone.label()), "basis": base})
-    evidence = {"cones": notes}
+                    "cm-fan-coincidence", inst, HYPOTHESIS,
+                    {"reason": reason, "cone": list(cone.label())})
+            return VerificationReport(
+                "cm-fan-coincidence", inst, FAIL,
+                {"witness_cone": list(cone.label()),
+                 "w1": _fmt_w(base_w), "w2": _fmt_w(w),
+                 "basis1": base, "basis2": basis})
+    evidence = {"cones": [{"A": list(cone.label()), "basis": basis}
+                          for cone, (_, basis) in first.items()]}
     if samples_per_cone <= 1:
         evidence["note"] = "insufficient sampling: single sample per cone"
     return VerificationReport("cm-fan-coincidence", inst, PASS, evidence)

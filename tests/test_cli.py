@@ -306,6 +306,29 @@ def test_cli_fan(conic_path, capsys):
                 "prime_verdict"} <= set(cone)
 
 
+def test_cli_fan_decides_monomials_without_a_witness(tmp_path, capsys):
+    # x1^201 is its own initial ideal, and its least monomial is past the
+    # witness search's degree cap; fan needs no witness
+    path = tmp_path / "power.ideal"
+    path.write_text("vars: x1 x2\nx1^201\n")
+    code, data = run_json(capsys, ["fan", str(path)])
+    assert code == 0
+    (cone,) = data["cones"]
+    assert cone["in_w_gb"] == ["x1^201"] and cone["monomial_free"] is False
+
+
+def test_cli_fan_codim0_bases_are_the_audit_cm_cone_bases(e_rnc4_generic,
+                                                          tmp_path, capsys):
+    # fan samples each cone with --seed, the first sample audit-cm takes
+    path = tmp_path / "rnc4.ideal"
+    save_ideal_file(e_rnc4_generic, str(path))
+    _, fan = run_json(capsys, ["fan", str(path), "--codim", "0"])
+    _, audit = run_json(capsys, ["audit-cm", str(path)])
+    (claim,) = audit["claims"]
+    assert [(c["A"], c["in_w_gb"]) for c in fan["cones"]] == [
+        (c["A"], c["basis"]) for c in claim["evidence"]["cones"]]
+
+
 def test_cli_quasival_table(conic_path, capsys):
     code, data = run_json(capsys, ["quasival", "-w", "1,0,0", "--maxdeg", "2",
                                    conic_path])
@@ -451,6 +474,30 @@ def test_cli_verify_all_linear(tmp_path, capsys):
             "radicality-spot"} <= claims
     assert all(c["verdict"] in ("pass", "hypothesis-not-met")
                for c in data["claims"])
+
+
+def test_cli_verify_all_at_maxdeg_zero(e_pluck_generic, tmp_path, capsys):
+    path = tmp_path / "g24.ideal"
+    save_ideal_file(e_pluck_generic, str(path))
+    code, data = run_json(capsys, ["verify", str(path), "--claim", "all",
+                                   "--maxdeg", "0"])
+    assert code == 0
+    decompositions = [c for c in data["claims"]
+                      if c["claim"] == "quasival-decomposition"]
+    assert len(decompositions) == 3
+    assert all(c["verdict"] == "pass" and c["evidence"]["checked"] == 1
+               for c in decompositions)
+
+
+@pytest.mark.parametrize("command", [["verify", "--claim", "all"], ["audit-cm"]])
+def test_cli_fan_commands_refuse_krull_dimension_zero(tmp_path, capsys,
+                                                      command):
+    path = tmp_path / "point.ideal"
+    path.write_text("vars: x1 x2\nx1\nx2\n")
+    assert main([command[0], str(path), *command[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: need 1 <= d <= n\n"
 
 
 def test_cli_audit_cm(conic_path, capsys):

@@ -1,10 +1,12 @@
-from itertools import product
+import random
+from itertools import combinations, product
 
 import pytest
 
 from tropcm import (ConeCA, cone_contains, default_ring, enumerate_generic_fan,
                     epsilon_vector, initial_ideal, sample_interior,
                     trop_membership)
+from tropcm.fan import sample_cones, sweep
 
 from conftest import ideal_from
 
@@ -83,6 +85,32 @@ def test_support_union_property(n, d):
         assert in_support == (hits >= need)
 
 
+def test_sample_cones_keeps_a_small_family_and_samples_a_large_one():
+    cones = enumerate_generic_fan(6, 4, 1)         # |A| = 2: 15 cones
+    assert sample_cones(cones, None, ("k",)) is cones
+    assert sample_cones(cones, 15, ("k",)) is cones
+    drawn = sample_cones(cones, 10, ("codim1", 42, 6, 2))
+    # the draw of random.Random(repr(key)).sample, in label order
+    expected = random.Random(repr(("codim1", 42, 6, 2))).sample(
+        list(combinations(range(6), 2)), 10)
+    assert [c.label() for c in drawn] == sorted(
+        tuple(i + 1 for i in A) for A in expected)
+    assert sample_cones(cones, 10, ("codim1", 42, 6, 2)) == drawn
+    assert sample_cones(cones, 10, ("codim1", 43, 6, 2)) != drawn
+
+
+def test_sweep_samples_each_cone_of_each_stratum_in_order(e_quad4_generic):
+    got = list(sweep(e_quad4_generic, 3, (0, 1), 2, 5))
+    expected = [(codim, cone, sample_interior(cone, 5 + k))
+                for codim in (0, 1)
+                for cone in enumerate_generic_fan(4, 3, codim)
+                for k in range(2)]
+    assert [(codim, cone, w) for codim, cone, w, _ in got] == expected
+    # the reused weight bases give the initial ideals a fresh run gives
+    for _, _, w, inw in got:
+        assert inw == initial_ideal(w, e_quad4_generic)
+
+
 def test_trop_membership_examples():
     R2 = default_ring(2)
     I = ideal_from(R2, "x1 + x2")
@@ -90,6 +118,8 @@ def test_trop_membership_examples():
     assert not trop_membership((0, 1), I)
     conic = ideal_from(R3, "x1*x3 - x2^2")
     assert not trop_membership((1, 0, 0), conic)
+    # the least monomial of <x1^201> lies past the witness search's cap
+    assert not trop_membership((0, 0), ideal_from(R2, "x1^201"))
 
 
 def test_epsilon_in_trop_for_audited_subsets(e_pluck_generic):

@@ -1,10 +1,12 @@
 import pytest
 
+import tropcm.fan
 import tropcm.groebner
 import tropcm.theorems
 from tropcm import (ConeCA, Ideal, apply_change, cm_fan_audit, default_ring,
-                    epsilon_vector, hilbert_series_quotient, initial_ideal,
-                    parse_polynomial, primeness_check, radicality_spot_check,
+                    epsilon_vector, hilbert_series_quotient, ideal_membership,
+                    initial_ideal, parse_polynomial, primeness_check,
+                    radical_membership, radicality_spot_check,
                     random_gl, sample_interior, verify_epsilon_facts,
                     verify_gr_presentation, verify_initial_formula,
                     verify_iterated_initial, verify_quasival_decomposition,
@@ -312,6 +314,20 @@ def test_radicality_passes_on_radical_monomial_ideal():
     assert rep.verdict == PASS
 
 
+@pytest.mark.parametrize("seed", [3, 4, 5, 11, 12])
+def test_radicality_fails_on_a_radical_member_without_a_small_power(seed):
+    # x1 - x2 is in rad(I) \ I, and (x1 - x2)^m is in I only from m = 5 on
+    R2 = default_ring(2)
+    I = ideal_from(R2, "(x1 - x2)^5")
+    rep = radicality_spot_check(I, samples=50, seed=seed)
+    assert rep.verdict == FAIL
+    witness = parse_polynomial(rep.evidence["witness"], R2)
+    assert not ideal_membership(witness, I)
+    assert radical_membership(witness, I)
+    if "power" in rep.evidence:
+        assert ideal_membership(witness ** rep.evidence["power"], I)
+
+
 def test_radicality_prime_shortcut(e_conic):
     rep = radicality_spot_check(e_conic, samples=5)
     assert rep.verdict == PASS
@@ -352,10 +368,16 @@ def test_well_poised_undetermined_downgrades():
 
 @pytest.mark.parametrize("sweep", [well_poised_check, cm_fan_audit])
 @pytest.mark.parametrize("samples_per_cone", [0, -1])
-def test_fan_sweeps_refuse_to_sample_nothing(e_conic, sweep, samples_per_cone):
-    # no sample is no evidence: neither a pass nor a fail
+def test_fan_sweeps_refuse_to_sample_nothing(e_conic, sweep, samples_per_cone,
+                                             monkeypatch):
+    # no sample is no evidence: neither a pass nor a fail; the refusal comes
+    # before the first initial ideal
+    calls = []
+    monkeypatch.setattr(tropcm.fan, "initial_ideal",
+                        lambda *args: calls.append(args))
     with pytest.raises(ValueError, match="samples_per_cone"):
         sweep(e_conic, samples_per_cone=samples_per_cone)
+    assert calls == []
 
 
 # -- fan coincidence ------------------------------------------------------------------
