@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 
 from .cache import set_cache_directory, sha256
 from .fan import (ConeCA, enumerate_generic_fan, sample_cones, sample_interior,
@@ -205,33 +206,40 @@ def cmd_prime_check(args):
 
 def _full_suite(ideal, args):
     """Every claim on one instance, with seeded sampling kept desk-sized:
-    each runs through ``CLAIMS`` with the flags of its job."""
+    each runs through ``CLAIMS`` with the flags of its job, and the jobs
+    are shared with a worker process when a second CPU is there."""
+    from .runner import run
+
     n = ideal.ring.nvars
     d = krull_dimension(ideal)
     seed = args.seed
-    audit = genericity_audit(ideal, maxA=d - 1, max_subsets=20, seed=seed)
-    reports = [VerificationReport(
-        "genericity-audit",
-        {"generators": [str(g) for g in ideal.generators], "d": d},
-        "pass" if audit.passed else "fail", audit.to_dict())]
+
+    def audit_report():
+        audit = genericity_audit(ideal, maxA=d - 1, max_subsets=20, seed=seed)
+        return VerificationReport(
+            "genericity-audit",
+            {"generators": [str(g) for g in ideal.generators], "d": d},
+            "pass" if audit.passed else "fail", audit.to_dict())
+
     maximal = sample_cones(enumerate_generic_fan(n, d, 0), 10,
                            ("maxA", seed, n, d - 1))
     codim1 = sample_cones(enumerate_generic_fan(n, d, 1), 10,
                           ("codim1", seed, n, d - 2)) if d >= 2 else []
-    jobs = [(claim, {"A": cone.A}) for cone in maximal + codim1
-            for claim in ("initial-formula", "gr-presentation", "epsilon-facts")]
+    # the claims over the whole fan or ideal take longest, so they start first
+    jobs = [(claim, {}) for claim in ("well-poised", "cm-fan", "radical-spot")]
+    jobs += [(claim, {"A": cone.A}) for cone in maximal + codim1
+             for claim in ("initial-formula", "gr-presentation",
+                           "epsilon-facts")]
     jobs += [("quasival-decomposition", {"A": cone.A}) for cone in maximal[:3]]
     jobs += [("iterated-initial", {"A": cone.A, "index": min(cone.A) + 1})
              for cone in maximal[:3] if cone.A]
     jobs += [("weight-sum", {"u": sample_interior(cone, seed + 2 * k),
                              "w": sample_interior(cone, seed + 2 * k + 1)})
              for k, cone in enumerate(maximal[:3])]
-    jobs += [(claim, {}) for claim in ("radical-spot", "well-poised", "cm-fan")]
     unset = dict.fromkeys(_FLAG_NAMES)
-    for claim, flags in jobs:
-        job = argparse.Namespace(**{**vars(args), **unset, **flags})
-        reports.append(CLAIMS[claim][1](ideal, job))
-    return reports
+    return run([partial(CLAIMS[claim][1], ideal,
+                        argparse.Namespace(**{**vars(args), **unset, **flags}))
+                for claim, flags in jobs] + [audit_report])
 
 
 def _weight_or_sample(ideal, args):
