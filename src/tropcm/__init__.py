@@ -15,10 +15,8 @@ from .fan import (ConeCA, cone_contains, enumerate_generic_fan, epsilon_vector,
                   sample_interior, trop_membership)
 from .quasival import (INFINITY, ConeShareError, Quasivaluation, adic_order,
                        oplus_in_cone, scale, standard_basis_slice)
-from .generic import (GenericityAudit, LinearChange, apply_change,
-                      genericity_audit, random_gl)
-from .theorems import (PrimenessCertificate, VerificationReport, cm_fan_audit,
-                       primeness_check, radicality_spot_check,
+from .generic import apply_change, genericity_audit, random_gl
+from .theorems import (cm_fan_audit, primeness_check, radicality_spot_check,
                        verify_epsilon_facts, verify_gr_presentation,
                        verify_initial_formula, verify_iterated_initial,
                        verify_quasival_decomposition, verify_weight_sum,

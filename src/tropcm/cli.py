@@ -24,19 +24,19 @@ from .ideal_io import (IdealFileError, gb_to_dict, load_ideal_file,
 from .orders import GREVLEX, LEX, MonomialOrder
 from .polynomials import ParseError, parse_polynomial
 from .quasival import Quasivaluation, scale, standard_basis_slice
-from .theorems import (FAIL, VerificationReport, _fmt_w, cm_fan_audit,
-                       primeness_check, radicality_spot_check,
-                       verify_epsilon_facts, verify_gr_presentation,
-                       verify_initial_formula, verify_iterated_initial,
-                       verify_quasival_decomposition, verify_weight_sum,
-                       well_poised_check)
+from .theorems import (FAIL, _fmt_w, _report, cm_fan_audit, primeness_check,
+                       radicality_spot_check, verify_epsilon_facts,
+                       verify_gr_presentation, verify_initial_formula,
+                       verify_iterated_initial, verify_quasival_decomposition,
+                       verify_weight_sum, well_poised_check)
 
 
 def _check_counts(args):
-    """No count below zero and no audit count below one (an audit of no
-    subset would pass)."""
+    """No count below zero, and no audit or per-cone sample count below
+    one (an audit of no subset, or a sweep of no sample, would pass)."""
     for flag, least, words in (("--maxdeg", 0, "non-negative"),
                                ("--samples", 0, "non-negative"),
+                               ("--samples-per-cone", 1, "at least 1"),
                                ("--audit-maxA", 1, "at least 1"),
                                ("--audit-subsets", 1, "at least 1")):
         value = getattr(args, flag[2:].replace("-", "_"), None)
@@ -64,10 +64,8 @@ def _load(args):
 
 
 def _report_payload(args, ideal, source, reports):
-    claims = sorted((r.to_dict() for r in reports),
-                    key=lambda c: (c["claim"],
-                                   json.dumps(c["params"], sort_keys=True,
-                                              default=str)))
+    claims = sorted(reports, key=lambda c: (c["claim"], json.dumps(
+        c["params"], sort_keys=True, default=str)))
     field = ideal.ring.field.name
     config = {"seed": args.seed, "bound": args.bound, "maxdeg": args.maxdeg,
               "samples": args.samples, "samples_per_cone": args.samples_per_cone,
@@ -129,24 +127,22 @@ def cmd_generic(args):
     seed = args.seed
     reseeds = 0
     while True:
-        g = random_gl(n, seed, args.bound, ideal.ring.field)
-        candidate = apply_change(g, ideal)
-        d = krull_dimension(candidate)
-        max_a = args.audit_maxA if args.audit_maxA is not None else d - 1
-        audit = genericity_audit(candidate, maxA=max_a,
+        matrix = random_gl(n, seed, args.bound, ideal.ring.field)
+        candidate = apply_change(matrix, ideal)
+        audit = genericity_audit(candidate, maxA=args.audit_maxA,
                                  max_subsets=args.audit_subsets, seed=seed)
-        if audit.passed or reseeds >= 5:
+        if audit["pass"] or reseeds >= 5:
             break
         reseeds += 1
         seed += 1
     if args.output:
         save_ideal_file(candidate, args.output)
     summary = {"seed": seed, "bound": args.bound, "reseeds": reseeds,
-               "pass": audit.passed, "checks": audit.to_dict()["checks"],
+               "pass": audit["pass"], "checks": audit["checks"],
                "ideal": [str(g) for g in candidate.generators],
                "written": args.output or None}
     _print_json(summary, sys.stdout)
-    return 0 if audit.passed else 1
+    return 0 if audit["pass"] else 1
 
 
 def cmd_fan(args):
@@ -200,7 +196,7 @@ def cmd_prime_check(args):
     verdict, cert = primeness_check(ideal)
     _emit({"ideal": [str(g) for g in ideal.generators],
            "verdict": verdict,
-           "certificate": cert.to_dict() if cert else None}, args)
+           "certificate": cert}, args)
     return 0
 
 
@@ -215,11 +211,11 @@ def _full_suite(ideal, args):
     seed = args.seed
 
     def audit_report():
-        audit = genericity_audit(ideal, maxA=d - 1, max_subsets=20, seed=seed)
-        return VerificationReport(
+        audit = genericity_audit(ideal, max_subsets=20, seed=seed)
+        return _report(
             "genericity-audit",
             {"generators": [str(g) for g in ideal.generators], "d": d},
-            "pass" if audit.passed else "fail", audit.to_dict())
+            "pass" if audit["pass"] else "fail", audit)
 
     maximal = sample_cones(enumerate_generic_fan(n, d, 0), 10,
                            ("maxA", seed, n, d - 1))
@@ -299,7 +295,7 @@ def cmd_verify(args):
     else:
         raise ValueError(f"unknown claim {args.claim!r}")
     _emit(_report_payload(args, ideal, args.ideal, reports), args)
-    return 1 if any(r.failed for r in reports) else 0
+    return 1 if any(r["verdict"] == FAIL for r in reports) else 0
 
 
 def cmd_report(args):

@@ -419,14 +419,6 @@ class Ideal:
                                    ";".join(sorted(str(g) for g in self.generators)))
         return self._gen_key
 
-    def __eq__(self, other):
-        """Equal reduced grevlex bases, from the process-wide cache."""
-        if not isinstance(other, Ideal):
-            return NotImplemented
-        return (self.ring == other.ring
-                and buchberger_reduced(self, GREVLEX).basis
-                == buchberger_reduced(other, GREVLEX).basis)
-
     def __repr__(self):
         gens = ", ".join(str(g) for g in self.generators) or "0"
         return f"Ideal({gens})"

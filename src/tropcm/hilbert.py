@@ -1,9 +1,9 @@
 """Hilbert series of quotients by monomial ideals, via pivot recursion.
 
-A series is stored as an integer numerator N(t) over (1-t)^n.  Equality,
-Krull dimension (pole order at t = 1), and Hilbert function values are
-all derived from the reduced form, where every common factor of (1-t) has
-been cancelled and N(1) != 0.
+A series is stored in reduced form: an integer numerator N(t) over
+(1-t)^pole, with every common factor of (1-t) cancelled on construction,
+so N(1) != 0 unless N = 0.  Equality, Krull dimension (the pole order at
+t = 1) and Hilbert function values are read from that form.
 """
 
 from __future__ import annotations
@@ -104,39 +104,29 @@ def hilbert_numerator(gens, n):
 
 
 class HilbertSeries:
-    """N(t) / (1-t)^nvars with integer N."""
+    """N(t) / (1-t)^nvars with integer N, kept as (numerator, pole) after
+    cancelling the common (1-t) factors."""
 
-    __slots__ = ("numerator", "nvars")
+    __slots__ = ("numerator", "pole")
 
     def __init__(self, numerator, nvars):
-        self.numerator, self.nvars = numerator, nvars
+        num, pole = _poly_trim(list(numerator)), nvars
+        # the zero series divides down to pole 0
+        while pole > 0 and (q := _div_one_minus_t(num)) is not None:
+            num, pole = q, pole - 1
+        self.numerator, self.pole = tuple(num), pole
 
     @classmethod
     def from_leading_monomials(cls, gens, n):
-        return cls(tuple(_poly_trim(hilbert_numerator(gens, n))), n)
-
-    def reduced(self):
-        """(numerator', pole_order) with all (1-t) factors cancelled."""
-        num = _poly_trim(list(self.numerator))
-        if num == [0]:
-            return (0,), 0
-        pole = self.nvars
-        while pole > 0:
-            q = _div_one_minus_t(num)
-            if q is None:
-                break
-            num = q
-            pole -= 1
-        return tuple(num), pole
+        return cls(hilbert_numerator(gens, n), n)
 
     def dimension(self):
         """Pole order at t = 1: the Krull dimension of the graded quotient."""
-        _, pole = self.reduced()
-        return max(pole, 0)
+        return self.pole
 
     def hilbert_function(self, m):
         """Dimension of the degree-m graded piece."""
-        n = self.nvars
+        n = self.pole
         total = 0
         for j, c in enumerate(self.numerator):
             if c and m - j >= 0:
@@ -146,13 +136,13 @@ class HilbertSeries:
     def __eq__(self, other):
         if not isinstance(other, HilbertSeries):
             return NotImplemented
-        return self.reduced() == other.reduced()
+        return (self.numerator, self.pole) == (other.numerator, other.pole)
 
     def __hash__(self):
-        return hash(self.reduced())
+        return hash((self.numerator, self.pole))
 
     def __str__(self):
-        num, pole = self.reduced()
+        num, pole = self.numerator, self.pole
         terms = []
         for i, c in enumerate(num):
             if c:

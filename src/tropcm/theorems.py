@@ -37,32 +37,10 @@ HYPOTHESIS = "hypothesis-not-met"
 _POWMAX = 4     # highest power the radicality spot check tries
 
 
-class VerificationReport:
-    __slots__ = ("claim", "instance", "verdict", "evidence")
-
-    def __init__(self, claim, instance, verdict, evidence=None):
-        self.claim, self.instance, self.verdict = claim, instance, verdict
-        self.evidence = {} if evidence is None else evidence
-
-    def to_dict(self):
-        # the wire name for the per-claim instance data is "params"
-        return {"claim": self.claim, "params": self.instance,
-                "verdict": self.verdict, "evidence": self.evidence}
-
-    @property
-    def failed(self):
-        return self.verdict == FAIL
-
-
-class PrimenessCertificate:
-    # method: linear | principal-quadric-rank | monomial | small-field-factor-search
-    __slots__ = ("method", "data")
-
-    def __init__(self, method, data):
-        self.method, self.data = method, data
-
-    def to_dict(self):
-        return {"method": self.method, "data": self.data}
+def _report(claim, params, verdict, evidence):
+    """The JSON entry of one checked claim."""
+    return {"claim": claim, "params": params, "verdict": verdict,
+            "evidence": evidence}
 
 
 def _fmt_w(w):
@@ -99,7 +77,7 @@ def _unmet(ideal, A, d=None):
 # ---------------------------------------------------------------------------
 # equality-of-ideals claims
 
-def verify_initial_formula(ideal, A, w) -> VerificationReport:
+def verify_initial_formula(ideal, A, w) -> dict:
     """in_w(I) against the extension of the elimination ideal I_A."""
     n = ideal.ring.nvars
     A = frozenset(A)
@@ -108,8 +86,7 @@ def verify_initial_formula(ideal, A, w) -> VerificationReport:
     if reason := ("w outside the relative interior of C_A"
                   if not cone_contains(ConeCA(A, n), w, interior=True)
                   else _unmet(ideal, A, d)):
-        return VerificationReport("initial-formula", inst, HYPOTHESIS,
-                                  {"reason": reason})
+        return _report("initial-formula", inst, HYPOTHESIS, {"reason": reason})
     evidence = {"w_in_relative_interior": True,
                 "regular_sequence_size_ok": True,
                 "complement_bound_ok": (n - len(A)) <= n - d + 1}
@@ -118,12 +95,12 @@ def verify_initial_formula(ideal, A, w) -> VerificationReport:
     rhs_basis = evidence["eliminated_extension_basis"] = _basis_strings(
         eliminate(ideal, A))
     if lhs_basis == rhs_basis:
-        return VerificationReport("initial-formula", inst, PASS, evidence)
+        return _report("initial-formula", inst, PASS, evidence)
     evidence["witness"] = "reduced bases differ"
-    return VerificationReport("initial-formula", inst, FAIL, evidence)
+    return _report("initial-formula", inst, FAIL, evidence)
 
 
-def verify_gr_presentation(ideal, A) -> VerificationReport:
+def verify_gr_presentation(ideal, A) -> dict:
     """Associated graded of ord_A: Hilbert identity plus basis identity.
 
     HS(k[x]/in_eps(I)) must equal HS(k[x]/I_A k[x]), which is
@@ -136,8 +113,7 @@ def verify_gr_presentation(ideal, A) -> VerificationReport:
     d = krull_dimension(ideal)
     inst = _instance(ideal, A=_fmt_A(A), d=d)
     if reason := _unmet(ideal, A):
-        return VerificationReport("gr-presentation", inst, HYPOTHESIS,
-                                  {"reason": reason})
+        return _report("gr-presentation", inst, HYPOTHESIS, {"reason": reason})
     eps = epsilon_vector(A, n)
     lhs_ideal = initial_ideal(eps, ideal)
     lhs_series = hilbert_series_quotient(lhs_ideal)
@@ -159,10 +135,10 @@ def verify_gr_presentation(ideal, A) -> VerificationReport:
     if verdict == FAIL:
         evidence["witness"] = ("Hilbert series differ" if not series_ok
                                else "reduced bases differ")
-    return VerificationReport("gr-presentation", inst, verdict, evidence)
+    return _report("gr-presentation", inst, verdict, evidence)
 
 
-def verify_iterated_initial(ideal, A, i) -> VerificationReport:
+def verify_iterated_initial(ideal, A, i) -> dict:
     """Two-step initial degeneration against the one-step one."""
     ring = ideal.ring
     n = ring.nvars
@@ -172,8 +148,8 @@ def verify_iterated_initial(ideal, A, i) -> VerificationReport:
     d = krull_dimension(ideal)
     inst = _instance(ideal, A=_fmt_A(A), i=i + 1, d=d)
     if reason := _unmet(ideal, A, d):
-        return VerificationReport("iterated-initial", inst, HYPOTHESIS,
-                                  {"reason": reason})
+        return _report("iterated-initial", inst, HYPOTHESIS,
+                       {"reason": reason})
     step = initial_ideal(epsilon_vector([i], n), ideal)
     lhs = initial_ideal(epsilon_vector(A - {i}, n), step)
     rhs = initial_ideal(epsilon_vector(A, n), ideal)
@@ -182,7 +158,7 @@ def verify_iterated_initial(ideal, A, i) -> VerificationReport:
     verdict = PASS if lhs_basis == rhs_basis else FAIL
     if verdict == FAIL:
         evidence["witness"] = "reduced bases differ"
-    return VerificationReport("iterated-initial", inst, verdict, evidence)
+    return _report("iterated-initial", inst, verdict, evidence)
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +181,7 @@ def _random_homogeneous(ring, rng, maxdeg):
 
 
 def verify_quasival_decomposition(ideal, A, w, maxdeg=4, samples=50,
-                                  seed=0) -> VerificationReport:
+                                  seed=0) -> dict:
     """v_w against min(w)*deg + sum over A of (w_i - min(w))*ord_i.
 
     Checked on every standard monomial up to ``maxdeg`` (adapted basis of
@@ -221,8 +197,8 @@ def verify_quasival_decomposition(ideal, A, w, maxdeg=4, samples=50,
                      samples=samples, seed=seed)
     if reason := ("w outside C_A" if not cone_contains(ConeCA(A, n), w)
                   else _unmet(ideal, A)):
-        return VerificationReport("quasival-decomposition", inst, HYPOTHESIS,
-                                  {"reason": reason})
+        return _report("quasival-decomposition", inst, HYPOTHESIS,
+                       {"reason": reason})
     vw = Quasivaluation.weight(ideal, w)
     iw, scale = integer_weight(w)
     lo = min(iw)
@@ -251,7 +227,7 @@ def verify_quasival_decomposition(ideal, A, w, maxdeg=4, samples=50,
                 table.append({"element": str(ring.monomial(mono)),
                               "v_w": str(lhs), "decomposition": str(rhs)})
             if lhs != rhs:
-                return VerificationReport(
+                return _report(
                     "quasival-decomposition", inst, FAIL,
                     {"witness": str(ring.monomial(mono)),
                      "v_w": str(lhs), "decomposition": str(rhs),
@@ -269,15 +245,15 @@ def verify_quasival_decomposition(ideal, A, w, maxdeg=4, samples=50,
             rhs = min(rhs_on_monomial(m) for m in nf.terms)
         checked += 1
         if lhs != rhs:
-            return VerificationReport(
+            return _report(
                 "quasival-decomposition", inst, FAIL,
                 {"witness": str(f), "v_w": str(lhs), "decomposition": str(rhs),
                  "checked": checked, "value_table": table})
-    return VerificationReport("quasival-decomposition", inst, PASS,
-                              {"checked": checked, "value_table": table})
+    return _report("quasival-decomposition", inst, PASS,
+                   {"checked": checked, "value_table": table})
 
 
-def verify_weight_sum(ideal, u, w, maxdeg=4) -> VerificationReport:
+def verify_weight_sum(ideal, u, w, maxdeg=4) -> dict:
     """Additivity of values in a shared Groebner cone: v_u + v_w = v_{u+w}."""
     ring = ideal.ring
     u = tuple(Fraction(x) for x in u)
@@ -288,8 +264,7 @@ def verify_weight_sum(ideal, u, w, maxdeg=4) -> VerificationReport:
     try:
         vsum = oplus_in_cone([vu, vw])
     except ConeShareError as exc:
-        return VerificationReport("weight-sum", inst, HYPOTHESIS,
-                                  {"reason": str(exc)})
+        return _report("weight-sum", inst, HYPOTHESIS, {"reason": str(exc)})
     total = tuple(a + b for a, b in zip(u, w))
     vtotal = Quasivaluation.weight(ideal, total)
     order = MonomialOrder.weighted(total)
@@ -302,14 +277,14 @@ def verify_weight_sum(ideal, u, w, maxdeg=4) -> VerificationReport:
             o = vsum.evaluate(b)
             checked += 1
             if a1 + a2 != s or o != s:
-                return VerificationReport(
+                return _report(
                     "weight-sum", inst, FAIL,
                     {"witness": str(b), "v_u": str(a1), "v_w": str(a2),
                      "v_sum": str(s), "oplus": str(o), "checked": checked})
-    return VerificationReport("weight-sum", inst, PASS, {"checked": checked})
+    return _report("weight-sum", inst, PASS, {"checked": checked})
 
 
-def verify_epsilon_facts(ideal, A) -> VerificationReport:
+def verify_epsilon_facts(ideal, A) -> dict:
     """eps_A lies in the tropical variety and v_{eps_A}(x_i) = (eps_A)_i.
 
     With x_A, x_j regular for every j outside A, no minimal prime of
@@ -321,8 +296,7 @@ def verify_epsilon_facts(ideal, A) -> VerificationReport:
     if reason := _unmet(ideal, A, krull_dimension(ideal)) or next(
             filter(None, (_unmet(ideal, A | {j})
                           for j in range(n) if j not in A)), None):
-        return VerificationReport("epsilon-facts", inst, HYPOTHESIS,
-                                  {"reason": reason})
+        return _report("epsilon-facts", inst, HYPOTHESIS, {"reason": reason})
     eps = epsilon_vector(A, n)
     member = trop_membership(eps, ideal)
     veps = Quasivaluation.weight(ideal, eps)
@@ -331,10 +305,10 @@ def verify_epsilon_facts(ideal, A) -> VerificationReport:
     evidence = {"trop_membership": member,
                 "variable_values": [str(v) for v in values]}
     if member and values_ok:
-        return VerificationReport("epsilon-facts", inst, PASS, evidence)
+        return _report("epsilon-facts", inst, PASS, evidence)
     evidence["witness"] = ("monomial found in the initial ideal" if not member
                            else "variable value differs from the weight entry")
-    return VerificationReport("epsilon-facts", inst, FAIL, evidence)
+    return _report("epsilon-facts", inst, FAIL, evidence)
 
 
 # ---------------------------------------------------------------------------
@@ -429,19 +403,21 @@ def primeness_check(ideal):
 
     The certificate menu covers linear ideals, monomial ideals, principal
     quadrics (symmetric rank), and principal cubics in few variables via
-    factor search.  Everything else is honestly Undetermined.
+    factor search.  Everything else is honestly Undetermined.  A
+    certificate is ``{"method", "data"}``, the method one of linear,
+    monomial, principal-quadric-rank and small-field-factor-search.
     """
     gb = buchberger_reduced(ideal, GREVLEX)
     basis = list(gb.basis)
     if not basis:
-        return "Prime", PrimenessCertificate("linear", {"generators": [],
-                                                        "note": "zero ideal"})
+        return "Prime", {"method": "linear",
+                         "data": {"generators": [], "note": "zero ideal"}}
     if any(g.degree() == 0 for g in basis):
-        return "NotPrime", PrimenessCertificate(
-            "monomial", {"witness": "1", "note": "unit ideal"})
+        return "NotPrime", {"method": "monomial",
+                            "data": {"witness": "1", "note": "unit ideal"}}
     if all(g.degree() == 1 for g in basis):
-        return "Prime", PrimenessCertificate(
-            "linear", {"generators": [str(g) for g in basis]})
+        return "Prime", {"method": "linear",
+                         "data": {"generators": [str(g) for g in basis]}}
     if all(len(g.terms) == 1 for g in basis):
         # monomial ideal: prime only when generated by variables
         for g in basis:
@@ -449,54 +425,56 @@ def primeness_check(ideal):
             if sum(m) >= 2:
                 i = next(k for k, e in enumerate(m) if e)
                 rest = tuple(e - 1 if k == i else e for k, e in enumerate(m))
-                return "NotPrime", PrimenessCertificate(
-                    "monomial",
-                    {"witness": str(g),
-                     "factors": [str(ideal.ring.variable(i)),
-                                 str(ideal.ring.monomial(rest))]})
+                return "NotPrime", {
+                    "method": "monomial",
+                    "data": {"witness": str(g),
+                             "factors": [str(ideal.ring.variable(i)),
+                                         str(ideal.ring.monomial(rest))]}}
     if len(basis) == 1:
         g = basis[0]
         content = g.monomial_content()
         if sum(content) > 0:
             cofactor = _exact_divide(g, ideal.ring.monomial(content))
-            return "NotPrime", PrimenessCertificate(
-                "monomial",
-                {"witness": str(g),
-                 "factors": [str(ideal.ring.monomial(content)), str(cofactor)]})
+            return "NotPrime", {
+                "method": "monomial",
+                "data": {"witness": str(g),
+                         "factors": [str(ideal.ring.monomial(content)),
+                                     str(cofactor)]}}
         if g.degree() == 2:
             M = _gram_matrix(g)
             if M is None:
-                return "Undetermined", PrimenessCertificate(
-                    "principal-quadric-rank",
-                    {"note": "rank certificate unavailable in characteristic 2"})
+                return "Undetermined", {
+                    "method": "principal-quadric-rank",
+                    "data": {"note": "rank certificate unavailable in "
+                                     "characteristic 2"}}
             rank = matrix_rank(M)
-            cert = PrimenessCertificate(
-                "principal-quadric-rank",
-                {"rank": rank, "matrix": [[str(x) for x in row] for row in M]})
-            return ("Prime" if rank >= 3 else "NotPrime"), cert
+            return ("Prime" if rank >= 3 else "NotPrime"), {
+                "method": "principal-quadric-rank",
+                "data": {"rank": rank,
+                         "matrix": [[str(x) for x in row] for row in M]}}
         if g.degree() == 3:
             hit = _linear_factor_search(g)
             if hit is not None:
                 ell, q = hit
-                return "NotPrime", PrimenessCertificate(
-                    "small-field-factor-search",
-                    {"witness": str(g), "factors": [str(ell), str(q)]})
-            return "Undetermined", PrimenessCertificate(
-                "small-field-factor-search",
-                {"note": "no lifted factorization found; not a proof"})
+                return "NotPrime", {
+                    "method": "small-field-factor-search",
+                    "data": {"witness": str(g), "factors": [str(ell), str(q)]}}
+            return "Undetermined", {
+                "method": "small-field-factor-search",
+                "data": {"note": "no lifted factorization found; not a proof"}}
     return "Undetermined", None
 
 
-def radicality_spot_check(ideal, samples=50, seed=0) -> VerificationReport:
+def radicality_spot_check(ideal, samples=50, seed=0) -> dict:
     """Property-based evidence for radicality; failures are certificates."""
     ring = ideal.ring
     inst = _instance(ideal, samples=samples, powmax=_POWMAX, seed=seed)
     verdict, cert = primeness_check(ideal)
     if verdict == "Prime":
-        return VerificationReport(
+        return _report(
             "radicality-spot", inst, PASS,
             {"note": "prime by certificate, hence radical",
-             "certificate": cert.to_dict()})
+             "certificate": cert})
     rng = random.Random(repr(("radical", seed)))
     candidates = [ring.variable(i) for i in range(ring.nvars)]
     candidates += [_random_homogeneous(ring, rng, 2) for _ in range(samples)]
@@ -513,20 +491,20 @@ def radicality_spot_check(ideal, samples=50, seed=0) -> VerificationReport:
         for m in range(2, _POWMAX + 1):
             power = power * f
             if ideal_membership(power, ideal):
-                return VerificationReport(
+                return _report(
                     "radicality-spot", inst, FAIL,
                     {"witness": str(f), "power": m,
                      "note": "f^m in I with f not in I"})
-        return VerificationReport(
+        return _report(
             "radicality-spot", inst, FAIL,
             {"witness": str(f),
              "note": "radical member that is not a member"})
-    return VerificationReport("radicality-spot", inst, PASS,
-                              {"note": "no non-radical witness found",
-                               "sampled": tried})
+    return _report("radicality-spot", inst, PASS,
+                   {"note": "no non-radical witness found",
+                    "sampled": tried})
 
 
-def well_poised_check(ideal, samples_per_cone=3, seed=0) -> VerificationReport:
+def well_poised_check(ideal, samples_per_cone=3, seed=0) -> dict:
     """Primeness across all strata; cross-checked against linearity.
 
     For audited generic instances the expectation is: linear ideals are
@@ -548,11 +526,11 @@ def well_poised_check(ideal, samples_per_cone=3, seed=0) -> VerificationReport:
         verdicts.append(verdict)
         cones.append({"codim": codim, "A": list(cone.label()),
                       "w": _fmt_w(w), "prime_verdict": verdict,
-                      "certificate": cert.to_dict() if cert else None})
+                      "certificate": cert})
     evidence = {"linear_ideal": linear, "cones": cones}
     if any(v == "Undetermined" for v in verdicts):
         evidence["note"] = "primeness undetermined on some cone"
-        return VerificationReport("well-poised", inst, UNDETERMINED, evidence)
+        return _report("well-poised", inst, UNDETERMINED, evidence)
     all_prime = all(v == "Prime" for v in verdicts)
     evidence["status"] = "well-poised" if all_prime else "not-well-poised"
     consistent = (all_prime and linear) or (not all_prime and not linear)
@@ -561,10 +539,10 @@ def well_poised_check(ideal, samples_per_cone=3, seed=0) -> VerificationReport:
         evidence["witness"] = ("linear ideal with a non-prime initial ideal"
                                if linear else
                                "non-linear ideal prime on every sampled stratum")
-    return VerificationReport("well-poised", inst, verdict, evidence)
+    return _report("well-poised", inst, verdict, evidence)
 
 
-def cm_fan_audit(ideal, samples_per_cone=3, seed=0) -> VerificationReport:
+def cm_fan_audit(ideal, samples_per_cone=3, seed=0) -> dict:
     """Constancy of the initial ideal on the interior of each maximal cone;
     on a cone where it fails, ``_unmet`` may name an unmet hypothesis."""
     d = krull_dimension(ideal)
@@ -576,10 +554,10 @@ def cm_fan_audit(ideal, samples_per_cone=3, seed=0) -> VerificationReport:
         base_w, base = first.setdefault(cone, (w, basis))
         if basis != base:
             if reason := _unmet(ideal, cone.A, d):
-                return VerificationReport(
+                return _report(
                     "cm-fan-coincidence", inst, HYPOTHESIS,
                     {"reason": reason, "cone": list(cone.label())})
-            return VerificationReport(
+            return _report(
                 "cm-fan-coincidence", inst, FAIL,
                 {"witness_cone": list(cone.label()),
                  "w1": _fmt_w(base_w), "w2": _fmt_w(w),
@@ -588,4 +566,4 @@ def cm_fan_audit(ideal, samples_per_cone=3, seed=0) -> VerificationReport:
                           for cone, (_, basis) in first.items()]}
     if samples_per_cone <= 1:
         evidence["note"] = "insufficient sampling: single sample per cone"
-    return VerificationReport("cm-fan-coincidence", inst, PASS, evidence)
+    return _report("cm-fan-coincidence", inst, PASS, evidence)

@@ -18,6 +18,11 @@ def ideal_from(ring, *texts):
     return Ideal(ring, [parse_polynomial(t, ring) for t in texts])
 
 
+def grevlex_basis(ideal):
+    """The reduced grevlex basis: equal for two ideals iff they are."""
+    return buchberger_reduced(ideal, GREVLEX).basis
+
+
 def compare(order, a, b):
     """-1, 0, or 1 as ``a`` is below, equal to, or above ``b`` in ``order``."""
     if len(a) != len(b):

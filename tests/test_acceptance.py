@@ -36,8 +36,8 @@ def test_criterion_1_initial_formula_all_cones(e_pluck_generic):
                 w = sample_interior(cone, k)
                 rep = verify_initial_formula(e_pluck_generic, cone.A, w)
                 checked += 1
-                if rep.verdict != PASS:
-                    failures.append((cone.label(), w, rep.verdict))
+                if rep["verdict"] != PASS:
+                    failures.append((cone.label(), w, rep["verdict"]))
     _report(1, not failures,
             f"initial-ideal formula on {checked} (cone, w) pairs "
             f"(15 maximal + 20 codim-1 cones, 3 samples each); "
@@ -52,8 +52,8 @@ def test_criterion_2_gr_presentation(e_conic, e_quad4_generic, e_pluck_generic):
         nonlocal checked
         rep = verify_gr_presentation(ideal, frozenset(A))
         checked += 1
-        if rep.verdict != PASS:
-            failures.append((sorted(A), rep.verdict))
+        if rep["verdict"] != PASS:
+            failures.append((sorted(A), rep["verdict"]))
 
     check(e_conic, {0})
     for size in (1, 2):
@@ -80,8 +80,8 @@ def test_criterion_3_quasival_decomposition(e_conic, e_quad4_generic):
             rep = verify_quasival_decomposition(ideal, A, w, maxdeg=4,
                                                 samples=50, seed=11)
             checked += 1
-            if rep.verdict != PASS:
-                failures.append((sorted(A), w, rep.verdict))
+            if rep["verdict"] != PASS:
+                failures.append((sorted(A), w, rep["verdict"]))
 
     for A in combinations(range(3), 1):
         check(e_conic, A)
@@ -100,14 +100,14 @@ def test_criterion_4_epsilon_facts(generic_corpus):
         n = ideal.ring.nvars
         d = dims[name]
         audit = genericity_audit(ideal, maxA=d - 1, seed=0)
-        if not audit.passed:
+        if not audit["pass"]:
             failures.append((name, "audit"))
             continue
         for size in range(1, d):
             for A in combinations(range(n), size):
                 rep = verify_epsilon_facts(ideal, frozenset(A))
                 checked += 1
-                if rep.verdict != PASS:
+                if rep["verdict"] != PASS:
                     failures.append((name, sorted(A)))
     _report(4, not failures,
             f"eps_A tropical membership and v(x_i) = (eps_A)_i on {checked} "
@@ -122,7 +122,7 @@ def test_criterion_5_iterated_initials(e_quad4_generic, e_pluck_generic):
             for i in A:
                 rep = verify_iterated_initial(e_quad4_generic, frozenset(A), i)
                 checked += 1
-                if rep.verdict != PASS:
+                if rep["verdict"] != PASS:
                     failures.append(("e-quad4", sorted(A), i))
     pool = [(A, i) for size in (1, 2, 3) for A in combinations(range(6), size)
             for i in A]
@@ -130,7 +130,7 @@ def test_criterion_5_iterated_initials(e_quad4_generic, e_pluck_generic):
     for A, i in rng.sample(pool, 10):
         rep = verify_iterated_initial(e_pluck_generic, frozenset(A), i)
         checked += 1
-        if rep.verdict != PASS:
+        if rep["verdict"] != PASS:
             failures.append(("e-pluck", sorted(A), i))
     _report(5, not failures,
             f"iterated initial degenerations agree on {checked} (A, i) pairs; "
@@ -150,8 +150,8 @@ def test_criterion_6_weight_sum_additivity(generic_corpus):
             w = sample_interior(cone, 101 + 2 * k)
             rep = verify_weight_sum(ideal, u, w, maxdeg=4)
             checked += 1
-            if rep.verdict != PASS:
-                failures.append((name, cone.label(), rep.verdict))
+            if rep["verdict"] != PASS:
+                failures.append((name, cone.label(), rep["verdict"]))
     _report(6, not failures,
             f"value-table additivity v_u + v_w = v_(u+w) on {checked} seeded "
             f"shared-cone pairs; failures: {failures[:3]}")
@@ -169,16 +169,16 @@ def test_criterion_7_codim1_primeness(e_lin, e_lin_generic, e_quad4_generic,
             verdict, cert = primeness_check(inw)
             checked += 1
             if not (verdict == "Prime"
-                    and cert.method == "principal-quadric-rank"
-                    and cert.data["rank"] >= 3):
+                    and cert["method"] == "principal-quadric-rank"
+                    and cert["data"]["rank"] >= 3):
                 failures.append((name, "codim1", cone.label(), verdict))
         for cone in enumerate_generic_fan(n, d, 0):
             inw = initial_ideal(sample_interior(cone, 3), ideal)
             verdict, cert = primeness_check(inw)
             checked += 1
             if not (verdict == "NotPrime"
-                    and cert.method == "principal-quadric-rank"
-                    and cert.data["rank"] <= 2):
+                    and cert["method"] == "principal-quadric-rank"
+                    and cert["data"]["rank"] <= 2):
                 failures.append((name, "maximal", cone.label(), verdict))
     for ideal in (e_lin, e_lin_generic):
         for codim in (0, 1):
@@ -221,12 +221,12 @@ def test_criterion_9_genericity_audit_batch(e_pluck):
         g = random_gl(6, seed, 100)
         candidate = apply_change(g, e_pluck)
         audit = genericity_audit(candidate, maxA=4, max_subsets=20, seed=seed)
-        if not audit.passed:
+        if not audit["pass"]:
             reseeds += 1
             g = random_gl(6, seed + 1000, 100)
             candidate = apply_change(g, e_pluck)
             audit = genericity_audit(candidate, maxA=4, max_subsets=20, seed=seed)
-            if not audit.passed:
+            if not audit["pass"]:
                 failures.append(seed)
     ok = not failures and reseeds <= 1
     _report(9, ok,

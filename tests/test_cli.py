@@ -16,7 +16,6 @@ import tropcm.groebner
 from tropcm.cache import digest, sha256
 from tropcm.cli import main
 from tropcm.ideal_io import write_json
-from tropcm.theorems import VerificationReport
 
 CONIC = """\
 # a conic hypersurface
@@ -95,7 +94,8 @@ def test_save_load_round_trip(tmp_path, e_quad4_generic):
     path = tmp_path / "out.ideal"
     save_ideal_file(e_quad4_generic, str(path))
     back = load_ideal_file(str(path))
-    assert back == e_quad4_generic
+    assert (buchberger_reduced(back, GREVLEX).basis
+            == buchberger_reduced(e_quad4_generic, GREVLEX).basis)
     assert (buchberger_reduced(back, GREVLEX).strings()
             == buchberger_reduced(e_quad4_generic, GREVLEX).strings())
 
@@ -590,6 +590,19 @@ def test_cli_verify_rejects_empty_sampling(conic_path, capsys, argv):
     assert captured.err.startswith("error:") and captured.out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--claim", "initial-formula", "--A", "1"],
+    ["verify", "--claim", "all"],
+    ["audit-cm"],
+], ids=["one-claim", "all", "audit-cm"])
+def test_cli_rejects_no_sample_per_cone_up_front(conic_path, capsys, argv):
+    # the flag's own message, before any claim runs: not fan.sweep's
+    code = main(argv[:1] + [conic_path] + argv[1:] + ["--samples-per-cone", "0"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: --samples-per-cone must be at least 1\n"
+
+
 @pytest.mark.parametrize("flag", ["--maxdeg", "--samples"])
 def test_cli_verify_rejects_a_negative_count(conic_path, capsys, flag):
     code = main(["verify", conic_path, "--claim", "all", flag, "-1"])
@@ -656,7 +669,7 @@ def test_cli_generic_samples_over_the_file_field(tmp_path, capsys):
     transformed = load_ideal_file(str(out))
     assert transformed.ring.field.name == "Fp:7"
     verdict, cert = primeness_check(transformed)
-    assert verdict == "Prime" and cert.data["rank"] == 3
+    assert verdict == "Prime" and cert["data"]["rank"] == 3
 
 
 def test_cli_report_field_comes_from_the_file(tmp_path, capsys):
@@ -750,8 +763,8 @@ def test_report_is_hashed_and_written_in_bounded_memory(conic_path,
                 "matrix": [[str(Fraction(k * i - j, 7 + i + j)) for j in range(6)]
                            for i in range(6)]}
                for k in range(4000)]
-    reports = [VerificationReport("well-poised", {"samples_per_cone": 3},
-                                  "pass", {"samples": samples})]
+    reports = [{"claim": "well-poised", "params": {"samples_per_cone": 3},
+                "verdict": "pass", "evidence": {"samples": samples}}]
     stream = _DigestStream()
     monkeypatch.setattr(sys, "stdout", stream)
     tracemalloc.start()

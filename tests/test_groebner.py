@@ -17,7 +17,7 @@ from tropcm.cache import GBCache, digest
 from tropcm.macaulay import graded_slice, initial_slice_oracle
 from tropcm.polynomials import monomials_of_degree
 
-from conftest import elimination, ideal_from
+from conftest import elimination, grevlex_basis, ideal_from
 
 R3 = default_ring(3)
 
@@ -48,7 +48,6 @@ def test_reduced_basis_canonical_across_generating_sets():
     I = Ideal(R3, [f, g])
     x1 = R3.variable(0)
     regenerated = Ideal(R3, [f + g, g, (f * x1)])
-    assert I == regenerated
     for order in (GREVLEX, LEX, MonomialOrder.weighted((1, 0, 2))):
         assert gb_strings(I, order) == gb_strings(regenerated, order)
 
@@ -81,8 +80,9 @@ def test_normal_form_single_reduction_under_weight_order():
 def test_initial_ideal_constant_weight_is_identity(e_conic, e_pluck):
     for I in (e_conic, e_pluck):
         n = I.ring.nvars
-        assert initial_ideal((1,) * n, I) == I
-        assert initial_ideal((Fraction(5, 2),) * n, I) == I
+        assert grevlex_basis(initial_ideal((1,) * n, I)) == grevlex_basis(I)
+        assert (grevlex_basis(initial_ideal((Fraction(5, 2),) * n, I))
+                == grevlex_basis(I))
 
 
 def test_initial_ideal_conic():
@@ -99,16 +99,16 @@ def test_initial_ideal_binomial():
 def test_initial_ideal_idempotent(e_quad4_generic):
     w = (0, 2, 3, 0)
     first = initial_ideal(w, e_quad4_generic)
-    assert initial_ideal(w, first) == first
+    assert grevlex_basis(initial_ideal(w, first)) == grevlex_basis(first)
 
 
 def test_initial_ideal_invariances(e_conic_generic):
     w = (Fraction(1), Fraction(0), Fraction(2))
-    base = initial_ideal(w, e_conic_generic)
+    base = grevlex_basis(initial_ideal(w, e_conic_generic))
     shifted = tuple(x + Fraction(7, 3) for x in w)
     scaled = tuple(Fraction(5, 2) * x for x in w)
-    assert initial_ideal(shifted, e_conic_generic) == base
-    assert initial_ideal(scaled, e_conic_generic) == base
+    assert grevlex_basis(initial_ideal(shifted, e_conic_generic)) == base
+    assert grevlex_basis(initial_ideal(scaled, e_conic_generic)) == base
 
 
 def test_initial_degeneration_preserves_hilbert_series(generic_corpus):
@@ -545,5 +545,5 @@ def test_prime_field_pipeline():
     assert krull_dimension(I) == 2
     g = random_gl(3, seed=2, bound=100, field=PrimeField(32003))
     J = apply_change(g, I)
-    assert genericity_audit(J, maxA=1).passed
-    assert verify_initial_formula(J, frozenset({0}), (1, 0, 0)).verdict == "pass"
+    assert genericity_audit(J, maxA=1)["pass"]
+    assert verify_initial_formula(J, frozenset({0}), (1, 0, 0))["verdict"] == "pass"

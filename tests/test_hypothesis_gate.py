@@ -64,8 +64,8 @@ def test_no_a_claim_fails_on_an_unmet_hypothesis(name):
     d = krull_dimension(ideal)
     for A in _subsets(ideal.ring.nvars, d):
         for report in _claims(ideal, A):
-            assert report.verdict != FAIL, (report.claim, sorted(A),
-                                            report.evidence)
+            assert report["verdict"] != FAIL, (report["claim"], sorted(A),
+                                               report["evidence"])
 
 
 def test_generic_skew_lines_meet_no_epsilon_hypothesis():
@@ -74,8 +74,8 @@ def test_generic_skew_lines_meet_no_epsilon_hypothesis():
     for i in range(4):
         assert _unmet(ideal, {i}) is None
         report = verify_epsilon_facts(ideal, frozenset({i}))
-        assert report.verdict == HYPOTHESIS
-        assert report.evidence["reason"].startswith("not a regular sequence: ")
+        assert report["verdict"] == HYPOTHESIS
+        assert report["evidence"]["reason"].startswith("not a regular sequence: ")
 
 
 def _regular_in_degree(gens, i, m):

@@ -1,16 +1,13 @@
 """The record classes: field-wise equality and hashing of the value types,
-the checks their constructors make, and defaults that no two instances
-share."""
-
-from fractions import Fraction
+the checks their constructors make, and, for the audits and reports that
+are plain dicts, containers that no two of them share."""
 
 import pytest
 
-from tropcm import (QQ, ConeCA, GenericityAudit, HilbertSeries, LinearChange,
-                    PrimeField, PrimenessCertificate, Ring, VerificationReport)
-from tropcm.generic import AuditCheck
+from tropcm import (QQ, ConeCA, HilbertSeries, PrimeField, Ring,
+                    default_ring, genericity_audit, verify_gr_presentation)
 
-IDENTITY = tuple(tuple(Fraction(int(i == j)) for j in range(2)) for i in range(2))
+from conftest import ideal_from
 
 
 def assert_equal_values(a, b):
@@ -45,22 +42,6 @@ def test_cones_compare_by_subset_and_ambient_dimension():
     assert ConeCA(frozenset({0}), 3) != ConeCA(frozenset({2}), 3)
 
 
-def test_linear_changes_compare_field_by_field():
-    change = LinearChange(IDENTITY, 3, 20)
-    assert_equal_values(change, LinearChange(IDENTITY, 3, 20, QQ))
-    assert_equal_values(LinearChange(IDENTITY, 3, 20, PrimeField(7)),
-                        LinearChange(IDENTITY, 3, 20, PrimeField(7)))
-    assert change != LinearChange(IDENTITY, 4, 20)
-    assert change != LinearChange(IDENTITY, 3, 21)
-    assert change != LinearChange(IDENTITY, 3, 20, PrimeField(7))
-    assert change != LinearChange(IDENTITY[::-1], 3, 20)
-
-
-def test_audit_checks_compare_field_by_field():
-    assert_equal_values(AuditCheck((1, 3), 2, 2), AuditCheck((1, 3), 2, 2))
-    assert AuditCheck((1, 3), 2, 2) != AuditCheck((1, 3), 2, 3)
-
-
 @pytest.mark.parametrize("build, message", [
     (lambda: Ring(("x", "y", "x")), "duplicate variable names"),
     (lambda: ConeCA(frozenset({3}), 3), "cone subset out of range"),
@@ -72,18 +53,17 @@ def test_constructors_reject_bad_fields(build, message):
 
 
 def test_default_containers_are_not_shared():
-    first, second = GenericityAudit(2, 0), GenericityAudit(2, 0)
-    first.checks.append(AuditCheck((1,), 1, 1))
-    assert second.checks == []
-    first, second = VerificationReport("c", {}, "pass"), VerificationReport("c", {}, "pass")
-    first.evidence["k"] = 1
-    assert second.evidence == {}
+    conic = ideal_from(default_ring(3), "x1*x3 - x2^2")
+    first, second = genericity_audit(conic), genericity_audit(conic)
+    first["checks"].append({})
+    assert second["checks"] == first["checks"][:-1]
+    first, second = (verify_gr_presentation(conic, {0}) for _ in range(2))
+    first["evidence"]["k"] = 1
+    assert "k" not in second["evidence"]
 
 
 @pytest.mark.parametrize("record", [
     Ring(("x",)), HilbertSeries((1,), 1), ConeCA(frozenset(), 1),
-    LinearChange(IDENTITY, 0, 2), AuditCheck((), 1, 1), GenericityAudit(1, 0),
-    VerificationReport("c", {}, "pass"), PrimenessCertificate("linear", {}),
 ], ids=lambda r: type(r).__name__)
 def test_records_are_slotted(record):
     assert not hasattr(record, "__dict__")

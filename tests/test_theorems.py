@@ -24,22 +24,22 @@ R4 = default_ring(4)
 def test_initial_formula_conic():
     I = ideal_from(R3, "x1*x3 - x2^2")
     rep = verify_initial_formula(I, frozenset({0}), (1, 0, 0))
-    assert rep.verdict == PASS
-    assert rep.evidence["initial_ideal_basis"] == ["x2^2"]
-    assert rep.evidence["eliminated_extension_basis"] == ["x2^2"]
+    assert rep["verdict"] == PASS
+    assert rep["evidence"]["initial_ideal_basis"] == ["x2^2"]
+    assert rep["evidence"]["eliminated_extension_basis"] == ["x2^2"]
 
 
 def test_initial_formula_constant_weight_degenerate_face(e_conic):
     rep = verify_initial_formula(e_conic, frozenset(), (2, 2, 2))
-    assert rep.verdict == PASS
+    assert rep["verdict"] == PASS
 
 
 def test_initial_formula_hypothesis_violations(e_conic):
     rep = verify_initial_formula(e_conic, frozenset({0}), (0, 1, 0))
-    assert rep.verdict == HYPOTHESIS
+    assert rep["verdict"] == HYPOTHESIS
     rep = verify_initial_formula(e_conic, frozenset({0, 1}), (2, 1, 0))
-    assert rep.verdict == HYPOTHESIS
-    assert rep.evidence["reason"] == "|A| exceeds d - 1"
+    assert rep["verdict"] == HYPOTHESIS
+    assert rep["evidence"]["reason"] == "|A| exceeds d - 1"
 
 
 def test_initial_formula_unmet_off_generic_position():
@@ -47,15 +47,15 @@ def test_initial_formula_unmet_off_generic_position():
     # and the formula's hypothesis fails, although |A| = 1 <= d - 1
     I = ideal_from(R3, "x1*x2")
     rep = verify_initial_formula(I, frozenset({0}), (1, 0, 0))
-    assert rep.verdict == HYPOTHESIS
-    assert rep.evidence == {"reason": "not a regular sequence: x1"}
+    assert rep["verdict"] == HYPOTHESIS
+    assert rep["evidence"] == {"reason": "not a regular sequence: x1"}
 
 
 def test_initial_formula_all_maximal_cones_plucker(e_pluck_generic):
     for cone in [ConeCA(frozenset(a), 6) for a in ((0, 1, 2, 3), (1, 2, 4, 5))]:
         w = sample_interior(cone, 1)
         rep = verify_initial_formula(e_pluck_generic, cone.A, w)
-        assert rep.verdict == PASS
+        assert rep["verdict"] == PASS
 
 
 def test_initial_formula_pass_implies_trop_membership(e_quad4_generic):
@@ -66,7 +66,7 @@ def test_initial_formula_pass_implies_trop_membership(e_quad4_generic):
     for cone in enumerate_generic_fan(4, 3, 0):
         w = sample_interior(cone, 4)
         rep = verify_initial_formula(e_quad4_generic, cone.A, w)
-        assert rep.verdict == PASS
+        assert rep["verdict"] == PASS
         assert trop_membership(w, e_quad4_generic)
 
 
@@ -75,26 +75,26 @@ def test_initial_formula_pass_implies_trop_membership(e_quad4_generic):
 def test_gr_presentation_conic_series_identity():
     I = ideal_from(R3, "x1*x3 - x2^2")
     rep = verify_gr_presentation(I, frozenset({0}))
-    assert rep.verdict == PASS
-    assert rep.evidence["series_equal"] and rep.evidence["basis_equal"]
+    assert rep["verdict"] == PASS
+    assert rep["evidence"]["series_equal"] and rep["evidence"]["basis_equal"]
     lhs = hilbert_series_quotient(initial_ideal((1, 0, 0), I))
-    assert str(lhs) == rep.evidence["initial_series"]
+    assert str(lhs) == rep["evidence"]["initial_series"]
 
 
 def test_gr_presentation_empty_subset(e_quad4_generic):
     rep = verify_gr_presentation(e_quad4_generic, frozenset())
-    assert rep.verdict == PASS
+    assert rep["verdict"] == PASS
 
 
 def test_gr_presentation_hypothesis_gate():
     I = ideal_from(R3, "x1")
     rep = verify_gr_presentation(I, frozenset({0}))
-    assert rep.verdict == HYPOTHESIS
+    assert rep["verdict"] == HYPOTHESIS
 
 
 def test_gr_presentation_plucker_big_subset(e_pluck_generic):
     rep = verify_gr_presentation(e_pluck_generic, frozenset({0, 1, 2, 3}))
-    assert rep.verdict == PASS
+    assert rep["verdict"] == PASS
 
 
 def test_initial_formula_implies_gr_basis_clause(e_quad4_generic):
@@ -103,8 +103,8 @@ def test_initial_formula_implies_gr_basis_clause(e_quad4_generic):
         eps = epsilon_vector(A, 4)
         first = verify_initial_formula(e_quad4_generic, A, eps)
         second = verify_gr_presentation(e_quad4_generic, A)
-        assert first.verdict == PASS
-        assert second.verdict == PASS and second.evidence["basis_equal"]
+        assert first["verdict"] == PASS
+        assert second["verdict"] == PASS and second["evidence"]["basis_equal"]
 
 
 # -- quasivaluation decomposition -------------------------------------------------
@@ -113,7 +113,7 @@ def test_decomposition_conic_interior_weight():
     I = ideal_from(R3, "x1*x3 - x2^2")
     rep = verify_quasival_decomposition(I, frozenset({0}), (2, 1, 1),
                                         maxdeg=4, samples=25, seed=3)
-    assert rep.verdict == PASS
+    assert rep["verdict"] == PASS
     # the non-basis element x2^2: v_w = 3 = min(w)*deg + (w_1 - min(w))*ord_1
     from tropcm import Quasivaluation, adic_order
     vw = Quasivaluation.weight(I, (2, 1, 1))
@@ -136,7 +136,7 @@ def test_decomposition_keeps_its_adic_orders_for_later_claims(monkeypatch):
 
     monkeypatch.setattr(tropcm.theorems, "adic_order", refuse)
     again = verify_quasival_decomposition(*args, maxdeg=3, samples=10, seed=3)
-    assert first.verdict == PASS and again.to_dict() == first.to_dict()
+    assert first["verdict"] == PASS and again == first
 
 
 def test_decomposition_at_epsilon_reduces_to_adic(e_quad4_generic):
@@ -144,37 +144,37 @@ def test_decomposition_at_epsilon_reduces_to_adic(e_quad4_generic):
     rep = verify_quasival_decomposition(e_quad4_generic, A,
                                         epsilon_vector(A, 4),
                                         maxdeg=3, samples=20, seed=1)
-    assert rep.verdict == PASS
+    assert rep["verdict"] == PASS
 
 
 def test_decomposition_variable_values(e_conic_generic):
     rep = verify_quasival_decomposition(e_conic_generic, frozenset({2}),
                                         (0, 0, 5), maxdeg=2, samples=10, seed=0)
-    assert rep.verdict == PASS
+    assert rep["verdict"] == PASS
 
 
 def test_decomposition_hypothesis_gate(e_conic):
     rep = verify_quasival_decomposition(e_conic, frozenset({0}), (0, 1, 0))
-    assert rep.verdict == HYPOTHESIS
+    assert rep["verdict"] == HYPOTHESIS
 
 
 # -- iterated initials -------------------------------------------------------------
 
 def test_iterated_initial_singleton_is_trivial(e_conic_generic):
     rep = verify_iterated_initial(e_conic_generic, frozenset({1}), 1)
-    assert rep.verdict == PASS
+    assert rep["verdict"] == PASS
 
 
 def test_iterated_initial_quad4(e_quad4_generic):
     rep = verify_iterated_initial(e_quad4_generic, frozenset({0, 1}), 0)
-    assert rep.verdict == PASS
+    assert rep["verdict"] == PASS
     rep = verify_iterated_initial(e_quad4_generic, frozenset({0, 1}), 1)
-    assert rep.verdict == PASS
+    assert rep["verdict"] == PASS
 
 
 def test_iterated_initial_size_gate(e_conic_generic):
     rep = verify_iterated_initial(e_conic_generic, frozenset({0, 1}), 0)
-    assert rep.verdict == HYPOTHESIS
+    assert rep["verdict"] == HYPOTHESIS
 
 
 def test_iterated_initial_requires_member_index(e_quad4_generic):
@@ -186,12 +186,12 @@ def test_iterated_initial_requires_member_index(e_quad4_generic):
 
 def test_weight_sum_with_itself_is_scaling(e_conic_generic):
     rep = verify_weight_sum(e_conic_generic, (2, 0, 0), (2, 0, 0))
-    assert rep.verdict == PASS
+    assert rep["verdict"] == PASS
 
 
 def test_weight_sum_zero_identity(e_conic_generic):
     rep = verify_weight_sum(e_conic_generic, (0, 0, 0), (3, 0, 1))
-    assert rep.verdict == PASS
+    assert rep["verdict"] == PASS
 
 
 def test_weight_sum_generic_cone(e_pluck_generic):
@@ -199,12 +199,12 @@ def test_weight_sum_generic_cone(e_pluck_generic):
     u = sample_interior(cone, 5)
     w = sample_interior(cone, 6)
     rep = verify_weight_sum(e_pluck_generic, u, w)
-    assert rep.verdict == PASS
+    assert rep["verdict"] == PASS
 
 
 def test_weight_sum_reports_unmet_hypothesis(e_conic):
     rep = verify_weight_sum(e_conic, (1, 0, 0), (0, 1, 0))
-    assert rep.verdict == HYPOTHESIS
+    assert rep["verdict"] == HYPOTHESIS
 
 
 # -- epsilon facts ----------------------------------------------------------------
@@ -214,7 +214,7 @@ def test_epsilon_facts_on_generic_corpus(generic_corpus):
     for name, I in generic_corpus.items():
         A = frozenset(range(sizes[name]))
         rep = verify_epsilon_facts(I, A)
-        assert rep.verdict == PASS, (name, rep.evidence)
+        assert rep["verdict"] == PASS, (name, rep["evidence"])
 
 
 def test_epsilon_facts_unmet_on_the_raw_conic():
@@ -222,22 +222,22 @@ def test_epsilon_facts_unmet_on_the_raw_conic():
     # generated by the monomial x2^2, so eps_{1} misses the tropical variety
     I = ideal_from(R3, "x1*x3 - x2^2")
     rep = verify_epsilon_facts(I, frozenset({0}))
-    assert rep.verdict == HYPOTHESIS
-    assert rep.evidence == {"reason": "not a regular sequence: x1, x2"}
+    assert rep["verdict"] == HYPOTHESIS
+    assert rep["evidence"] == {"reason": "not a regular sequence: x1, x2"}
 
 
 def test_epsilon_facts_hypothesis_gate():
     # x1 is a zero divisor mod <x1*x2>, so x1 is not a regular sequence
     I = ideal_from(R3, "x1*x2")
     rep = verify_epsilon_facts(I, frozenset({0}))
-    assert rep.verdict == HYPOTHESIS
+    assert rep["verdict"] == HYPOTHESIS
 
 
 # -- primeness certificates ----------------------------------------------------------
 
 def test_primeness_linear():
     verdict, cert = primeness_check(ideal_from(R3, "x1", "x2 + x3"))
-    assert verdict == "Prime" and cert.method == "linear"
+    assert verdict == "Prime" and cert["method"] == "linear"
 
 
 def test_primeness_zero_ideal():
@@ -248,36 +248,36 @@ def test_primeness_zero_ideal():
 def test_primeness_conic_rank3():
     verdict, cert = primeness_check(ideal_from(R3, "x1*x3 - x2^2"))
     assert verdict == "Prime"
-    assert cert.method == "principal-quadric-rank" and cert.data["rank"] == 3
+    assert cert["method"] == "principal-quadric-rank" and cert["data"]["rank"] == 3
 
 
 def test_primeness_binary_quadric_not_prime():
     R2 = default_ring(2)
     verdict, cert = primeness_check(ideal_from(R2, "x1^2 + 3*x1*x2 + x2^2"))
-    assert verdict == "NotPrime" and cert.data["rank"] == 2
+    assert verdict == "NotPrime" and cert["data"]["rank"] == 2
     verdict, cert = primeness_check(ideal_from(R2, "x1^2 + 2*x1*x2 + x2^2"))
-    assert verdict == "NotPrime" and cert.data["rank"] == 1
+    assert verdict == "NotPrime" and cert["data"]["rank"] == 1
 
 
 def test_primeness_monomial_ideals():
     verdict, cert = primeness_check(ideal_from(R3, "x1", "x2"))
     assert verdict == "Prime"
     verdict, cert = primeness_check(ideal_from(R3, "x1*x2", "x3^2"))
-    assert verdict == "NotPrime" and cert.method == "monomial"
+    assert verdict == "NotPrime" and cert["method"] == "monomial"
 
 
 def test_primeness_monomial_content_factor():
     verdict, cert = primeness_check(ideal_from(R3, "x1^2*x2 + x1*x3^2"))
-    assert verdict == "NotPrime" and cert.method == "monomial"
-    assert cert.data["factors"][0] == "x1"
+    assert verdict == "NotPrime" and cert["method"] == "monomial"
+    assert cert["data"]["factors"][0] == "x1"
 
 
 def test_primeness_cubic_with_linear_factor():
     f = "(x1 + x2)*(x1*x2 + x3^2)"
     verdict, cert = primeness_check(ideal_from(R3, f))
     assert verdict == "NotPrime"
-    assert cert.method == "small-field-factor-search"
-    ell, q = cert.data["factors"]
+    assert cert["method"] == "small-field-factor-search"
+    ell, q = cert["data"]["factors"]
     recomposed = parse_polynomial(ell, R3) * parse_polynomial(q, R3)
     assert recomposed == parse_polynomial(f, R3)
 
@@ -298,20 +298,20 @@ def test_prime_certificate_implies_monomial_free(e_quad4_generic):
     assert verdict == "Prime"
     assert contains_monomial(inw) is None
     rep = radicality_spot_check(inw, samples=10)
-    assert rep.verdict == PASS
+    assert rep["verdict"] == PASS
 
 
 # -- radicality -------------------------------------------------------------------
 
 def test_radicality_witnesses_non_radical():
     rep = radicality_spot_check(ideal_from(R3, "x1^2"), samples=20)
-    assert rep.verdict == FAIL
-    assert rep.evidence["witness"] == "x1" and rep.evidence["power"] == 2
+    assert rep["verdict"] == FAIL
+    assert rep["evidence"]["witness"] == "x1" and rep["evidence"]["power"] == 2
 
 
 def test_radicality_passes_on_radical_monomial_ideal():
     rep = radicality_spot_check(ideal_from(R3, "x1*x2"), samples=20)
-    assert rep.verdict == PASS
+    assert rep["verdict"] == PASS
 
 
 @pytest.mark.parametrize("seed", [3, 4, 5, 11, 12])
@@ -320,35 +320,35 @@ def test_radicality_fails_on_a_radical_member_without_a_small_power(seed):
     R2 = default_ring(2)
     I = ideal_from(R2, "(x1 - x2)^5")
     rep = radicality_spot_check(I, samples=50, seed=seed)
-    assert rep.verdict == FAIL
-    witness = parse_polynomial(rep.evidence["witness"], R2)
+    assert rep["verdict"] == FAIL
+    witness = parse_polynomial(rep["evidence"]["witness"], R2)
     assert not ideal_membership(witness, I)
     assert radical_membership(witness, I)
-    if "power" in rep.evidence:
-        assert ideal_membership(witness ** rep.evidence["power"], I)
+    if "power" in rep["evidence"]:
+        assert ideal_membership(witness ** rep["evidence"]["power"], I)
 
 
 def test_radicality_prime_shortcut(e_conic):
     rep = radicality_spot_check(e_conic, samples=5)
-    assert rep.verdict == PASS
-    assert "certificate" in rep.evidence
+    assert rep["verdict"] == PASS
+    assert "certificate" in rep["evidence"]
 
 
 # -- well-poisedness ----------------------------------------------------------------
 
 def test_well_poised_linear_instance(e_lin_generic):
     rep = well_poised_check(e_lin_generic, samples_per_cone=2)
-    assert rep.verdict == PASS
-    assert rep.evidence["status"] == "well-poised"
-    assert rep.evidence["linear_ideal"] is True
+    assert rep["verdict"] == PASS
+    assert rep["evidence"]["status"] == "well-poised"
+    assert rep["evidence"]["linear_ideal"] is True
 
 
 def test_well_poised_quadric_instance(e_quad4_generic):
     rep = well_poised_check(e_quad4_generic, samples_per_cone=2)
-    assert rep.verdict == PASS
-    assert rep.evidence["status"] == "not-well-poised"
-    codim0 = [c for c in rep.evidence["cones"] if c["codim"] == 0]
-    codim1 = [c for c in rep.evidence["cones"] if c["codim"] == 1]
+    assert rep["verdict"] == PASS
+    assert rep["evidence"]["status"] == "not-well-poised"
+    codim0 = [c for c in rep["evidence"]["cones"] if c["codim"] == 0]
+    codim1 = [c for c in rep["evidence"]["cones"] if c["codim"] == 1]
     assert all(c["prime_verdict"] == "NotPrime" for c in codim0)
     assert all(c["prime_verdict"] == "Prime" for c in codim1)
 
@@ -356,14 +356,14 @@ def test_well_poised_quadric_instance(e_quad4_generic):
 def test_well_poised_degenerate_dimension_one():
     I = ideal_from(R3, "x1", "x2")
     rep = well_poised_check(I, samples_per_cone=1)
-    assert rep.verdict == PASS
-    assert {c["codim"] for c in rep.evidence["cones"]} == {0}
+    assert rep["verdict"] == PASS
+    assert {c["codim"] for c in rep["evidence"]["cones"]} == {0}
 
 
 def test_well_poised_undetermined_downgrades():
     I = ideal_from(R3, "x1^3 + x2^3 + x3^3")
     rep = well_poised_check(I, samples_per_cone=1)
-    assert rep.verdict == UNDETERMINED
+    assert rep["verdict"] == UNDETERMINED
 
 
 @pytest.mark.parametrize("sweep", [well_poised_check, cm_fan_audit])
@@ -385,14 +385,14 @@ def test_fan_sweeps_refuse_to_sample_nothing(e_conic, sweep, samples_per_cone,
 def test_cm_fan_audit_passes_on_corpus(e_conic_generic, e_pluck_generic):
     for I in (e_conic_generic, e_pluck_generic):
         rep = cm_fan_audit(I, samples_per_cone=3, seed=2)
-        assert rep.verdict == PASS
+        assert rep["verdict"] == PASS
 
 
 def test_cm_fan_audit_writes_the_process_cache(e_rnc4_generic, tmp_path,
                                                fresh_cache):
     fresh_cache(tmp_path)
     rep = cm_fan_audit(e_rnc4_generic, samples_per_cone=3, seed=42)
-    assert rep.verdict == PASS
+    assert rep["verdict"] == PASS
     assert list(tmp_path.glob("*.json"))
 
 
@@ -407,7 +407,7 @@ def test_cm_fan_audit_computes_one_grevlex_basis(e_rnc4_generic, monkeypatch,
         return raw(ideal, order, hilbert)
 
     monkeypatch.setattr(tropcm.groebner, "groebner_basis_raw", counted)
-    assert cm_fan_audit(e_rnc4_generic, samples_per_cone=3, seed=42).verdict == PASS
+    assert cm_fan_audit(e_rnc4_generic, samples_per_cone=3, seed=42)["verdict"] == PASS
     assert runs.count("grevlex") == 1
 
 
@@ -423,14 +423,14 @@ def test_equality_claims_write_the_process_cache(check, tmp_path, fresh_cache):
     cubic = ideal_from(R4, "x1*x3 - x2^2", "x1*x4 - x2*x3", "x2*x4 - x3^2")
     I = apply_change(random_gl(4, seed=7, bound=100), cubic)
     fresh_cache(tmp_path)
-    assert check(I).verdict == PASS
+    assert check(I)["verdict"] == PASS
     assert list(tmp_path.glob("*.json"))
 
 
 def test_cm_fan_audit_single_sample_flagged(e_conic_generic):
     rep = cm_fan_audit(e_conic_generic, samples_per_cone=1)
-    assert rep.verdict == PASS
-    assert "insufficient sampling" in rep.evidence["note"]
+    assert rep["verdict"] == PASS
+    assert "insufficient sampling" in rep["evidence"]["note"]
 
 
 def test_cm_fan_audit_detects_non_constant_cone(monkeypatch):
@@ -438,15 +438,15 @@ def test_cm_fan_audit_detects_non_constant_cone(monkeypatch):
     # whose x_A is no regular sequence, so the claim does not apply there
     I = ideal_from(R4, "x1*x2 + x3*x4")
     rep = cm_fan_audit(I, samples_per_cone=3, seed=0)
-    assert rep.verdict == HYPOTHESIS
-    assert rep.evidence == {"reason": "not a regular sequence: x1, x3",
+    assert rep["verdict"] == HYPOTHESIS
+    assert rep["evidence"] == {"reason": "not a regular sequence: x1, x3",
                             "cone": [1, 3]}
     # with the hypothesis met, the same flip is a counterexample
     monkeypatch.setattr(tropcm.theorems, "_unmet", lambda ideal, A, d=None: None)
     rep = cm_fan_audit(I, samples_per_cone=3, seed=0)
-    assert rep.verdict == FAIL
-    assert rep.evidence["witness_cone"] == [1, 3]
-    assert rep.evidence["basis1"] != rep.evidence["basis2"]
+    assert rep["verdict"] == FAIL
+    assert rep["evidence"]["witness_cone"] == [1, 3]
+    assert rep["evidence"]["basis1"] != rep["evidence"]["basis2"]
 
 
 @pytest.mark.slow
@@ -458,6 +458,6 @@ def test_cm_fan_audit_flags_depth_deficient_instance():
     skew = ideal_from(R6, *gens)
     S = apply_change(random_gl(6, seed=5, bound=7), skew)
     rep = cm_fan_audit(S, samples_per_cone=3, seed=11)
-    assert rep.verdict == HYPOTHESIS
-    assert rep.evidence == {"reason": "not a regular sequence: x1, x2",
+    assert rep["verdict"] == HYPOTHESIS
+    assert rep["evidence"] == {"reason": "not a regular sequence: x1, x2",
                             "cone": [1, 2]}
