@@ -16,6 +16,7 @@ from functools import partial
 from .cache import set_cache_directory, sha256
 from .fan import (ConeCA, enumerate_generic_fan, sample_cones, sample_interior,
                   sweep)
+from .fields import FieldError, _ascii
 from .generic import apply_change, genericity_audit, random_gl
 from .groebner import (buchberger_reduced, contains_monomial, holds_monomial,
                        initial_ideal, krull_dimension)
@@ -175,7 +176,7 @@ def cmd_quasival(args):
         v = Quasivaluation.weight(ideal, parse_weight(args.w, ring.nvars))
         order = MonomialOrder.weighted(v.w)
     if args.scale is not None:
-        v = scale(args.scale, v)
+        v = scale(_ascii(args.scale, "scaling factor"), v)
     if args.elements:
         elements = [parse_polynomial(s, ring)
                     for s in args.elements.split(";") if s.strip()]
@@ -333,6 +334,17 @@ def _report_lines(body):
 # ---------------------------------------------------------------------------
 # parser
 
+def _int(text):
+    """An integer flag: int() of ASCII text, as files and weights are read."""
+    try:
+        return int(_ascii(text, "integer"))
+    except FieldError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+_int.__name__ = "int"   # argparse's "invalid int value: 'x'" names the type
+
+
 # integer option groups: flag and default
 _COUNTS = {"seed": (("--seed", 42),), "bound": (("--bound", 100),),
            "maxdeg": (("--maxdeg", 4),),
@@ -365,7 +377,7 @@ def build_parser(command=None):
                        help="write JSON here instead of stdout")
         for group in groups:
             for flag, default in _COUNTS[group]:
-                p.add_argument(flag, type=int, default=default)
+                p.add_argument(flag, type=_int, default=default)
         p.set_defaults(func=func, **defaults)
         return p
 
@@ -380,12 +392,13 @@ def build_parser(command=None):
         p.add_argument("-w", required=True)
     if p := add("generic", cmd_generic, "seeded change of coordinates plus "
                 "audit; -o names the transformed ideal file", "seed", "bound"):
-        p.add_argument("--audit-maxA", dest="audit_maxA", type=int, default=None)
-        p.add_argument("--audit-subsets", dest="audit_subsets", type=int,
+        p.add_argument("--audit-maxA", dest="audit_maxA", type=_int,
+                       default=None)
+        p.add_argument("--audit-subsets", dest="audit_subsets", type=_int,
                        default=20)
     if p := add("fan", cmd_fan, "per-cone initial data on one fan stratum",
                 "seed"):
-        p.add_argument("--codim", type=int, default=0)
+        p.add_argument("--codim", type=_int, default=0)
     if p := add("quasival", cmd_quasival, "value table of a quasivaluation",
                 "maxdeg"):
         kind = p.add_mutually_exclusive_group(required=True)
@@ -403,7 +416,7 @@ def build_parser(command=None):
         p.add_argument("--A", default=None, help="comma-separated 1-based subset")
         p.add_argument("-w", default=None)
         p.add_argument("-u", default=None)
-        p.add_argument("-i", "--index", type=int, default=None,
+        p.add_argument("-i", "--index", type=_int, default=None,
                        help="1-based index of a variable in A (iterated-initial)")
     # the same run as ``verify --claim cm-fan``
     add("audit-cm", cmd_verify, "initial-ideal constancy per maximal cone",

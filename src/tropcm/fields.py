@@ -15,17 +15,39 @@ class FieldError(ValueError):
     """Raised for bad moduli, coercion failures, or mixed-field arithmetic."""
 
 
+def _ascii(text, what):
+    """``text``, refused unless ASCII: int() and Fraction() also read digits
+    such as '١', which no number read from outside may hold."""
+    if not text.isascii():
+        raise FieldError(f"bad {what} {text!r}: digits must be ASCII")
+    return text
+
+
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# the least strong pseudoprime to all of _BASES (Sorenson and Webster, 2015)
+_PSEUDOPRIME = 3317044064679887385961981
+
+
 def is_prime(p: int) -> bool:
-    """Trial-division primality test; moduli here are small."""
-    if p < 2:
-        return False
-    if p % 2 == 0:
-        return p == 2
-    i = 3
-    while i * i <= p:
-        if p % i == 0:
+    """Miller-Rabin to the prime bases up to 41, exact below _PSEUDOPRIME
+    (about 3.3 * 10^24); a larger p raises FieldError."""
+    if p >= _PSEUDOPRIME:
+        raise FieldError(f"modulus {p} is beyond the exact primality test")
+    if p < 2 or any(p % a == 0 for a in _BASES):
+        return p in _BASES
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _BASES:
+        x = pow(a, d, p)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == p - 1:
+                break
+            x = x * x % p
+        else:
             return False
-        i += 2
     return True
 
 
@@ -195,7 +217,7 @@ def field_from_name(name: str):
     if name in ("Q", "QQ"):
         return QQ
     if name.startswith("Fp:") and name[3:].strip().isdecimal():
-        return PrimeField(int(name[3:]))
+        return PrimeField(int(_ascii(name, "field descriptor")[3:]))
     if name == "Fp":
         return PrimeField(DEFAULT_PRIME)
     raise FieldError(f"unknown field descriptor {name!r}")

@@ -18,7 +18,7 @@ import json
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
-from .fields import QQ, FieldError, field_from_name
+from .fields import QQ, FieldError, _ascii, field_from_name
 from .groebner import Ideal
 from .polynomials import ParseError, Ring, parse_polynomial
 
@@ -45,6 +45,12 @@ def parse_ideal_text(text, source="<string>"):
                 raise IdealFileError(f"{source}:{lineno}: empty vars line")
             if len(set(names)) < len(names):
                 raise IdealFileError(f"{source}:{lineno}: duplicate variable names")
+            # a name must read back as one name token of the polynomial grammar
+            for v in names:
+                if not ((v[0] == "_" or v[0].isalpha())
+                        and v.replace("_", "a").isalnum()):
+                    raise IdealFileError(
+                        f"{source}:{lineno}: bad variable name {v!r}")
             continue
         if line.startswith("field:"):
             try:
@@ -91,9 +97,7 @@ def save_ideal_file(ideal, path):
 
 def parse_weight(text, n):
     """Comma-separated rationals, e.g. ``1/2,0,3``."""
-    if not text.isascii():      # Fraction() also reads digits such as '١'
-        raise ValueError(f"bad weight vector {text!r}: digits must be ASCII")
-    parts = [p.strip() for p in text.split(",")]
+    parts = [p.strip() for p in _ascii(text, "weight vector").split(",")]
     if len(parts) != n:
         raise ValueError(f"expected {n} weight entries, got {len(parts)}")
     try:
@@ -104,9 +108,7 @@ def parse_weight(text, n):
 
 def parse_subset(text, n):
     """Comma-separated 1-based indices to a 0-based frozenset; '' is empty."""
-    if not text.isascii():      # int() also reads digits such as '١'
-        raise ValueError(f"bad subset {text!r}: digits must be ASCII")
-    text = text.strip()
+    text = _ascii(text, "subset").strip()
     if not text:
         return frozenset()
     try:

@@ -6,16 +6,19 @@ equality, normal-form evaluation vs adic membership) and compares
 exactly.  Failed hypotheses are reported as such, never silently folded
 into pass or fail; verdicts are ``pass``, ``fail``, ``undetermined``
 (primeness outside certificate range) or ``hypothesis-not-met``; the
-claims that cut by x_A all take theirs from one gate, ``_unmet``.  Only the
-fan sweeps (``fan.sweep``), which compare samples rather than two routes,
-reuse a weight basis across the weights of its Groebner cone
-(``groebner.rebase``, exact).
+claims that cut by x_A all take theirs from one gate, ``_unmet``.  One
+helper, ``_verdict``, builds every report but those of ``cm-fan`` and an
+``undetermined`` well-poisedness, so a ``fail`` carries the evidence of a
+``pass`` plus a ``witness``.  Only the fan sweeps (``fan.sweep``), which
+compare samples rather than two routes, reuse a weight basis across the
+weights of its Groebner cone (``groebner.rebase``, exact).
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import product
 
 from .fan import ConeCA, cone_contains, epsilon_vector, sweep, trop_membership
 from .groebner import (buchberger_reduced, eliminate,
@@ -43,6 +46,20 @@ def _report(claim, params, verdict, evidence):
             "evidence": evidence}
 
 
+def _verdict(claim, params, evidence=None, witness=None, reason=None):
+    """``hypothesis-not-met`` when there is a ``reason``; else ``pass`` with
+    ``evidence``, or ``fail`` with that evidence plus ``witness``."""
+    if reason:
+        return _report(claim, params, HYPOTHESIS, {"reason": reason})
+    if witness is None:
+        return _report(claim, params, PASS, evidence)
+    return _report(claim, params, FAIL, {**evidence, "witness": witness})
+
+
+def _bases_differ(lhs_basis, rhs_basis):
+    return None if lhs_basis == rhs_basis else "reduced bases differ"
+
+
 def _fmt_w(w):
     return ",".join(str(Fraction(x)) for x in w)
 
@@ -56,9 +73,7 @@ def _basis_strings(ideal):
 
 
 def _instance(ideal, **extra):
-    inst = {"generators": [str(g) for g in ideal.generators]}
-    inst.update(extra)
-    return inst
+    return {"generators": [str(g) for g in ideal.generators], **extra}
 
 
 def _unmet(ideal, A, d=None):
@@ -86,18 +101,15 @@ def verify_initial_formula(ideal, A, w) -> dict:
     if reason := ("w outside the relative interior of C_A"
                   if not cone_contains(ConeCA(A, n), w, interior=True)
                   else _unmet(ideal, A, d)):
-        return _report("initial-formula", inst, HYPOTHESIS, {"reason": reason})
-    evidence = {"w_in_relative_interior": True,
-                "regular_sequence_size_ok": True,
-                "complement_bound_ok": (n - len(A)) <= n - d + 1}
-    lhs = initial_ideal(w, ideal)
-    lhs_basis = evidence["initial_ideal_basis"] = _basis_strings(lhs)
-    rhs_basis = evidence["eliminated_extension_basis"] = _basis_strings(
-        eliminate(ideal, A))
-    if lhs_basis == rhs_basis:
-        return _report("initial-formula", inst, PASS, evidence)
-    evidence["witness"] = "reduced bases differ"
-    return _report("initial-formula", inst, FAIL, evidence)
+        return _verdict("initial-formula", inst, reason=reason)
+    lhs_basis = _basis_strings(initial_ideal(w, ideal))
+    rhs_basis = _basis_strings(eliminate(ideal, A))
+    return _verdict("initial-formula", inst, {
+        "w_in_relative_interior": True, "regular_sequence_size_ok": True,
+        "complement_bound_ok": (n - len(A)) <= n - d + 1,
+        "initial_ideal_basis": lhs_basis,
+        "eliminated_extension_basis": rhs_basis},
+        _bases_differ(lhs_basis, rhs_basis))
 
 
 def verify_gr_presentation(ideal, A) -> dict:
@@ -113,52 +125,41 @@ def verify_gr_presentation(ideal, A) -> dict:
     d = krull_dimension(ideal)
     inst = _instance(ideal, A=_fmt_A(A), d=d)
     if reason := _unmet(ideal, A):
-        return _report("gr-presentation", inst, HYPOTHESIS, {"reason": reason})
-    eps = epsilon_vector(A, n)
-    lhs_ideal = initial_ideal(eps, ideal)
+        return _verdict("gr-presentation", inst, reason=reason)
+    lhs_ideal = initial_ideal(epsilon_vector(A, n), ideal)
     lhs_series = hilbert_series_quotient(lhs_ideal)
     rhs_ideal = eliminate(ideal, A)
     rhs_series = hilbert_series_quotient(rhs_ideal)
     series_ok = lhs_series == rhs_series
     lhs_basis = _basis_strings(lhs_ideal)
-    basis_ok = lhs_basis == _basis_strings(rhs_ideal)
-    evidence = {
+    bases_differ = _bases_differ(lhs_basis, _basis_strings(rhs_ideal))
+    return _verdict("gr-presentation", inst, {
         "cut_dimension": rhs_series.dimension() - len(A),
         "expected_cut_dimension": d - len(A),
         "initial_series": str(lhs_series),
         "sliced_series_with_free_variables": str(rhs_series),
-        "series_equal": series_ok,
-        "basis_equal": basis_ok,
-        "initial_ideal_basis": lhs_basis,
-    }
-    verdict = PASS if (series_ok and basis_ok) else FAIL
-    if verdict == FAIL:
-        evidence["witness"] = ("Hilbert series differ" if not series_ok
-                               else "reduced bases differ")
-    return _report("gr-presentation", inst, verdict, evidence)
+        "series_equal": series_ok, "basis_equal": not bases_differ,
+        "initial_ideal_basis": lhs_basis},
+        bases_differ if series_ok else "Hilbert series differ")
 
 
 def verify_iterated_initial(ideal, A, i) -> dict:
     """Two-step initial degeneration against the one-step one."""
-    ring = ideal.ring
-    n = ring.nvars
+    n = ideal.ring.nvars
     A = frozenset(A)
     if i not in A:
         raise ValueError("index must belong to A")
     d = krull_dimension(ideal)
     inst = _instance(ideal, A=_fmt_A(A), i=i + 1, d=d)
     if reason := _unmet(ideal, A, d):
-        return _report("iterated-initial", inst, HYPOTHESIS,
-                       {"reason": reason})
+        return _verdict("iterated-initial", inst, reason=reason)
     step = initial_ideal(epsilon_vector([i], n), ideal)
     lhs = initial_ideal(epsilon_vector(A - {i}, n), step)
     rhs = initial_ideal(epsilon_vector(A, n), ideal)
     lhs_basis, rhs_basis = _basis_strings(lhs), _basis_strings(rhs)
-    evidence = {"two_step_basis": lhs_basis, "one_step_basis": rhs_basis}
-    verdict = PASS if lhs_basis == rhs_basis else FAIL
-    if verdict == FAIL:
-        evidence["witness"] = "reduced bases differ"
-    return _report("iterated-initial", inst, verdict, evidence)
+    return _verdict("iterated-initial", inst,
+                    {"two_step_basis": lhs_basis, "one_step_basis": rhs_basis},
+                    _bases_differ(lhs_basis, rhs_basis))
 
 
 # ---------------------------------------------------------------------------
@@ -197,8 +198,7 @@ def verify_quasival_decomposition(ideal, A, w, maxdeg=4, samples=50,
                      samples=samples, seed=seed)
     if reason := ("w outside C_A" if not cone_contains(ConeCA(A, n), w)
                   else _unmet(ideal, A)):
-        return _report("quasival-decomposition", inst, HYPOTHESIS,
-                       {"reason": reason})
+        return _verdict("quasival-decomposition", inst, reason=reason)
     vw = Quasivaluation.weight(ideal, w)
     iw, scale = integer_weight(w)
     lo = min(iw)
@@ -216,41 +216,35 @@ def verify_quasival_decomposition(ideal, A, w, maxdeg=4, samples=50,
         return Fraction(total, scale)
 
     worder = MonomialOrder.weighted(w)
+
+    def values():
+        """(element, v_w, decomposition, tabled) for each checked element."""
+        for deg in range(0, maxdeg + 1):
+            for mono in standard_basis_slice(ideal, worder, deg):
+                b = ring.monomial(mono)
+                yield b, vw.evaluate(b), rhs_on_monomial(mono), True
+        gb = buchberger_reduced(ideal, worder)
+        rng = random.Random(repr(("decomp", seed, _fmt_w(w), sorted(A))))
+        # no homogeneous element has a positive degree below 1
+        for _ in range(samples if maxdeg >= 1 else 0):
+            f = _random_homogeneous(ring, rng, maxdeg)
+            yield f, vw.evaluate(f), min((rhs_on_monomial(m) for m in
+                                          normal_form(f, gb).terms),
+                                         default=INFINITY), False
+
     checked = 0
     table = []
-    for deg in range(0, maxdeg + 1):
-        for mono in standard_basis_slice(ideal, worder, deg):
-            lhs = vw.evaluate(ring.monomial(mono))
-            rhs = rhs_on_monomial(mono)
-            checked += 1
-            if len(table) < 12:
-                table.append({"element": str(ring.monomial(mono)),
-                              "v_w": str(lhs), "decomposition": str(rhs)})
-            if lhs != rhs:
-                return _report(
-                    "quasival-decomposition", inst, FAIL,
-                    {"witness": str(ring.monomial(mono)),
-                     "v_w": str(lhs), "decomposition": str(rhs),
-                     "checked": checked, "value_table": table})
-    gb = buchberger_reduced(ideal, worder)
-    rng = random.Random(repr(("decomp", seed, _fmt_w(w), sorted(A))))
-    # no homogeneous element has a positive degree below 1
-    for _ in range(samples if maxdeg >= 1 else 0):
-        f = _random_homogeneous(ring, rng, maxdeg)
-        lhs = vw.evaluate(f)
-        nf = normal_form(f, gb)
-        if nf.is_zero():
-            rhs = INFINITY
-        else:
-            rhs = min(rhs_on_monomial(m) for m in nf.terms)
+    for f, lhs, rhs, tabled in values():
         checked += 1
+        if tabled and len(table) < 12:
+            table.append({"element": str(f), "v_w": str(lhs),
+                          "decomposition": str(rhs)})
         if lhs != rhs:
-            return _report(
-                "quasival-decomposition", inst, FAIL,
-                {"witness": str(f), "v_w": str(lhs), "decomposition": str(rhs),
-                 "checked": checked, "value_table": table})
-    return _report("quasival-decomposition", inst, PASS,
-                   {"checked": checked, "value_table": table})
+            return _verdict("quasival-decomposition", inst, {
+                "v_w": str(lhs), "decomposition": str(rhs),
+                "checked": checked, "value_table": table}, str(f))
+    return _verdict("quasival-decomposition", inst,
+                    {"checked": checked, "value_table": table})
 
 
 def verify_weight_sum(ideal, u, w, maxdeg=4) -> dict:
@@ -262,9 +256,10 @@ def verify_weight_sum(ideal, u, w, maxdeg=4) -> dict:
     vu = Quasivaluation.weight(ideal, u)
     vw = Quasivaluation.weight(ideal, w)
     try:
-        vsum = oplus_in_cone([vu, vw])
+        # v_u (+) v_w is v_{u+w} itself once they share a Groebner cone
+        oplus_in_cone([vu, vw])
     except ConeShareError as exc:
-        return _report("weight-sum", inst, HYPOTHESIS, {"reason": str(exc)})
+        return _verdict("weight-sum", inst, reason=str(exc))
     total = tuple(a + b for a, b in zip(u, w))
     vtotal = Quasivaluation.weight(ideal, total)
     order = MonomialOrder.weighted(total)
@@ -272,16 +267,13 @@ def verify_weight_sum(ideal, u, w, maxdeg=4) -> dict:
     for deg in range(0, maxdeg + 1):
         for mono in standard_basis_slice(ideal, order, deg):
             b = ring.monomial(mono)
-            a1, a2 = vu.evaluate(b), vw.evaluate(b)
-            s = vtotal.evaluate(b)
-            o = vsum.evaluate(b)
+            a1, a2, s = vu.evaluate(b), vw.evaluate(b), vtotal.evaluate(b)
             checked += 1
-            if a1 + a2 != s or o != s:
-                return _report(
-                    "weight-sum", inst, FAIL,
-                    {"witness": str(b), "v_u": str(a1), "v_w": str(a2),
-                     "v_sum": str(s), "oplus": str(o), "checked": checked})
-    return _report("weight-sum", inst, PASS, {"checked": checked})
+            if a1 + a2 != s:
+                return _verdict("weight-sum", inst, {
+                    "v_u": str(a1), "v_w": str(a2), "v_sum": str(s),
+                    "oplus": str(s), "checked": checked}, str(b))
+    return _verdict("weight-sum", inst, {"checked": checked})
 
 
 def verify_epsilon_facts(ideal, A) -> dict:
@@ -296,19 +288,16 @@ def verify_epsilon_facts(ideal, A) -> dict:
     if reason := _unmet(ideal, A, krull_dimension(ideal)) or next(
             filter(None, (_unmet(ideal, A | {j})
                           for j in range(n) if j not in A)), None):
-        return _report("epsilon-facts", inst, HYPOTHESIS, {"reason": reason})
+        return _verdict("epsilon-facts", inst, reason=reason)
     eps = epsilon_vector(A, n)
     member = trop_membership(eps, ideal)
     veps = Quasivaluation.weight(ideal, eps)
-    values = [veps.evaluate(ring.variable(i)) for i in range(n)]
-    values_ok = all(values[i] == eps[i] for i in range(n))
-    evidence = {"trop_membership": member,
-                "variable_values": [str(v) for v in values]}
-    if member and values_ok:
-        return _report("epsilon-facts", inst, PASS, evidence)
-    evidence["witness"] = ("monomial found in the initial ideal" if not member
-                           else "variable value differs from the weight entry")
-    return _report("epsilon-facts", inst, FAIL, evidence)
+    values = tuple(veps.evaluate(ring.variable(i)) for i in range(n))
+    return _verdict("epsilon-facts", inst, {
+        "trop_membership": member, "variable_values": [str(v) for v in values]},
+        "monomial found in the initial ideal" if not member else (
+            None if values == eps
+            else "variable value differs from the weight entry"))
 
 
 # ---------------------------------------------------------------------------
@@ -365,37 +354,20 @@ def _linear_factor_search(g):
     seen = set()
     for p in (2, 3, 5, 7):
         centered = lambda a: a - p if a > p // 2 else a
-        for coeffs in _templates(n, p):
+        # templates: tuples over F_p whose first nonzero entry is 1
+        for coeffs in product(range(p), repeat=n):
             lifted = tuple(centered(a) for a in coeffs)
-            if lifted in seen:
+            if next(filter(None, coeffs), 0) != 1 or lifted in seen:
                 continue
             seen.add(lifted)
             ell = ring.zero()
             for i, a in enumerate(lifted):
                 if a:
                     ell = ell + ring.variable(i).scale(a)
-            if ell.is_zero():
-                continue
             q = _exact_divide(g, ell)
             if q is not None:
                 return ell, q
     return None
-
-
-def _templates(n, p):
-    """Nonzero coefficient tuples over F_p, first nonzero entry 1."""
-    def rec(prefix, normalized):
-        if len(prefix) == n:
-            if normalized:
-                yield prefix
-            return
-        if not normalized:
-            yield from rec(prefix + (0,), False)
-            yield from rec(prefix + (1,), True)
-        else:
-            for a in range(p):
-                yield from rec(prefix + (a,), True)
-    yield from rec((), False)
 
 
 def primeness_check(ideal):
@@ -471,10 +443,8 @@ def radicality_spot_check(ideal, samples=50, seed=0) -> dict:
     inst = _instance(ideal, samples=samples, powmax=_POWMAX, seed=seed)
     verdict, cert = primeness_check(ideal)
     if verdict == "Prime":
-        return _report(
-            "radicality-spot", inst, PASS,
-            {"note": "prime by certificate, hence radical",
-             "certificate": cert})
+        return _verdict("radicality-spot", inst, {
+            "note": "prime by certificate, hence radical", "certificate": cert})
     rng = random.Random(repr(("radical", seed)))
     candidates = [ring.variable(i) for i in range(ring.nvars)]
     candidates += [_random_homogeneous(ring, rng, 2) for _ in range(samples)]
@@ -491,17 +461,12 @@ def radicality_spot_check(ideal, samples=50, seed=0) -> dict:
         for m in range(2, _POWMAX + 1):
             power = power * f
             if ideal_membership(power, ideal):
-                return _report(
-                    "radicality-spot", inst, FAIL,
-                    {"witness": str(f), "power": m,
-                     "note": "f^m in I with f not in I"})
-        return _report(
-            "radicality-spot", inst, FAIL,
-            {"witness": str(f),
-             "note": "radical member that is not a member"})
-    return _report("radicality-spot", inst, PASS,
-                   {"note": "no non-radical witness found",
-                    "sampled": tried})
+                return _verdict("radicality-spot", inst, {
+                    "power": m, "note": "f^m in I with f not in I"}, str(f))
+        return _verdict("radicality-spot", inst, {
+            "note": "radical member that is not a member"}, str(f))
+    return _verdict("radicality-spot", inst, {
+        "note": "no non-radical witness found", "sampled": tried})
 
 
 def well_poised_check(ideal, samples_per_cone=3, seed=0) -> dict:
@@ -533,13 +498,9 @@ def well_poised_check(ideal, samples_per_cone=3, seed=0) -> dict:
         return _report("well-poised", inst, UNDETERMINED, evidence)
     all_prime = all(v == "Prime" for v in verdicts)
     evidence["status"] = "well-poised" if all_prime else "not-well-poised"
-    consistent = (all_prime and linear) or (not all_prime and not linear)
-    verdict = PASS if consistent else FAIL
-    if verdict == FAIL:
-        evidence["witness"] = ("linear ideal with a non-prime initial ideal"
-                               if linear else
-                               "non-linear ideal prime on every sampled stratum")
-    return _report("well-poised", inst, verdict, evidence)
+    return _verdict("well-poised", inst, evidence, None if all_prime == linear
+                    else "linear ideal with a non-prime initial ideal" if linear
+                    else "non-linear ideal prime on every sampled stratum")
 
 
 def cm_fan_audit(ideal, samples_per_cone=3, seed=0) -> dict:

@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tropcm import (GREVLEX, LEX, IdealFileError, buchberger_reduced,
-                    load_ideal_file, parse_ideal_text, parse_subset,
-                    parse_weight, primeness_check, save_ideal_file)
+                    load_ideal_file, parse_ideal_text, parse_polynomial,
+                    parse_subset, parse_weight, primeness_check,
+                    save_ideal_file)
 import tropcm.cli
 import tropcm.groebner
 from tropcm.cache import digest, sha256
@@ -75,6 +76,23 @@ def test_ideal_text_errors():
         parse_ideal_text("vars: x1 x2\nfield: Q\n٣*x1\n")
 
 
+@pytest.mark.parametrize("names, bad", [("x 2 y-1", "2"), ("x y-1", "y-1"),
+                                        ("1x y", "1x"), ("x ²", "²"),
+                                        ("x y^2", "y^2")])
+def test_variable_names_must_read_back(names, bad):
+    # str() would print a name the polynomial grammar cannot parse back
+    with pytest.raises(IdealFileError) as info:
+        parse_ideal_text(f"# a comment\nvars: {names}\n")
+    assert str(info.value) == f"<string>:2: bad variable name {bad!r}"
+
+
+def test_variable_names_the_grammar_reads_are_kept():
+    ideal = parse_ideal_text("vars: x_1 _y zeta2 α\nx_1*zeta2 - _y*α\n")
+    assert ideal.ring.names == ("x_1", "_y", "zeta2", "α")
+    (g,) = ideal.generators
+    assert str(parse_polynomial(str(g), ideal.ring)) == str(g)
+
+
 @pytest.mark.parametrize("line,column", [("x1*x2 + x1^²", 12), ("٣*x1", 1)])
 def test_cli_non_ascii_digits_name_file_and_line(tmp_path, capsys, line, column):
     path = tmp_path / "digits.ideal"
@@ -134,6 +152,68 @@ def test_cli_flags_refuse_non_ascii_digits(conic_path, capsys, argv, message):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err == f"error: {message}: digits must be ASCII\n"
+
+
+@pytest.mark.parametrize("argv, flag, value", [
+    (["fan", "--codim", "١"], "--codim", "١"),
+    (["verify", "--claim", "gr-presentation", "--A", "1", "--seed", "٤٢"],
+     "--seed", "٤٢"),
+    (["verify", "--claim", "iterated-initial", "--A", "1", "-i", "１"],
+     "-i/--index", "１"),
+    (["generic", "--audit-subsets", "٣"], "--audit-subsets", "٣"),
+])
+def test_cli_integer_flags_refuse_non_ascii_digits(conic_path, capsys, argv,
+                                                  flag, value):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv[:1] + [conic_path] + argv[1:])
+    captured = capsys.readouterr()
+    assert exit_info.value.code == 2 and captured.out == ""
+    assert captured.err.endswith(f"error: argument {flag}: bad integer "
+                                 f"{value!r}: digits must be ASCII\n")
+
+
+@pytest.mark.parametrize("argv, flag, value", [
+    (["fan", "--codim", "x"], "--codim", "x"),
+    (["verify", "--claim", "gr-presentation", "--A", "1", "--seed", "4.2"],
+     "--seed", "4.2"),
+])
+def test_cli_integer_flags_keep_the_argparse_message(conic_path, capsys, argv,
+                                                    flag, value):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv[:1] + [conic_path] + argv[1:])
+    captured = capsys.readouterr()
+    assert exit_info.value.code == 2 and captured.out == ""
+    assert captured.err.endswith(f"error: argument {flag}: invalid int value: "
+                                 f"{value!r}\n")
+
+
+def test_cli_scale_refuses_non_ascii_digits(conic_path, capsys):
+    code = main(["quasival", conic_path, "--deg", "--scale", "١"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: bad scaling factor '١': digits must be ASCII\n"
+
+
+def test_field_modulus_refuses_non_ascii_digits(tmp_path, capsys):
+    path = tmp_path / "conic3.ideal"
+    path.write_text("vars: x1 x2 x3\nfield: Fp:٣\nx1*x3 - x2^2\n",
+                    encoding="utf-8")
+    assert main(["gb", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {path}:2: bad field descriptor 'Fp:٣': "
+                            f"digits must be ASCII\n")
+
+
+def test_a_large_prime_modulus_loads_at_once(tmp_path, capsys):
+    # trial division took minutes on this modulus
+    path = tmp_path / "conic-large.ideal"
+    path.write_text("vars: x1 x2 x3\nfield: Fp:1000000000000000003\n"
+                    "x1*x3 - x2^2\n")
+    code, data = run_json(capsys, ["gb", str(path)])
+    assert code == 0
+    assert data["ring"] == "Fp:1000000000000000003[x1,x2,x3]"
+    assert data["basis"] == ["x2^2 + 1000000000000000002*x1*x3"]
 
 
 # -- options ----------------------------------------------------------------------
@@ -237,6 +317,14 @@ def test_cli_gb(conic_path, capsys):
     assert data["basis"] == ["x2^2 - x1*x3"]
 
 
+def test_cli_gb_under_a_weight(conic_path, capsys):
+    # the lowest weight leads: x1*x3 at w = (0,1,0)
+    code, data = run_json(capsys, ["gb", conic_path, "-w", "0,1,0"])
+    assert code == 0
+    assert data["order"] == "weight(0,1,0);grevlex"
+    assert data["basis"] == ["-x2^2 + x1*x3"]
+
+
 def test_cli_gb_ignores_a_cache_entry_written_for_another_order(tmp_path, capsys,
                                                                fresh_cache):
     path = tmp_path / "cubic.ideal"
@@ -294,6 +382,25 @@ def test_cli_generic_writes_ideal_and_audit(conic_path, tmp_path, capsys):
     transformed = load_ideal_file(str(out))
     assert len(transformed.generators) == 1
     assert len(transformed.generators[0].terms) > 1
+
+
+@pytest.mark.parametrize("seed, used, reseeds, code",
+                         [(6, 7, 1, 0), (30, 35, 5, 1)])
+def test_cli_generic_reseeds_until_the_audit_passes(tmp_path, capsys, seed,
+                                                    used, reseeds, code):
+    # over F_2 a change of coordinates often maps a plane of x1*x2 = 0 to a
+    # coordinate plane; five reseeds at most, then the failing audit is kept
+    path = tmp_path / "planes2.ideal"
+    path.write_text("vars: x1 x2 x3\nfield: Fp:2\nx1*x2\n")
+    out = tmp_path / "generic.ideal"
+    got, data = run_json(capsys, ["generic", str(path), "--seed", str(seed),
+                                  "-o", str(out)])
+    assert got == code
+    assert (data["seed"], data["reseeds"]) == (used, reseeds)
+    assert data["pass"] is (code == 0)
+    assert data["pass"] == all(c["pass"] for c in data["checks"])
+    written = load_ideal_file(str(out))
+    assert [str(g) for g in written.generators] == data["ideal"]
 
 
 def test_cli_fan(conic_path, capsys):

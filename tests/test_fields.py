@@ -51,3 +51,32 @@ def test_is_prime_small_values():
     primes = [p for p in range(2, 60) if is_prime(p)]
     assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
     assert is_prime(32003)
+
+
+# the least strong pseudoprime to every base the test uses
+PSEUDOPRIME_TO_2_THROUGH_41 = 3317044064679887385961981
+
+
+@pytest.mark.parametrize("n, prime", [
+    (10**18 + 3, True),
+    (10**14 + 31, True),
+    (561, False),           # a Carmichael number
+    (2047, False),          # the least strong pseudoprime to base 2
+    (318665857834031151167461, False),  # strong pseudoprime to 2, ..., 37
+    (PSEUDOPRIME_TO_2_THROUGH_41 - 2, False),
+])
+def test_is_prime_is_exact_on_large_and_pseudoprime_moduli(n, prime):
+    assert is_prime(n) is prime
+
+
+def test_a_modulus_beyond_the_exact_test_is_refused():
+    with pytest.raises(FieldError, match="beyond the exact primality test"):
+        is_prime(PSEUDOPRIME_TO_2_THROUGH_41)
+    with pytest.raises(FieldError):
+        field_from_name(f"Fp:{10**30 + 57}")
+
+
+def test_is_prime_agrees_with_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+    assert all(is_prime(n) == trial(n) for n in range(-3, 5000))
