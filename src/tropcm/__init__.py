@@ -1,6 +1,6 @@
 """Exact workbench for generic tropical initial ideals of graded algebras."""
 
-from .fields import QQ, DEFAULT_PRIME, FieldError, GFElement, PrimeField, field_from_name
+from .fields import QQ, FieldError, GFElement, PrimeField, field_from_name
 from .orders import GREVLEX, LEX, MonomialOrder
 from .polynomials import (ParseError, Polynomial, Ring, RingMismatchError,
                           default_ring, monomials_of_degree, parse_polynomial,

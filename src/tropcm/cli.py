@@ -233,9 +233,8 @@ def _full_suite(ideal, args):
     jobs += [("weight-sum", {"u": sample_interior(cone, seed + 2 * k),
                              "w": sample_interior(cone, seed + 2 * k + 1)})
              for k, cone in enumerate(maximal[:3])]
-    unset = dict.fromkeys(_FLAG_NAMES)
-    return run([partial(CLAIMS[claim][1], ideal,
-                        argparse.Namespace(**{**vars(args), **unset, **flags}))
+    return run([partial(CLAIMS[claim][2], ideal,
+                        argparse.Namespace(**{**vars(args), **flags}))
                 for claim, flags in jobs] + [audit_report])
 
 
@@ -245,35 +244,42 @@ def _weight_or_sample(ideal, args):
     return sample_interior(ConeCA(args.A, ideal.ring.nvars), args.seed)
 
 
-# claim name -> (parsed flags it requires, checker (ideal, args) -> report).
-# A checker names its theorems function when it runs, so a rebinding of the
-# module attribute (a tracer, a test) reaches it.
+# claim name -> (flags it requires, flags it may take, checker (ideal, args)
+# -> report); any other of --A, -w, -u and -i is refused.  A checker names
+# its theorems function when it runs, so a rebinding of the module attribute
+# (a tracer, a test) reaches it.
 CLAIMS = {
-    "initial-formula": (("A",), lambda ideal, args: verify_initial_formula(
+    "initial-formula": (("A",), ("w",), lambda ideal, args: verify_initial_formula(
         ideal, args.A, _weight_or_sample(ideal, args))),
-    "gr-presentation": (("A",), lambda ideal, args: verify_gr_presentation(
+    "gr-presentation": (("A",), (), lambda ideal, args: verify_gr_presentation(
         ideal, args.A)),
     "quasival-decomposition": (
-        ("A",), lambda ideal, args: verify_quasival_decomposition(
+        ("A",), ("w",), lambda ideal, args: verify_quasival_decomposition(
             ideal, args.A, _weight_or_sample(ideal, args),
             maxdeg=args.maxdeg, samples=args.samples, seed=args.seed)),
-    "iterated-initial": (("A", "index"), lambda ideal, args:
+    "iterated-initial": (("A", "index"), (), lambda ideal, args:
                          verify_iterated_initial(ideal, args.A, args.index - 1)),
-    "weight-sum": (("u", "w"), lambda ideal, args: verify_weight_sum(
+    "weight-sum": (("u", "w"), (), lambda ideal, args: verify_weight_sum(
         ideal, args.u, args.w, maxdeg=args.maxdeg)),
-    "epsilon-facts": (("A",), lambda ideal, args: verify_epsilon_facts(
+    "epsilon-facts": (("A",), (), lambda ideal, args: verify_epsilon_facts(
         ideal, args.A)),
-    "radical-spot": ((), lambda ideal, args: radicality_spot_check(
+    "radical-spot": ((), (), lambda ideal, args: radicality_spot_check(
         ideal, samples=args.samples, seed=args.seed)),
-    "well-poised": ((), lambda ideal, args: well_poised_check(
+    "well-poised": ((), (), lambda ideal, args: well_poised_check(
         ideal, samples_per_cone=args.samples_per_cone, seed=args.seed)),
-    "cm-fan": ((), lambda ideal, args: cm_fan_audit(
+    "cm-fan": ((), (), lambda ideal, args: cm_fan_audit(
         ideal, samples_per_cone=args.samples_per_cone, seed=args.seed)),
 }
 CLAIMS["cor-initial"] = CLAIMS["initial-formula"]
 CLAIMS["quasival-decomp"] = CLAIMS["quasival-decomposition"]
 
-_FLAG_NAMES = {"A": "--A", "index": "-i", "u": "-u", "w": "-w"}
+_FLAG_NAMES = {"A": "--A", "w": "-w", "u": "-u", "index": "-i"}
+
+
+def _flags(names, what):
+    """``--A is <what>``, or ``--A and -i are <what>``."""
+    flags = " and ".join(_FLAG_NAMES[f] for f in names)
+    return f"{flags} {'is' if len(names) == 1 else 'are'} {what}"
 
 
 def cmd_verify(args):
@@ -285,16 +291,20 @@ def cmd_verify(args):
     args.w = parse_weight(args.w, n) if args.w else None
     args.u = parse_weight(args.u, n) if args.u else None
     if args.claim == "all":
-        reports = _full_suite(ideal, args)
+        # the full suite sets every claim's flags itself
+        required = optional = ()
     elif args.claim in CLAIMS:
-        required, checker = CLAIMS[args.claim]
-        if any(getattr(args, f) is None for f in required):
-            flags = " and ".join(_FLAG_NAMES[f] for f in required)
-            verb = "is" if len(required) == 1 else "are"
-            raise ValueError(f"{flags} {verb} required for this claim")
-        reports = [checker(ideal, args)]
+        required, optional, checker = CLAIMS[args.claim]
     else:
         raise ValueError(f"unknown claim {args.claim!r}")
+    refused = [f for f in _FLAG_NAMES
+               if getattr(args, f) is not None and f not in required + optional]
+    if refused:
+        raise ValueError(_flags(refused, "not read by this claim"))
+    if any(getattr(args, f) is None for f in required):
+        raise ValueError(_flags(required, "required for this claim"))
+    reports = (_full_suite(ideal, args) if args.claim == "all"
+               else [checker(ideal, args)])
     _emit(_report_payload(args, ideal, args.ideal, reports), args)
     return 1 if any(r["verdict"] == FAIL for r in reports) else 0
 
@@ -312,14 +322,12 @@ def cmd_report(args):
 
 def _report_lines(body):
     """The lines ``report`` prints for a report body, and its verdict counts."""
-    lines = [f"run {body.get('run_id', '?')}  seed={body.get('seed')}  "
-             f"field={body.get('field')}"]
-    source = body.get("instance", {}).get("source", "?")
-    lines.append(f"instance {source}")
-    for g in body.get("instance", {}).get("generators", []):
-        lines.append(f"  gen {g}")
+    instance = body["instance"]
+    lines = [f"run {body['run_id']}  seed={body['seed']}  field={body['field']}",
+             f"instance {instance['source']}"]
+    lines += [f"  gen {g}" for g in instance["generators"]]
     counts = {}
-    for c in body.get("claims", []):
+    for c in body["claims"]:
         counts[c["verdict"]] = counts.get(c["verdict"], 0) + 1
         inst = {k: v for k, v in c["params"].items() if k != "generators"}
         detail = ", ".join(f"{k}={v}" for k, v in sorted(inst.items()))

@@ -52,7 +52,7 @@ def apply_change(matrix, ideal: Ideal) -> Ideal:
             if c:
                 img = img + ring.variable(i).scale(c)
         images.append(img)
-    return Ideal(ring, [p.substitute(images, ring) for p in ideal.generators])
+    return Ideal(ring, [p.substitute(images) for p in ideal.generators])
 
 
 def genericity_audit(ideal, maxA=None, max_subsets=None, seed=0) -> dict:

@@ -476,9 +476,6 @@ class GroebnerBasis:
     def __iter__(self):
         return iter(self.basis)
 
-    def __len__(self):
-        return len(self.basis)
-
     def __repr__(self):
         return f"GroebnerBasis({self.order.descriptor()}; {', '.join(self.strings())})"
 
@@ -603,9 +600,8 @@ def radical_membership(f, ideal):
             f"radical membership needs a homogeneous f of positive degree: {f}")
     ring = ideal.ring
     ext = ring.extended(_fresh_name(ring))
-    positions = list(range(ring.nvars))
-    gens = [g.extend(ext, positions) for g in ideal.generators]
-    gens.append(f.extend(ext, positions) - ext.variable(ring.nvars) ** e)
+    gens = [g.extend(ext) for g in ideal.generators]
+    gens.append(f.extend(ext) - ext.variable(ring.nvars) ** e)
     basis = groebner_basis_raw(Ideal(ext, gens), GREVLEX)
     return any(g.terms.keys() == {(0,) * ring.nvars + (g.degree(),)}
                for g in basis)

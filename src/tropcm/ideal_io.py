@@ -29,8 +29,7 @@ class IdealFileError(ValueError):
 
 def parse_ideal_text(text, source="<string>"):
     lines = text.splitlines()
-    names = None
-    field = QQ
+    names = field = None
     gens = []
     gen_lines = []
     for lineno, raw in enumerate(lines, start=1):
@@ -53,6 +52,8 @@ def parse_ideal_text(text, source="<string>"):
                         f"{source}:{lineno}: bad variable name {v!r}")
             continue
         if line.startswith("field:"):
+            if field is not None:
+                raise IdealFileError(f"{source}:{lineno}: duplicate field line")
             try:
                 field = field_from_name(line[6:])
             except FieldError as exc:
@@ -64,7 +65,7 @@ def parse_ideal_text(text, source="<string>"):
         gen_lines.append(lineno)
     if names is None:
         raise IdealFileError(f"{source}: missing vars line")
-    ring = Ring(names, field)
+    ring = Ring(names, field or QQ)
     polys = []
     for line, lineno in zip(gens, gen_lines):
         try:

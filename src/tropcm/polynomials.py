@@ -107,12 +107,6 @@ class Ring:
     def __hash__(self):
         return hash((self.names, self.field))
 
-    def index(self, name):
-        try:
-            return self.names.index(name)
-        except ValueError:
-            raise ParseError(f"unknown variable {name!r}") from None
-
     def zero(self):
         return Polynomial(self, {})
 
@@ -124,10 +118,7 @@ class Ring:
         return Polynomial(self, {exps: self.field.one()})
 
     def monomial(self, exps, coeff=1):
-        c = self.field.coerce(coeff)
-        if not c:
-            return self.zero()
-        return Polynomial(self, {tuple(exps): c})
+        return Polynomial(self, {tuple(exps): self.field.coerce(coeff)})
 
     def extended(self, extra_name):
         if extra_name in self.names:
@@ -208,23 +199,12 @@ class Polynomial:
         return Polynomial(self.ring, res)
 
     def __sub__(self, other):
-        self._check_ring(other)
-        res = dict(self.terms)
-        for m, c in other.terms.items():
-            s = res.get(m)
-            s = -c if s is None else s - c
-            if s:
-                res[m] = s
-            elif m in res:
-                del res[m]
-        return Polynomial(self.ring, res)
+        return self + -other
 
     def __neg__(self):
         return Polynomial(self.ring, {m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other):
-        if not isinstance(other, Polynomial):
-            return self.scale(other)
         self._check_ring(other)
         res = {}
         for m1, c1 in self.terms.items():
@@ -238,13 +218,8 @@ class Polynomial:
                     del res[m]
         return Polynomial(self.ring, res)
 
-    def __rmul__(self, other):
-        return self.scale(other)
-
     def scale(self, c):
         c = self.ring.field.coerce(c)
-        if not c:
-            return self.ring.zero()
         return Polynomial(self.ring, {m: c * v for m, v in self.terms.items()})
 
     def __pow__(self, e):
@@ -290,10 +265,10 @@ class Polynomial:
 
     # -- ring moves -------------------------------------------------------------
 
-    def substitute(self, images, target_ring=None):
-        """Map x_i -> images[i]; images live in a common target ring."""
-        ring = target_ring or (images[0].ring if images else self.ring)
-        if len(images) != self.ring.nvars:
+    def substitute(self, images):
+        """Map x_i -> images[i], polynomials of the same ring."""
+        ring = self.ring
+        if len(images) != ring.nvars:
             raise ValueError("one image per variable required")
         out = ring.zero()
         pow_cache = [dict() for _ in images]
@@ -309,15 +284,11 @@ class Polynomial:
             out = out + part
         return out
 
-    def extend(self, superring, positions):
-        """Place variable j at positions[j] in superring."""
-        res = {}
-        for m, c in self.terms.items():
-            exps = [0] * superring.nvars
-            for j, e in enumerate(m):
-                exps[positions[j]] = e
-            res[tuple(exps)] = c
-        return Polynomial(superring, res)
+    def extend(self, superring):
+        """The same polynomial in ``superring``, whose variables begin with
+        this ring's: the exponents are padded with zeros."""
+        pad = (0,) * (superring.nvars - self.ring.nvars)
+        return Polynomial(superring, {m + pad: c for m, c in self.terms.items()})
 
     # -- formatting --------------------------------------------------------------
 
@@ -447,7 +418,10 @@ class _Parser:
                     num = -num
                 kind, text, col = self.take()
             if kind == "name":
-                i = ring.index(text)
+                try:
+                    i = ring.names.index(text)
+                except ValueError:
+                    raise ParseError(f"unknown variable {text!r}", col) from None
                 e = self.exponent()
                 if div is not None and e:
                     raise ParseError(_NOT_A_DIVISOR, div)

@@ -55,12 +55,6 @@ class _Infinity:
 
     __rmul__ = __mul__
 
-    def __eq__(self, other):
-        return other is self
-
-    def __hash__(self):
-        return hash("tropcm-infinity")
-
     def __repr__(self):
         return "INFINITY"
 

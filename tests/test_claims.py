@@ -2,8 +2,9 @@
 
 Each claim and alias runs on the seed-7 generic twisted cubic and must
 report its claim under the report name with the exit code of a passing
-run.  Missing flags and unknown names print one exact ``error:`` line and
-exit 2.  The benchmark's tracer (``perfbench/tracer.py``, loaded read-only)
+run.  Missing flags, flags among --A, -w, -u and -i that the claim does
+not read, and unknown names print one exact ``error:`` line and exit 2.
+The benchmark's tracer (``perfbench/tracer.py``, loaded read-only)
 rebinds module attributes, so every claim must reach the rebound
 ``theorems`` function.
 """
@@ -79,6 +80,27 @@ def test_verify_claim_names(name, twisted_cubic_generic, capsys):
     # -i names a variable by its 1-based index, and it must lie in A
     (["--claim", "iterated-initial", "--A", "2", "-i", "1"],
      "index must belong to A"),
+    # a flag the claim does not read is refused, not ignored
+    (["--claim", "all", "--maxdeg", "1", "--A", "1", "-w", "5,0,0,0",
+      "-u", "1,1,1,1", "-i", "1"],
+     "--A and -w and -u and -i are not read by this claim"),
+    (["--claim", "all", "-w", "5,0,0,0"], "-w is not read by this claim"),
+    (["--claim", "radical-spot", "--A", "1", "-w", "5,0,0,0"],
+     "--A and -w are not read by this claim"),
+    (["--claim", "well-poised", "-i", "1"], "-i is not read by this claim"),
+    (["--claim", "cm-fan", "-u", "1,0,0,0"], "-u is not read by this claim"),
+    (["--claim", "gr-presentation", "--A", "1", "-w", "1,0,0,0"],
+     "-w is not read by this claim"),
+    (["--claim", "epsilon-facts", "--A", "1", "-i", "1"],
+     "-i is not read by this claim"),
+    (["--claim", "iterated-initial", "--A", "1", "-i", "1", "-u", "1,0,0,0"],
+     "-u is not read by this claim"),
+    (["--claim", "weight-sum", "-u", "1,0,0,0", "-w", "2,0,0,0", "--A", "1"],
+     "--A is not read by this claim"),
+    (["--claim", "quasival-decomp", "--A", "1", "-u", "1,0,0,0"],
+     "-u is not read by this claim"),
+    # refused before a missing flag is named
+    (["--claim", "initial-formula", "-i", "1"], "-i is not read by this claim"),
 ])
 def test_verify_claim_errors(argv, message, twisted_cubic_generic, capsys):
     capsys.readouterr()

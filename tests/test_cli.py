@@ -103,6 +103,32 @@ def test_cli_non_ascii_digits_name_file_and_line(tmp_path, capsys, line, column)
     assert f"(column {column})" in err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("vars: x1 x2\nvars: x1 x2\n", "<string>:2: duplicate vars line"),
+    ("vars:\nx1\n", "<string>:1: empty vars line"),
+    # a second field: line would replace the first
+    ("vars: x1 x2 x3\nfield: Q\nfield: Fp:7\nx1*x3 - 9*x2^2\n",
+     "<string>:3: duplicate field line"),
+    ("field: Q\nvars: x1\nfield: Q\n", "<string>:3: duplicate field line"),
+    ("vars: x1 x2 x3\nx1*x3 - x9^2\n",
+     "<string>:2: unknown variable 'x9' (column 9)"),
+], ids=["second-vars", "empty-vars", "second-field", "repeated-field",
+        "unknown-variable"])
+def test_ideal_file_header_errors(text, message):
+    with pytest.raises(IdealFileError) as info:
+        parse_ideal_text(text)
+    assert str(info.value) == message
+
+
+def test_cli_refuses_a_second_field_line(tmp_path, capsys):
+    path = tmp_path / "two-fields.ideal"
+    path.write_text("vars: x1 x2 x3\nfield: Q\nfield: Fp:7\nx1*x3 - 9*x2^2\n")
+    assert main(["gb", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}:3: duplicate field line\n"
+
+
 def test_empty_generator_list_is_zero_ideal():
     I = parse_ideal_text("vars: x1 x2\n")
     assert I.is_zero()
@@ -127,6 +153,14 @@ def test_parse_weight_and_subset():
     assert parse_subset("", 3) == frozenset()
     with pytest.raises(ValueError):
         parse_subset("4", 3)
+
+
+def test_cli_weight_with_a_zero_denominator(conic_path, capsys):
+    code = main(["initial", conic_path, "-w", "1/0,0,0"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == ("error: bad weight vector '1/0,0,0': "
+                            "Fraction(1, 0)\n")
 
 
 @pytest.mark.parametrize("subset, literal", [("1,,2", "''"), ("x", "'x'")])
@@ -643,6 +677,22 @@ def test_cli_prime_check(conic_path, capsys):
     assert data["verdict"] == "NotPrime"  # in_w = <x1*x3>
 
 
+@pytest.mark.parametrize("text, verdict, certificate", [
+    ("vars: x1 x2 x3\n1\n", "NotPrime",
+     {"method": "monomial", "data": {"witness": "1", "note": "unit ideal"}}),
+    # no Gram matrix in characteristic 2
+    ("vars: x1 x2 x3\nfield: Fp:2\nx1*x3 + x2^2\n", "Undetermined",
+     {"method": "principal-quadric-rank",
+      "data": {"note": "rank certificate unavailable in characteristic 2"}}),
+], ids=["unit-ideal", "quadric-over-F2"])
+def test_cli_prime_check_edge_cases(tmp_path, capsys, text, verdict, certificate):
+    path = tmp_path / "edge.ideal"
+    path.write_text(text)
+    code, data = run_json(capsys, ["prime-check", str(path)])
+    assert code == 0
+    assert data["verdict"] == verdict and data["certificate"] == certificate
+
+
 def test_cli_report_rendering(conic_path, tmp_path, capsys):
     out = tmp_path / "report.json"
     main(["verify", "--claim", "cor-initial", "--A", "1", "-w", "1,0,0",
@@ -654,8 +704,15 @@ def test_cli_report_rendering(conic_path, tmp_path, capsys):
     assert "initial-formula" in text and "pass" in text
 
 
-@pytest.mark.parametrize("body", [[], {"claims": [{}]}],
-                         ids=["list", "claim-without-verdict"])
+@pytest.mark.parametrize("body", [
+    [], {"claims": [{}]}, {},
+    {"basis": ["x2^2 - x1*x3"], "order": "grevlex", "ring": "Q[x1,x2,x3]"},
+    {"codim": 0, "cones": [{"A": [1], "in_w_gb": ["x2^2"],
+                            "monomial_free": False, "prime_verdict": "NotPrime",
+                            "sample_w": "8,0,0"}], "d": 2, "n": 3},
+    {"run_id": "0123456789ab", "seed": 42, "field": "Q", "claims": []},
+], ids=["list", "claim-without-verdict", "empty", "gb-output", "fan-output",
+        "no-instance"])
 def test_cli_report_rejects_a_file_that_is_not_a_report(tmp_path, capsys, body):
     path = tmp_path / "not-a-report.json"
     path.write_text(json.dumps(body))

@@ -267,6 +267,15 @@ def test_radical_membership_in_a_unit_ideal(field_name):
         assert radical_membership(parse_polynomial(text, ring), unit)
 
 
+def test_radical_membership_in_a_ring_with_a_variable_named_t():
+    # the new variable takes the first of t, t_, t__, ... the ring lacks
+    ring = Ring(("t", "t_", "x"))
+    I = ideal_from(ring, "t^2", "t_^3 - t*x^2")
+    assert radical_membership(parse_polynomial("t", ring), I)
+    assert radical_membership(parse_polynomial("t_", ring), I)
+    assert not radical_membership(parse_polynomial("x", ring), I)
+
+
 @pytest.mark.parametrize("text", ["0", "1", "-2/3", "x1 + x2^2", "x1^3 - x3"])
 def test_radical_membership_rejects_a_zero_constant_or_mixed_f(text):
     with pytest.raises(ValueError):
@@ -436,9 +445,11 @@ def test_cache_fresh_memory_and_disk_agree(tmp_path, monkeypatch, fresh_cache, o
 @pytest.mark.parametrize("damage", [
     lambda text: text[:len(text) // 2],                 # truncated JSON
     lambda text: json.dumps({"ring": "QQ[x1,x2,x3]"}),  # no basis
-    lambda text: json.dumps({"basis": ["x1 +* y7"]}),   # not a polynomial
+    # not a polynomial, and not homogeneous: ring and order kept, so the
+    # entry reaches the parser and the homogeneity check
+    lambda text: json.dumps(dict(json.loads(text), basis=["x1 +* y7"])),
     lambda text: json.dumps({"basis": "x1"}),           # not a list
-    lambda text: json.dumps({"basis": ["x1^2 - x2"]}),  # not homogeneous
+    lambda text: json.dumps(dict(json.loads(text), basis=["x1^2 - x2"])),
     lambda text: json.dumps({"basis": ["x1"]}),         # no ring, no order
     lambda text: json.dumps(dict(json.loads(text), ring="Fp:7[x1,x2,x3]")),
     lambda text: json.dumps(dict(json.loads(text), order="lex")),

@@ -36,6 +36,12 @@ def test_all_ones_weight_is_degree(conic):
         assert v.evaluate(f) == deg.evaluate(f) == f.degree()
 
 
+def test_zero_has_the_value_infinity(conic):
+    zero = R3.zero()
+    assert Quasivaluation.adic(conic, {0}).evaluate(zero) is INFINITY
+    assert Quasivaluation.weight(conic, (1, 0, 0)).evaluate(zero) is INFINITY
+
+
 def test_weight_evaluation_single_reduction(conic):
     v = Quasivaluation.weight(conic, (1, 0, 0))
     assert v.evaluate(parse_polynomial("x2^2", R3)) == 1
@@ -134,7 +140,7 @@ def test_adic_order_matches_the_downward_search(adic_corpus, name):
     n = ring.nvars
     rng = random.Random(repr(("adic", name)))
     g = ideal.generators[0]
-    elements = [ring.zero(), ring.one(), ring.field.coerce(-3) * ring.one(),
+    elements = [ring.zero(), ring.one(), ring.one().scale(-3),
                 g, ring.variable(n - 1) * g, g + ring.variable(0) ** 2]
     elements += [ring.variable(i) for i in range(n)]
     elements += [ring.monomial(m) for m in rng.sample(monomials_of_degree(n, 2), 4)]
