@@ -120,15 +120,6 @@ def test_ideal_file_header_errors(text, message):
     assert str(info.value) == message
 
 
-def test_cli_refuses_a_second_field_line(tmp_path, capsys):
-    path = tmp_path / "two-fields.ideal"
-    path.write_text("vars: x1 x2 x3\nfield: Q\nfield: Fp:7\nx1*x3 - 9*x2^2\n")
-    assert main(["gb", str(path)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"error: {path}:3: duplicate field line\n"
-
-
 def test_empty_generator_list_is_zero_ideal():
     I = parse_ideal_text("vars: x1 x2\n")
     assert I.is_zero()
