@@ -155,7 +155,7 @@ def cmd_fan(args):
         verdict, cert = primeness_check(inw)
         cones.append({
             "A": list(cone.label()),
-            "sample_w": ",".join(str(x) for x in w),
+            "sample_w": _fmt_w(w),
             "in_w_gb": buchberger_reduced(inw, GREVLEX).strings(),
             "monomial_free": not holds_monomial(inw),
             "prime_verdict": verdict,
@@ -311,11 +311,11 @@ def cmd_verify(args):
 
 def cmd_report(args):
     with open(args.report, "r", encoding="utf-8") as fh:
-        body = json.load(fh)
-    try:
-        lines, counts = _report_lines(body)
-    except (AttributeError, KeyError, TypeError):
-        raise ValueError(f"{args.report}: not a tropcm report") from None
+        try:
+            # a decoding error is a ValueError too
+            lines, counts = _report_lines(json.load(fh))
+        except (AttributeError, KeyError, TypeError, ValueError):
+            raise ValueError(f"{args.report}: not a tropcm report") from None
     print("\n".join(lines))
     return 1 if counts.get(FAIL) else 0
 

@@ -41,9 +41,6 @@ class ConeCA:
         """1-based sorted subset, the external name of the cone."""
         return tuple(sorted(i + 1 for i in self.A))
 
-    def __repr__(self):
-        return f"C_{{{','.join(map(str, self.label()))}}}" if self.A else "C_{}"
-
 
 def cone_contains(cone: ConeCA, w, interior=False) -> bool:
     """Closed containment; ``interior`` restricts to the relative interior."""

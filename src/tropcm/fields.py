@@ -110,9 +110,6 @@ class GFElement:
     def __bool__(self):
         return self.val != 0
 
-    def __hash__(self):
-        return hash((self.val, self.p))
-
     def __repr__(self):
         return str(self.val)
 
@@ -142,9 +139,6 @@ class Rationals:
 
     def __hash__(self):
         return hash("Q")
-
-    def __repr__(self):
-        return "Q"
 
 
 class PrimeField:
@@ -181,9 +175,6 @@ class PrimeField:
 
     def __hash__(self):
         return hash(("Fp", self.p))
-
-    def __repr__(self):
-        return self.name
 
 
 QQ = Rationals()

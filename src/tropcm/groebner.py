@@ -419,10 +419,6 @@ class Ideal:
                                    ";".join(sorted(str(g) for g in self.generators)))
         return self._gen_key
 
-    def __repr__(self):
-        gens = ", ".join(str(g) for g in self.generators) or "0"
-        return f"Ideal({gens})"
-
 
 class GroebnerBasis:
     """A reduced basis together with its order and ring.
@@ -475,9 +471,6 @@ class GroebnerBasis:
 
     def __iter__(self):
         return iter(self.basis)
-
-    def __repr__(self):
-        return f"GroebnerBasis({self.order.descriptor()}; {', '.join(self.strings())})"
 
 
 def buchberger_reduced(ideal, order, reuse=None):

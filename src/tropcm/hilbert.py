@@ -8,6 +8,7 @@ t = 1) and Hilbert function values are read from that form.
 
 from __future__ import annotations
 
+from itertools import accumulate, zip_longest
 from math import comb
 
 from .polynomials import mono_degree, mono_divides, mono_gcd
@@ -23,55 +24,22 @@ def minimalize(gens):
     return out
 
 
-def _poly_mul(a, b):
-    res = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    res[i + j] += x * y
-    return res
-
-
-def _poly_add(a, b):
-    n = max(len(a), len(b))
-    return [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)]
-
-
 def _poly_trim(a):
     while len(a) > 1 and a[-1] == 0:
         a = a[:-1]
     return a
 
 
-def _one_minus_t_pow(e):
-    # (1 - t^e)
-    out = [0] * (e + 1)
-    out[0] = 1
-    out[e] = -1
-    return out
-
-
-def _div_one_minus_t(num):
-    """Quotient of num by (1-t), or None when t = 1 is not a root."""
-    if sum(num) != 0:
-        return None
-    d = len(num) - 1
-    if d == 0:
-        return [0]
-    q = [0] * d
-    carry = 0
-    for i in range(d, 0, -1):
-        carry += num[i]
-        q[i - 1] = -carry
-    return _poly_trim(q)
+def _times_one_minus_t_pow(num, e):
+    """Multiply num by (1 - t^e) in place."""
+    num.extend([0] * e)
+    for i in range(len(num) - 1, e - 1, -1):
+        num[i] -= num[i - e]
 
 
 def hilbert_numerator(gens, n):
     """N(t) with HS(k[x_1..x_n] / <gens>) = N(t) / (1-t)^n, gens monomials."""
     gens = minimalize(gens)
-    if not gens:
-        return [1]
     if any(mono_degree(m) == 0 for m in gens):
         return [0]
     # pairwise coprime generators: Koszul product formula
@@ -79,28 +47,27 @@ def hilbert_numerator(gens, n):
         not any(mono_gcd(gens[i], gens[j]).count(0) < n
                 for j in range(i + 1, len(gens)))
         for i in range(len(gens)))
-    if len(gens) == 1 or coprime:
+    if len(gens) <= 1 or coprime:
         num = [1]
         for m in gens:
-            num = _poly_mul(num, _one_minus_t_pow(mono_degree(m)))
-        return _poly_trim(num)
-    # pivot on the variable hitting the most mixed generators
+            _times_one_minus_t_pow(num, mono_degree(m))
+        return num
+    # pivot on the variable hitting the most generators that are not variables
     counts = [0] * n
     for m in gens:
-        if sum(1 for e in m if e) >= 2 or mono_degree(m) >= 2:
+        if mono_degree(m) >= 2:
             for i, e in enumerate(m):
                 if e:
                     counts[i] += 1
     j = max(range(n), key=lambda i: counts[i])
-    colon = minimalize([
-        tuple(e - 1 if i == j and e > 0 else e for i, e in enumerate(m))
-        for m in gens])
+    colon = [tuple(e - 1 if i == j and e > 0 else e for i, e in enumerate(m))
+             for m in gens]
     pivot = tuple(1 if i == j else 0 for i in range(n))
-    plus = minimalize([m for m in gens if m[j] == 0] + [pivot])
+    plus = [m for m in gens if m[j] == 0] + [pivot]
     # short exact sequence 0 -> S/(I:x_j) -> S/I -> S/(I + <x_j>) -> 0
-    num = _poly_add(hilbert_numerator(plus, n),
-                    _poly_mul([0, 1], hilbert_numerator(colon, n)))
-    return _poly_trim(num)
+    # gives N = N_plus + t * N_colon
+    return _poly_trim([a + b for a, b in zip_longest(
+        hilbert_numerator(plus, n), [0] + hilbert_numerator(colon, n), fillvalue=0)])
 
 
 class HilbertSeries:
@@ -111,9 +78,10 @@ class HilbertSeries:
 
     def __init__(self, numerator, nvars):
         num, pole = _poly_trim(list(numerator)), nvars
-        # the zero series divides down to pole 0
-        while pole > 0 and (q := _div_one_minus_t(num)) is not None:
-            num, pole = q, pole - 1
+        # (1-t) divides N while N(1) = 0, and then N = (1-t)Q with
+        # q_k = n_0 + ... + n_k; the zero series divides down to pole 0
+        while pole > 0 and sum(num) == 0:
+            num, pole = list(accumulate(num[:-1])) or [0], pole - 1
         self.numerator, self.pole = tuple(num), pole
 
     @classmethod

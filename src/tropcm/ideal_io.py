@@ -80,8 +80,15 @@ def parse_ideal_text(text, source="<string>"):
 
 
 def load_ideal_file(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_ideal_text(fh.read(), source=str(path))
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the line of the bad byte, counted as parse_ideal_text counts lines
+        lineno = len((data[:exc.start].decode("utf-8") + "x").splitlines())
+        raise IdealFileError(f"{path}:{lineno}: not UTF-8 text") from None
+    return parse_ideal_text(text, source=str(path))
 
 
 def ideal_to_text(ideal):

@@ -93,9 +93,6 @@ class MonomialOrder:
     def __hash__(self):
         return hash(self._desc)
 
-    def __repr__(self):
-        return f"MonomialOrder({self._desc})"
-
 
 _WEIGHTED = {}
 GREVLEX = MonomialOrder("grevlex")

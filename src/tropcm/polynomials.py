@@ -239,9 +239,6 @@ class Polynomial:
             return NotImplemented
         return self.ring == other.ring and self.terms == other.terms
 
-    def __hash__(self):
-        return hash((self.ring, frozenset(self.terms.items())))
-
     # -- weights and leading data ----------------------------------------------
 
     def initial_form(self, w):

@@ -103,6 +103,16 @@ def test_cli_non_ascii_digits_name_file_and_line(tmp_path, capsys, line, column)
     assert f"(column {column})" in err
 
 
+@pytest.mark.parametrize("data, lineno", [
+    (b"vars: x1\n\xff\n", 2), (b"\xff", 1), (b"vars: x1\r\nx1\r\n\xc3", 3),
+    (b"vars: x1\rx1 \xe2\x82", 2)])
+def test_cli_non_utf8_file_names_file_and_line(tmp_path, capsys, data, lineno):
+    path = tmp_path / "bytes.ideal"
+    path.write_bytes(data)
+    assert main(["gb", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}:{lineno}: not UTF-8 text\n"
+
+
 @pytest.mark.parametrize("text, message", [
     ("vars: x1 x2\nvars: x1 x2\n", "<string>:2: duplicate vars line"),
     ("vars:\nx1\n", "<string>:1: empty vars line"),
@@ -702,11 +712,12 @@ def test_cli_report_rendering(conic_path, tmp_path, capsys):
                             "monomial_free": False, "prime_verdict": "NotPrime",
                             "sample_w": "8,0,0"}], "d": 2, "n": 3},
     {"run_id": "0123456789ab", "seed": 42, "field": "Q", "claims": []},
+    b"not json", b"\xff\xfe",
 ], ids=["list", "claim-without-verdict", "empty", "gb-output", "fan-output",
-        "no-instance"])
+        "no-instance", "not-json", "not-utf8"])
 def test_cli_report_rejects_a_file_that_is_not_a_report(tmp_path, capsys, body):
     path = tmp_path / "not-a-report.json"
-    path.write_text(json.dumps(body))
+    path.write_bytes(body if isinstance(body, bytes) else json.dumps(body).encode())
     code = main(["report", str(path)])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
@@ -717,6 +728,11 @@ def test_cli_error_handling(tmp_path, capsys):
     code = main(["gb", str(tmp_path / "missing.ideal")])
     err = capsys.readouterr().err
     assert code == 2 and "error:" in err
+    # a missing report keeps the operating system's message
+    missing = tmp_path / "missing.json"
+    assert main(["report", str(missing)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: [Errno 2] No such file or directory: '{missing}'\n")
 
 
 def test_cli_internal_error_exit_code(conic_path, monkeypatch, capsys):

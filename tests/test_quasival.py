@@ -268,6 +268,14 @@ def test_oplus_refuses_unshared_cones(conic):
         oplus_in_cone([u, o])
 
 
+def test_oplus_refuses_summands_on_another_ideal_object(conic):
+    # a second, equal ideal object is another algebra to oplus_in_cone
+    twin = ideal_from(R3, "x1*x3 - x2^2")
+    with pytest.raises(ValueError, match="^summands live on different algebras$"):
+        oplus_in_cone([Quasivaluation.weight(conic, (1, 0, 0)),
+                       Quasivaluation.weight(twin, (1, 0, 0))])
+
+
 # -- standard monomials -------------------------------------------------------------
 
 def test_standard_basis_slices(conic):
