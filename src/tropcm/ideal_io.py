@@ -27,8 +27,15 @@ class IdealFileError(ValueError):
     pass
 
 
+def _lines(text):
+    """The lines of ``text``, ended by \\r\\n, \\r or \\n alone: a form feed,
+    a vertical tab, NEL or U+2028, which ``str.splitlines`` also breaks at,
+    is a character of its line."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
 def parse_ideal_text(text, source="<string>"):
-    lines = text.splitlines()
+    lines = _lines(text)
     names = field = None
     gens = []
     gen_lines = []
@@ -86,7 +93,7 @@ def load_ideal_file(path):
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         # the line of the bad byte, counted as parse_ideal_text counts lines
-        lineno = len((data[:exc.start].decode("utf-8") + "x").splitlines())
+        lineno = len(_lines(data[:exc.start].decode("utf-8")))
         raise IdealFileError(f"{path}:{lineno}: not UTF-8 text") from None
     return parse_ideal_text(text, source=str(path))
 
@@ -140,8 +147,10 @@ def gb_to_dict(gb):
 # The JSON writer lives here, not in cli.py: without .pyc files, compiling
 # cli.py is the peak of ``import tropcm.cli``, so its size is resident memory.
 
-# pieces of JSON text gathered before each call of the sink
-_PIECES = 4096
+# pieces of JSON text gathered before each call of the sink.  On the seed-42
+# verify-g24 report, 4096 held 0.31 MB at the writer's peak and 256 holds
+# 0.03 MB; below 1024 the process's peak no longer moves (README, Reports)
+_PIECES = 256
 _scalar_text = json.JSONEncoder().encode
 
 
@@ -156,7 +165,7 @@ def _key_text(key):
 
 def write_json(obj, sink, indent=None):
     """Pass ``sink`` the text of ``json.dumps(obj, indent=indent,
-    sort_keys=True, default=str)``, a few thousand pieces per call, so no
+    sort_keys=True, default=str)``, a few hundred pieces per call, so no
     whole report text is ever held."""
     step = None if indent is None else " " * indent
     comma = ", " if step is None else ","

@@ -1,20 +1,23 @@
 """Independent jobs run by this process and, with a second CPU, one forked
 worker.
 
-``run(jobs)`` calls every job once and returns the results in the jobs'
-order.  The job indices wait in one pipe, written before the fork, and each
-process takes the next one when it is free, so the first jobs start first.
-The worker sends its results, or the exception that stopped it, back
-pickled on a second pipe and leaves with ``os._exit``; this process reads
-that pipe and reaps the worker on every path.  A process that a job's
-exception stops empties the index pipe, so the other one stops after its
-current job, and ``run`` raises the exception of the earliest job that
-raised: the one a single process running the jobs in order meets first.
-
-The worker is forked, not spawned: the process runs no threads, and a
-spawned worker would import the package again before its first job.
+``run(jobs)`` returns the jobs' results in their order.  The job indices
+wait in one pipe, written before the fork, and each process takes the next
+one when it is free, so the first jobs start first.  A process stops at
+its first job that raises and empties the index pipe, so the other one
+stops after its current job.  The worker sends back what it finished,
+``{index: result}`` through ``marshal`` (loaded by the import system
+already, where ``pickle`` would add to this process's peak), and leaves
+with ``os._exit``; this process reads that and reaps the worker on every
+path.  Then it runs, in order, each job without a result.  Every lower job
+has finished, so the first of them is the earliest job that raised, and
+it raises here with its own error, as in one process running the jobs in
+order.  A worker that dies, or whose results ``marshal`` refuses, so costs
+time, not the run.  The worker is forked, not spawned: the process runs no
+threads, and a spawned worker would import the package again.
 """
 
+import marshal
 import os
 
 # bytes per job index.  Every index is written before the fork, with no
@@ -32,80 +35,60 @@ def cpus():
 
 
 def _take(jobs, indices):
-    """Run the jobs whose indices this process reads from ``indices``:
-    ({index: result}, (index, exception) or None).  However it stops, it
+    """Run the jobs whose indices this process reads from ``indices``, up
+    to the first that raises: {index: result}.  However it stops, it
     leaves the pipe empty, so the other process stops after its job."""
     done = {}
     try:
         while chunk := os.read(indices, _WIDTH):
             i = int.from_bytes(chunk, "big")
-            try:
-                done[i] = jobs[i]()
-            except Exception as exc:
-                return done, (i, exc)
-        return done, None
+            done[i] = jobs[i]()
+    except Exception:
+        pass                        # the job raises again in ``run``
     finally:
         while os.read(indices, 4096):
             pass
+    return done
 
 
-def _fork(jobs, indices):
-    """Start the worker: its pid and the pipe end its results come from,
-    or None when no process can be started (this one then runs alone)."""
-    # only this path loads pickle: alone, a process is 0.2 MB smaller
-    # at its peak without it
-    import pickle
-
+def _shared(jobs):
+    """{index: result} of the jobs this process and one forked worker
+    finished; this process takes them all when no worker can start."""
+    indices, feed = os.pipe()
+    os.write(feed, b"".join(i.to_bytes(_WIDTH, "big")
+                            for i in range(len(jobs))))
+    os.close(feed)
     results, send = os.pipe()
     try:
         pid = os.fork()
     except OSError:
-        os.close(results)
-        os.close(send)
-        return None
+        pid = None
     if pid == 0:
-        status = 1
         try:
             os.close(results)
-            sent = pickle.dumps(_take(jobs, indices))
+            sent = marshal.dumps(_take(jobs, indices))
             with os.fdopen(send, "wb") as fh:
                 fh.write(sent)
-            status = 0
         finally:
-            os._exit(status)
+            os._exit(0)
     os.close(send)
-    return pid, results
+    try:
+        done = _take(jobs, indices)
+    finally:
+        os.close(indices)
+        with os.fdopen(results, "rb") as fh:
+            sent = fh.read()
+        if pid:
+            os.waitpid(pid, 0)
+    try:
+        done.update(marshal.loads(sent))
+    except (EOFError, ValueError):  # the worker died or sent nothing
+        pass
+    return done
 
 
 def run(jobs):
     """``[job() for job in jobs]``, shared with one forked worker when
     ``os.fork`` exists and ``cpus()`` is at least two."""
-    indices, feed = os.pipe()
-    os.write(feed, b"".join(i.to_bytes(_WIDTH, "big")
-                            for i in range(len(jobs))))
-    os.close(feed)
-    worker = None
-    try:
-        if hasattr(os, "fork") and cpus() >= 2:
-            worker = _fork(jobs, indices)
-        done, error = _take(jobs, indices)
-    finally:
-        os.close(indices)
-        if worker is not None:
-            pid, results = worker
-            with os.fdopen(results, "rb") as fh:
-                sent = fh.read()
-            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if worker is not None:
-        if not sent:
-            raise RuntimeError(f"the worker process ended with status "
-                               f"{status} and sent no results")
-        import pickle   # loaded by _fork
-
-        theirs, their_error = pickle.loads(sent)
-        done.update(theirs)
-        # each index is read once, so the pairs differ in their index
-        error = min(filter(None, (error, their_error)), default=None)
-    if error is not None:
-        raise error[1]
-    return [done[i] for i in range(len(jobs))]
+    done = _shared(jobs) if hasattr(os, "fork") and cpus() >= 2 else {}
+    return [done[i] if i in done else jobs[i]() for i in range(len(jobs))]

@@ -113,6 +113,27 @@ def test_cli_non_utf8_file_names_file_and_line(tmp_path, capsys, data, lineno):
     assert capsys.readouterr().err == f"error: {path}:{lineno}: not UTF-8 text\n"
 
 
+# str.splitlines also ends a line at each of these; an ideal file does not
+NOT_LINE_ENDS = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+@pytest.mark.parametrize("ch", NOT_LINE_ENDS,
+                         ids=[f"U+{ord(ch):04X}" for ch in NOT_LINE_ENDS])
+def test_only_cr_and_lf_end_a_line_of_an_ideal_file(tmp_path, capsys, ch):
+    # in a comment the character is commented out, in a generator it is a
+    # space, and a later error names the line an editor shows
+    text = f"vars: x1 x2\n# a{ch}b\nx1^2 +{ch} x2^2\n"
+    assert parse_ideal_text(text).generators[0].to_string() == "x1^2 + x2^2"
+    path = tmp_path / "ff.ideal"
+    path.write_text(text + "x3\n", encoding="utf-8")
+    assert main(["gb", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}:4: unknown variable 'x3' (column 1)\n")
+    path.write_bytes(text.encode("utf-8") + b"\xff\n")
+    assert main(["gb", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}:4: not UTF-8 text\n"
+
+
 @pytest.mark.parametrize("text, message", [
     ("vars: x1 x2\nvars: x1 x2\n", "<string>:2: duplicate vars line"),
     ("vars:\nx1\n", "<string>:1: empty vars line"),

@@ -3,6 +3,7 @@ CPUs are there: the same bytes, errors and exit codes as one process, and
 no process left behind."""
 
 import hashlib
+import marshal
 import os
 import random
 import select
@@ -20,6 +21,7 @@ RAW = {
             "x1*x5 - x4*x2\nx2*x4 - x3*x3\nx2*x5 - x4*x3\nx3*x5 - x4*x4\n",
 }
 SUITE = ["verify", "inst.ideal", "--claim", "all", "--maxdeg", "2"]
+G24_FP = "vars: x1 x2 x3 x4 x5 x6\nfield: Fp:32003\nx1*x6 - x2*x5 + x3*x4\n"
 
 
 def _never_fork():
@@ -178,3 +180,81 @@ def test_a_fork_that_fails_leaves_the_jobs_to_this_process(monkeypatch):
     monkeypatch.setattr(os, "fork", no_process)
     assert tropcm.runner.run([lambda: 1, lambda: 2]) == [1, 2]
     _no_child_left()
+
+
+@pytest.mark.parametrize("how", ["exit", "unmarshallable"])
+def test_a_worker_that_sends_nothing_leaves_its_jobs_to_this_process(
+        how, generic, monkeypatch, capsys):
+    # every claim the worker runs ends it, or returns a value marshal
+    # refuses; this process then runs the worker's jobs itself
+    generic("g24", "run")
+    with monkeypatch.context() as patch:
+        patch.setattr(tropcm.runner, "cpus", lambda: 1)
+        patch.setattr(os, "fork", _never_fork)
+        alone = (main(SUITE), capsys.readouterr())
+    parent = os.getpid()
+    told, tell = os.pipe()
+
+    def in_the_worker(claim):
+        def job(ideal, args):
+            if os.getpid() == parent:
+                return claim(ideal, args)
+            os.write(tell, b"w")
+            if how == "exit":
+                os._exit(0)
+            return {"claim": object()}
+        return job
+
+    for name, (required, optional, claim) in list(tropcm.cli.CLAIMS.items()):
+        monkeypatch.setitem(tropcm.cli.CLAIMS, name,
+                            (required, optional, in_the_worker(claim)))
+
+    def worker_took_a_claim(pid):
+        assert select.select([told], [], [], 60)[0], "the worker took no job"
+
+    with monkeypatch.context() as patch:
+        patch.setattr(tropcm.runner, "cpus", lambda: 2)
+        workers = _forks(patch, worker_took_a_claim)
+        forked = (main(SUITE), capsys.readouterr())
+    assert len(workers) == 1
+    os.close(told)
+    os.close(tell)
+    _no_child_left()
+    assert forked == alone
+    assert alone[0] == 0 and alone[1].err == ""
+
+
+def _plain(value):
+    """Whether ``value`` is built of dicts with str keys, lists, str, int,
+    bool and None alone."""
+    if type(value) is dict:
+        return all(type(k) is str and _plain(v) for k, v in value.items())
+    if type(value) is list:
+        return all(_plain(v) for v in value)
+    return value is None or type(value) in (str, int, bool)
+
+
+@pytest.mark.parametrize("name", ["conic", "g24", "rnc4", "g24fp"])
+def test_every_full_suite_report_is_plain_data_marshal_keeps(
+        name, generic, tmp_path, monkeypatch, capsys):
+    # the worker's reports cross the pipe through marshal
+    if name == "conic":
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "inst.ideal").write_text("vars: x1 x2 x3\nx1*x3 - x2^2\n")
+    else:
+        monkeypatch.setitem(RAW, "g24fp", G24_FP)
+        generic(name, "run")
+    reports, run = [], tropcm.runner.run
+
+    def recorded(jobs):
+        reports.extend(run(jobs))
+        return reports
+
+    monkeypatch.setattr(tropcm.runner, "cpus", lambda: 1)
+    monkeypatch.setattr(tropcm.runner, "run", recorded)
+    assert main(SUITE) == 0
+    assert capsys.readouterr().err == ""
+    assert reports
+    for report in reports:
+        assert _plain(report), report
+        assert marshal.loads(marshal.dumps(report)) == report
