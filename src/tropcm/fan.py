@@ -100,17 +100,16 @@ def sample_cones(cones, limit, key):
 def sweep(ideal, d, codims, samples_per_cone, seed):
     """(codim, cone, w, in_w(I)) for ``samples_per_cone`` interior samples
     w of each cone of each stratum in ``codims``, w drawn with seeds
-    ``seed``, ``seed + 1``, ...  The weight bases of I that the sweep
-    computes are tried on each later weight (see ``groebner.rebase``)."""
+    ``seed``, ``seed + 1``, ...  The weight bases of I computed so far are
+    tried on each later weight (see ``groebner.buchberger_reduced``)."""
     if samples_per_cone < 1:
         # no sample is no evidence: neither a pass nor a fail
         raise ValueError("samples_per_cone must be at least 1")
-    bases = []
     for codim in codims:
         for cone in enumerate_generic_fan(ideal.ring.nvars, d, codim):
             for k in range(samples_per_cone):
                 w = sample_interior(cone, seed + k)
-                yield codim, cone, w, initial_ideal(w, ideal, bases)
+                yield codim, cone, w, initial_ideal(w, ideal)
 
 
 def trop_membership(w, ideal) -> bool:

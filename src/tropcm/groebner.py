@@ -14,12 +14,12 @@ from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import repeat
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 
 from .cache import default_cache, digest
 from .hilbert import HilbertSeries
-from .orders import GREVLEX, MonomialOrder
+from .orders import GREVLEX, MonomialOrder, integer_weight
 from .polynomials import (Polynomial, monomials_of_degree, mono_degree,
                           parse_polynomial)
 
@@ -222,8 +222,7 @@ def _engine_form(terms, field):
     if field.char:
         inv = field.one() / lc
         return _Terms({m: inv * c for m, c in terms.items()})
-    den = lcm(*(c.denominator for c in terms.values()))
-    ints = {m: c.numerator * (den // c.denominator) for m, c in terms.items()}
+    ints = dict(zip(terms, integer_weight(terms.values())[0]))
     k = gcd(*ints.values())
     if lc < 0:
         k = -k
@@ -381,13 +380,14 @@ def rebase(gb, order):
 class Ideal:
     """Homogeneous ideal given by generators; zero generators are dropped.
 
-    ``_basis`` is a reduced basis known when the ideal was made, or None;
-    ``initial_ideal`` sets it.  ``memo`` keeps, each made once, I_A k[x] by
-    ``("elim", A)``, the ideals <x_A>^r + I by ``("trunc", A, r)`` and the
-    adic orders of monomials by ``("ord", A, exponents)``.
+    ``_known`` holds the reduced weight-order bases made for the ideal,
+    oldest first: the initial forms from ``initial_ideal`` and each cold
+    weight basis of ``buchberger_reduced``.  ``memo`` keeps, each made
+    once, I_A k[x] by ``("elim", A)``, <x_A>^r + I by ``("trunc", A, r)``
+    and the adic orders of monomials by ``("ord", A, exponents)``.
     """
 
-    __slots__ = ("ring", "generators", "_gen_key", "_basis", "_memo")
+    __slots__ = ("ring", "generators", "_gen_key", "_known", "_memo")
 
     def __init__(self, ring, generators):
         gens = []
@@ -401,7 +401,7 @@ class Ideal:
             gens.append(g)
         self.ring = ring
         self.generators = tuple(gens)
-        self._gen_key = self._basis = self._memo = None
+        self._gen_key, self._known, self._memo = None, (), None
 
     def is_zero(self):
         return not self.generators
@@ -473,16 +473,15 @@ class GroebnerBasis:
         return iter(self.basis)
 
 
-def buchberger_reduced(ideal, order, reuse=None):
+def buchberger_reduced(ideal, order):
     """Unique reduced basis of a homogeneous ideal, cached by generators.
 
-    On a cache miss the answer is the first basis that ``rebase`` accepts
-    for ``order``, of the one the ideal carries and then ``reuse``, a fan
-    sweep's list of weight bases of ``ideal``, newest first; else a basis
-    computed cold, which is appended to ``reuse``.  A cold weight basis is
-    driven by the Hilbert series of the grevlex basis.  A cached entry
-    written for another ring or order is a miss, as is one with a
-    non-homogeneous element: field widths rest on homogeneity.
+    On a cache miss it is the newest of the ideal's known weight bases that
+    ``rebase`` accepts for ``order``; else a basis computed cold, which a
+    weight order adds to the known ones and drives by the Hilbert series of
+    the grevlex basis.  A cached entry written for another ring or order
+    is a miss, as is one with a non-homogeneous element: field widths rest
+    on homogeneity.
     """
     cache = default_cache()
     ring = ideal.ring
@@ -500,15 +499,13 @@ def buchberger_reduced(ideal, order, reuse=None):
     hit = cache.get(key, load, meta)
     if hit is not None:
         return hit
-    known = [b for b in (ideal._basis, *reversed(reuse or ())) if b is not None]
-    gb = next((b for b in map(rebase, known, repeat(order)) if b is not None), None)
+    gb = next(filter(None, map(rebase, reversed(ideal._known), repeat(order))), None)
     if gb is None:
-        hilbert = (hilbert_series_quotient(ideal)
-                   if order.kind == "weight" else None)
+        weight = order.kind == "weight"
         gb = GroebnerBasis(ring, order, groebner_basis_raw(
-            ideal, order, hilbert=hilbert))
-        if reuse is not None:
-            reuse.append(gb)
+            ideal, order, hilbert_series_quotient(ideal) if weight else None))
+        if weight:
+            ideal._known += (gb,)
     cache.put(key, gb, meta)
     return gb
 
@@ -529,22 +526,21 @@ def ideal_membership(f, ideal):
 # ---------------------------------------------------------------------------
 # initial ideals and elimination
 
-def initial_ideal(w, ideal, reuse=None):
+def initial_ideal(w, ideal):
     """in_w(I) = <in_w(g) : g in the reduced basis under the w-refined order>.
 
     These forms are also the reduced basis of in_w(I) under grevlex, which
     breaks the ties of the w-order (Sturmfels, Groebner Bases and Convex
-    Polytopes, ch. 1).  The ideal carries them under the w-order, and a
-    cache miss on its grevlex basis rebases them (every term of a form has
-    the same weight, so that rebase accepts); its grevlex basis is never
-    computed.  ``reuse`` is passed on to ``buchberger_reduced``; only fan
-    sweeps pass it.
+    Polytopes, ch. 1).  The new ideal knows them as its basis under the
+    w-order, and a cache miss on its grevlex basis rebases them (every term
+    of a form has the same weight, so that rebase accepts); its grevlex
+    basis is never computed.
     """
     order = MonomialOrder.weighted(w)
-    gb = buchberger_reduced(ideal, order, reuse)
+    gb = buchberger_reduced(ideal, order)
     forms = [g.initial_form(order.iweight) for g in gb.basis]
     inw = Ideal(ideal.ring, forms)
-    inw._basis = GroebnerBasis(ideal.ring, order, forms)
+    inw._known = (GroebnerBasis(ideal.ring, order, forms),)
     return inw
 
 

@@ -12,9 +12,9 @@ ideal, which is the independent oracle for in_w computations.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
-from .orders import GREVLEX, MonomialOrder
+from .orders import GREVLEX, MonomialOrder, integer_weight
 from .polynomials import Polynomial, mono_mul, monomials_of_degree
 
 
@@ -34,6 +34,26 @@ def row_echelon(rows):
 def matrix_rank(rows):
     """The number of pivots of ``row_echelon``, without the reduced rows."""
     return len(_echelon(rows)[1])
+
+
+def gram_matrix(q):
+    """Symmetric matrix of a quadratic form; None in characteristic 2."""
+    ring = q.ring
+    field = ring.field
+    if getattr(field, "char", 0) == 2:
+        return None
+    n = ring.nvars
+    half = field.one() / field.coerce(2)
+    M = [[field.zero() for _ in range(n)] for _ in range(n)]
+    for m, c in q.terms.items():
+        idx = [i for i, e in enumerate(m) for _ in range(e)]
+        i, j = idx[0], idx[1]
+        if i == j:
+            M[i][i] = c
+        else:
+            M[i][j] = M[i][j] + c * half
+            M[j][i] = M[i][j]
+    return M
 
 
 def _echelon(rows):
@@ -67,8 +87,7 @@ def _primitive(row):
 
 def _integral(row):
     """The primitive integer multiple of a row of Fractions."""
-    den = lcm(*(x.denominator for x in row))
-    return _primitive([x.numerator * (den // x.denominator) for x in row])
+    return _primitive(list(integer_weight(row)[0]))
 
 
 def _column_basis(n, degree, order):

@@ -20,15 +20,16 @@ def grevlex_key(exps):
 
 
 def integer_weight(w):
-    """``(iw, scale)``: ``w`` scaled by the lcm of its denominators.
+    """``(iw, scale)``: rationals ``w`` scaled by the lcm of their denominators.
 
     ``iw[i] == w[i] * scale`` are integers, so integer dot products with
     ``iw`` order monomials as the exact values do, and the exact value of
     a dot product ``s`` is ``Fraction(s, scale)``.
     """
-    w = [x if isinstance(x, Fraction) else Fraction(x) for x in w]
-    scale = lcm(*(x.denominator for x in w))
-    return tuple(x.numerator * (scale // x.denominator) for x in w), scale
+    w = [x if isinstance(x, (Fraction, int)) else Fraction(x) for x in w]
+    # lists: a tuple made from a generator is resized, then kept on a free list
+    scale = lcm(*[x.denominator for x in w])
+    return tuple([x.numerator * (scale // x.denominator) for x in w]), scale
 
 
 class MonomialOrder:

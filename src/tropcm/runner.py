@@ -12,13 +12,14 @@ with ``os._exit``; this process reads that and reaps the worker on every
 path.  Then it runs, in order, each job without a result.  Every lower job
 has finished, so the first of them is the earliest job that raised, and
 it raises here with its own error, as in one process running the jobs in
-order.  A worker that dies, or whose results ``marshal`` refuses, so costs
-time, not the run.  The worker is forked, not spawned: the process runs no
-threads, and a spawned worker would import the package again.
+order.  A worker that dies, or whose results ``marshal`` refuses, costs
+a warning and time, not the run.  The worker is forked, not spawned: the
+process runs no threads, and a spawned one would import the package again.
 """
 
 import marshal
 import os
+import sys
 
 # bytes per job index.  Every index is written before the fork, with no
 # reader yet, so they must fit in the pipe's buffer: 4096 bytes at least,
@@ -83,7 +84,7 @@ def _shared(jobs):
     try:
         done.update(marshal.loads(sent))
     except (EOFError, ValueError):  # the worker died or sent nothing
-        pass
+        sys.stderr.write("warning: the worker sent nothing; this process runs its jobs\n")
     return done
 
 

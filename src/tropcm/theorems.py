@@ -9,9 +9,9 @@ into pass or fail; verdicts are ``pass``, ``fail``, ``undetermined``
 claims that cut by x_A all take theirs from one gate, ``_unmet``.  One
 helper, ``_verdict``, builds every report but those of ``cm-fan`` and an
 ``undetermined`` well-poisedness, so a ``fail`` carries the evidence of a
-``pass`` plus a ``witness``.  Only the fan sweeps (``fan.sweep``), which
-compare samples rather than two routes, reuse a weight basis across the
-weights of its Groebner cone (``groebner.rebase``, exact).
+``pass`` plus a ``witness``.  An ideal's weight bases serve every weight
+of their Groebner cones (``groebner.rebase``, exact); reduced bases are
+unique, so that reuse changes no report.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .groebner import (buchberger_reduced, eliminate,
                        hilbert_series_quotient, ideal_membership,
                        initial_ideal, krull_dimension, normal_form,
                        radical_membership)
-from .macaulay import matrix_rank
+from .macaulay import gram_matrix, matrix_rank
 from .orders import GREVLEX, MonomialOrder, integer_weight
 from .polynomials import (Polynomial, mono_div, mono_divides,
                           monomials_of_degree)
@@ -301,26 +301,6 @@ def verify_epsilon_facts(ideal, A) -> dict:
 # ---------------------------------------------------------------------------
 # primeness certificates
 
-def _gram_matrix(q):
-    """Symmetric matrix of a quadratic form; None in characteristic 2."""
-    ring = q.ring
-    field = ring.field
-    if getattr(field, "char", 0) == 2:
-        return None
-    n = ring.nvars
-    half = field.one() / field.coerce(2)
-    M = [[field.zero() for _ in range(n)] for _ in range(n)]
-    for m, c in q.terms.items():
-        idx = [i for i, e in enumerate(m) for _ in range(e)]
-        i, j = idx[0], idx[1]
-        if i == j:
-            M[i][i] = c
-        else:
-            M[i][j] = M[i][j] + c * half
-            M[j][i] = M[i][j]
-    return M
-
-
 def _exact_divide(f, g):
     """Quotient f/g when g divides f exactly, else None."""
     ring = f.ring
@@ -411,7 +391,7 @@ def primeness_check(ideal):
                          "factors": [str(ideal.ring.monomial(content)),
                                      str(cofactor)]}}
         if g.degree() == 2:
-            M = _gram_matrix(g)
+            M = gram_matrix(g)
             if M is None:
                 return "Undetermined", {
                     "method": "principal-quadric-rank",
@@ -445,6 +425,10 @@ def radicality_spot_check(ideal, samples=50, seed=0) -> dict:
             "note": "prime by certificate, hence radical", "certificate": cert})
     rng = random.Random(repr(("radical", seed)))
     candidates = [ring.variable(i) for i in range(ring.nvars)]
+    if cert and cert["data"].get("rank") == 1:
+        # c*l^2 of rank 1: a nonzero Gram row is a multiple of l, in rad(I) \ I
+        row = next(filter(any, gram_matrix(buchberger_reduced(ideal, GREVLEX).basis[0])))
+        candidates.insert(0, sum(map(Polynomial.scale, candidates, row), ring.zero()))
     candidates += [_random_homogeneous(ring, rng, 2) for _ in range(samples)]
     tried = 0
     for f in candidates:

@@ -11,9 +11,9 @@ engine over Q) and the generic 2x4 minors over Q (about 7 s in sympy; the
 same instance runs over F_32003).
 
 The same instances test the paths that skip work: Gebauer-Moeller pair
-pruning, the Hilbert stop of weight bases, the in-cone reuse of the fan
-sweeps and the grevlex basis an initial ideal carries must all give the
-cold reduced basis.
+pruning, the Hilbert stop of weight bases, the rebasing of the weight
+bases an ideal keeps and the grevlex basis of an initial ideal rebased
+from its initial forms must all give the cold reduced basis.
 """
 
 import random
@@ -251,12 +251,12 @@ def test_initial_ideal_carries_its_cold_grevlex_basis(name, field_name,
                                                       fresh_cache):
     ideal = instance(name, field_name)
     n = ideal.ring.nvars
-    bases = []
     for cone in enumerate_generic_fan(n, krull_dimension(ideal), 0):
         for k in range(3):
-            inw = initial_ideal(sample_interior(cone, SEED + k), ideal, bases)
+            inw = initial_ideal(sample_interior(cone, SEED + k), ideal)
             cold = groebner_basis_raw(Ideal(inw.ring, inw.generators), GREVLEX)
-            assert list(inw._basis.basis) == cold
+            carried, = inw._known
+            assert list(carried.basis) == cold
             assert list(buchberger_reduced(inw, GREVLEX).basis) == cold
 
 
@@ -270,19 +270,21 @@ def test_rebase_refuses_a_changed_leading_term(fresh_cache):
 
 
 def test_gr25_sweep_bases_agree_with_cold_bases_and_oracle(fresh_cache):
-    ideal = instance("gr25-generic", "F32003")
+    # an ideal of its own, which knows no weight basis yet
+    shared = instance("gr25-generic", "F32003")
+    ideal = Ideal(shared.ring, shared.generators)
     gens = list(ideal.generators)
     cones = random.Random(SEED).sample(enumerate_generic_fan(10, 7, 0), 10)
-    bases = []
     reused = 0
     for cone in cones:
         for k in range(3):
             w = sample_interior(cone, SEED + k)
             order = MonomialOrder.weighted(w)
-            swept = buchberger_reduced(ideal, order, reuse=bases)
-            reused += all(gb is not swept for gb in bases)
+            swept = buchberger_reduced(ideal, order)
+            reused += all(gb is not swept for gb in ideal._known)
             assert swept.strings() == cold(ideal, order)
             oracle, _ = initial_slice_oracle(gens, w, 2)
             engine, _ = graded_slice([g.initial_form(w) for g in swept], 2)
             assert oracle == engine
-    assert reused > 0
+    # each basis was rebased from a known one, or computed cold and kept
+    assert reused > 0 and reused + len(ideal._known) == 30

@@ -131,12 +131,14 @@ def test_initial_ideal_rebases_its_carried_basis_only_on_a_miss(
         return original(gb, order)
 
     monkeypatch.setattr(tropcm.groebner, "rebase", counted)
+    # an ideal of its own: the session's instance keeps the bases made for it
+    ideal = Ideal(e_quad4_generic.ring, e_quad4_generic.generators)
     w = (Fraction(3), Fraction(0), Fraction(1), Fraction(2))
-    inw = initial_ideal(w, e_quad4_generic)
+    inw = initial_ideal(w, ideal)
     assert calls == []
     first = buchberger_reduced(inw, GREVLEX)
     assert calls == [GREVLEX]
-    again = initial_ideal(w, e_quad4_generic)
+    again = initial_ideal(w, ideal)
     assert buchberger_reduced(again, GREVLEX) is first
     assert calls == [GREVLEX]
 

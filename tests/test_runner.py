@@ -12,6 +12,7 @@ import time
 import pytest
 
 import tropcm.cli
+import tropcm.groebner
 import tropcm.runner
 from tropcm.cli import main
 
@@ -96,6 +97,25 @@ def test_full_suite_bytes_do_not_depend_on_the_cpu_count(name, generic,
     assert outputs[0] == outputs[2] and outputs[1] == outputs[3]
     assert outputs[0].err == "" and outputs[0].out.startswith("{")
     assert caches[0] == caches[1] and caches[0]
+
+
+def test_the_full_suite_computes_few_cold_weight_bases(generic, monkeypatch,
+                                                       capsys, fresh_cache):
+    # every ideal keeps the weight bases made for it, and a later weight of
+    # their Groebner cones rebases one of them: 6 cold runs, not 33
+    generic("g24", "run")
+    fresh_cache()
+    runs = []
+    raw = tropcm.groebner.groebner_basis_raw
+
+    def counted(ideal, order, hilbert=None):
+        runs.append(order.kind)
+        return raw(ideal, order, hilbert)
+
+    monkeypatch.setattr(tropcm.groebner, "groebner_basis_raw", counted)
+    monkeypatch.setattr(tropcm.runner, "cpus", lambda: 1)
+    assert main(SUITE) == 0
+    assert 0 < runs.count("weight") <= 6
 
 
 @pytest.mark.parametrize("error, code", [(ValueError, 2), (RuntimeError, 3)])
@@ -220,8 +240,11 @@ def test_a_worker_that_sends_nothing_leaves_its_jobs_to_this_process(
     os.close(told)
     os.close(tell)
     _no_child_left()
-    assert forked == alone
-    assert alone[0] == 0 and alone[1].err == ""
+    # the same report and exit code, and one line on stderr names the loss
+    assert forked[0] == alone[0] == 0 and forked[1].out == alone[1].out
+    assert alone[1].err == ""
+    assert forked[1].err == (
+        "warning: the worker sent nothing; this process runs its jobs\n")
 
 
 def _plain(value):

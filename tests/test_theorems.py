@@ -3,14 +3,15 @@ import pytest
 import tropcm.fan
 import tropcm.groebner
 import tropcm.theorems
-from tropcm import (ConeCA, Ideal, apply_change, cm_fan_audit, default_ring,
-                    epsilon_vector, hilbert_series_quotient, ideal_membership,
-                    initial_ideal, parse_polynomial, primeness_check,
-                    radical_membership, radicality_spot_check,
-                    random_gl, sample_interior, verify_epsilon_facts,
-                    verify_gr_presentation, verify_initial_formula,
-                    verify_iterated_initial, verify_quasival_decomposition,
-                    verify_weight_sum, well_poised_check)
+from tropcm import (QQ, ConeCA, Ideal, PrimeField, apply_change, cm_fan_audit,
+                    default_ring, epsilon_vector, hilbert_series_quotient,
+                    ideal_membership, initial_ideal, parse_polynomial,
+                    primeness_check, radical_membership,
+                    radicality_spot_check, random_gl, sample_interior,
+                    verify_epsilon_facts, verify_gr_presentation,
+                    verify_initial_formula, verify_iterated_initial,
+                    verify_quasival_decomposition, verify_weight_sum,
+                    well_poised_check)
 from tropcm.theorems import FAIL, HYPOTHESIS, PASS, UNDETERMINED
 
 from conftest import downward_adic_order, ideal_from
@@ -309,6 +310,20 @@ def test_radicality_witnesses_non_radical():
     assert rep["evidence"]["witness"] == "x1" and rep["evidence"]["power"] == 2
 
 
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["Q", "F32003"])
+def test_radicality_fails_on_the_square_of_a_generic_linear_form(field):
+    # generic (x1^2) is (l^2) for a linear form l that no variable and no
+    # sampled quadric is a multiple of; the rank-1 certificate names l
+    ring = default_ring(3, field)
+    I = apply_change(random_gl(3, 42, 100, field), ideal_from(ring, "x1^2"))
+    assert primeness_check(I)[1]["data"]["rank"] == 1
+    rep = radicality_spot_check(I, samples=50, seed=42)
+    assert rep["verdict"] == FAIL and rep["evidence"]["power"] == 2
+    witness = parse_polynomial(rep["evidence"]["witness"], ring)
+    assert witness.degree() == 1 and not ideal_membership(witness, I)
+    assert ideal_membership(witness ** 2, I)
+
+
 def test_radicality_passes_on_radical_monomial_ideal():
     rep = radicality_spot_check(ideal_from(R3, "x1*x2"), samples=20)
     assert rep["verdict"] == PASS
@@ -398,7 +413,9 @@ def test_cm_fan_audit_writes_the_process_cache(e_rnc4_generic, tmp_path,
 
 def test_cm_fan_audit_computes_one_grevlex_basis(e_rnc4_generic, monkeypatch,
                                                  fresh_cache):
-    # the instance's own; each initial ideal carries its grevlex basis
+    # the grevlex run is the instance's own: each initial ideal rebases its
+    # initial forms.  A new ideal, since the session's keeps its bases
+    ideal = Ideal(e_rnc4_generic.ring, e_rnc4_generic.generators)
     runs = []
     raw = tropcm.groebner.groebner_basis_raw
 
@@ -407,8 +424,8 @@ def test_cm_fan_audit_computes_one_grevlex_basis(e_rnc4_generic, monkeypatch,
         return raw(ideal, order, hilbert)
 
     monkeypatch.setattr(tropcm.groebner, "groebner_basis_raw", counted)
-    assert cm_fan_audit(e_rnc4_generic, samples_per_cone=3, seed=42)["verdict"] == PASS
-    assert runs.count("grevlex") == 1
+    assert cm_fan_audit(ideal, samples_per_cone=3, seed=42)["verdict"] == PASS
+    assert runs.count("grevlex") == 1 and runs.count("weight") == 4
 
 
 @pytest.mark.parametrize("check", [
